@@ -29,7 +29,7 @@ from .model import (ADJOINT_MODES, DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F,
                     ControlTrajectory, DimensionMismatchError,
                     GridMismatchError, ModelInstance, ModelParams,
                     StateTrajectory)
-from .dynamics import _reduced_rhs
+from .dynamics import _reduced_rhs, _rk4_step
 from .objective import running_cost
 
 _DIVERGENCE_LIMIT = 1e12
@@ -107,13 +107,10 @@ def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTraject
     for k in range(steps - 1, -1, -1):
         e_right = state_traj.states[k + 1]
         e_left = state_traj.states[k]
-        e_mid = 0.5 * (e_left + e_right)
+        stage_states = (e_right, 0.5 * (e_left + e_right), e_left)
         u = control_traj.controls[k]
-        k1 = adjoint_rhs(e_right, u, lam, params, graph, mode)
-        k2 = adjoint_rhs(e_mid, u, lam + 0.5 * h * k1, params, graph, mode)
-        k3 = adjoint_rhs(e_mid, u, lam + 0.5 * h * k2, params, graph, mode)
-        k4 = adjoint_rhs(e_left, u, lam + h * k3, params, graph, mode)
-        lam = lam + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        lam = _rk4_step(lambda y, stage: adjoint_rhs(stage_states[stage], u, y, params,
+                                                     graph, mode), lam, h)
         if np.abs(lam).max() > _DIVERGENCE_LIMIT:
             raise DivergenceError(f"costate magnitude exceeded {_DIVERGENCE_LIMIT:g} at t={grid[k]:.6g}")
         costates[k] = lam

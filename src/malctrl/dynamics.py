@@ -4,6 +4,7 @@ integration, and a stochastic jump-process oracle for validation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from .graphs import NetworkGraph
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S,
                     ControlTrajectory, DimensionMismatchError, GridMismatchError,
                     ModelInstance, ModelParams, StateTrajectory, TRAJECTORY_TOL,
-                    uniform_grid)
+                    r_complete, uniform_grid)
 
 
 class StepTooLargeError(RuntimeError):
@@ -24,24 +25,66 @@ class NonIndicatorInitialStateError(ValueError):
 
 def _reduced_rhs(states: np.ndarray, controls: np.ndarray, beta_high: float,
                  beta_low: float, adjacency: np.ndarray) -> np.ndarray:
-    """Derivatives of the four stored compartments, shape (N, 4).
+    """Derivatives of the four stored compartments, shape (..., N, 4).
 
     RC is never integrated; it is reconstructed from normalization, so this
-    reduced system is what the forward solver advances.
+    reduced system is what the forward solver advances.  Leading axes of
+    ``states`` and ``controls`` are batch axes.  The neighbour pressure is a
+    stack of matrix-vector products, one per batch member, so a batched pass
+    rounds exactly as a pass over one member does.
     """
-    pressure_h = adjacency @ states[:, IH]
-    pressure_l = adjacency @ states[:, IL]
-    new_h = beta_high * states[:, S] * pressure_h
-    new_l = beta_low * states[:, S] * pressure_l
-    contained_h = controls[:, GAMMA_H] * states[:, IH]
-    contained_l = controls[:, GAMMA_L] * states[:, IL]
-    patched = controls[:, DELTA] * states[:, RF]
+    pressure_h = (adjacency @ states[..., IH, None])[..., 0]
+    pressure_l = (adjacency @ states[..., IL, None])[..., 0]
+    new_h = beta_high * states[..., S] * pressure_h
+    new_l = beta_low * states[..., S] * pressure_l
+    contained_h = controls[..., GAMMA_H] * states[..., IH]
+    contained_l = controls[..., GAMMA_L] * states[..., IL]
+    patched = controls[..., DELTA] * states[..., RF]
     out = np.empty_like(states)
-    out[:, S] = -new_h - new_l
-    out[:, IH] = new_h - contained_h
-    out[:, IL] = new_l - contained_l
-    out[:, RF] = contained_h + contained_l - patched
+    out[..., S] = -new_h - new_l
+    out[..., IH] = new_h - contained_h
+    out[..., IL] = new_l - contained_l
+    out[..., RF] = contained_h + contained_l - patched
     return out
+
+
+def _rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of dx/dt = rhs(x, stage) over a step of length h.
+
+    ``stage`` is 0 at the start of the step, 1 at its midpoint (second and
+    third stages) and 2 at its end, so a right-hand side driven by sampled
+    data can pick the sample of each stage.  The forward, batched forward
+    and backward passes all step here; the expression order fixes the last
+    bits of every state and costate trajectory.
+    """
+    k1 = rhs(x, 0)
+    k2 = rhs(x + 0.5 * h * k1, 1)
+    k3 = rhs(x + 0.5 * h * k2, 1)
+    k4 = rhs(x + h * k3, 2)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _forward_steps(initial: np.ndarray, controls: np.ndarray, grid: np.ndarray,
+                   params: ModelParams, adjacency: np.ndarray):
+    """Yield the RK4 state after each step of the grid, shape (..., N, 4).
+
+    ``controls`` has shape (..., K+1, N, 3) with the same leading batch axes
+    as ``initial``; the value at index k is held for the whole step to
+    t_{k+1}.  Raises StepTooLargeError as soon as any compartment of any
+    batch member leaves [-1e-6, 1 + 1e-6].
+    """
+    h = grid[1] - grid[0]
+    beta_high, beta_low = params.beta_high, params.beta_low
+    x = initial
+    for k in range(grid.shape[0] - 1):
+        u = controls[..., k, :, :]
+        x = _rk4_step(lambda y, _stage: _reduced_rhs(y, u, beta_high, beta_low, adjacency), x, h)
+        rc = r_complete(x)
+        if (x.min() < -TRAJECTORY_TOL or x.max() > 1.0 + TRAJECTORY_TOL
+                or rc.min() < -TRAJECTORY_TOL or rc.max() > 1.0 + TRAJECTORY_TOL):
+            raise StepTooLargeError(
+                f"state left [0, 1] at t={grid[k + 1]:.6g}; reduce dt below {h:.6g}")
+        yield x
 
 
 def ode_rhs(state: np.ndarray, control: np.ndarray, params: ModelParams,
@@ -84,27 +127,32 @@ def integrate_forward(instance: ModelInstance, control: ControlTrajectory,
         raise GridMismatchError(
             f"control grid has {control.time_grid.shape[0]} points, expected {grid.shape[0]}")
 
-    steps = grid.shape[0] - 1
-    h = grid[1] - grid[0]
-    beta_high, beta_low = instance.params.beta_high, instance.params.beta_low
-    adjacency = instance.graph.adjacency
-    states = np.empty((steps + 1, instance.node_count, 4))
-    states[0] = instance.initial_state
-    x = instance.initial_state.copy()
-    for k in range(steps):
-        u = control.controls[k]
-        k1 = _reduced_rhs(x, u, beta_high, beta_low, adjacency)
-        k2 = _reduced_rhs(x + 0.5 * h * k1, u, beta_high, beta_low, adjacency)
-        k3 = _reduced_rhs(x + 0.5 * h * k2, u, beta_high, beta_low, adjacency)
-        k4 = _reduced_rhs(x + h * k3, u, beta_high, beta_low, adjacency)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rc = 1.0 - x.sum(axis=1)
-        if (x.min() < -TRAJECTORY_TOL or x.max() > 1.0 + TRAJECTORY_TOL
-                or rc.min() < -TRAJECTORY_TOL or rc.max() > 1.0 + TRAJECTORY_TOL):
-            raise StepTooLargeError(
-                f"state left [0, 1] at t={grid[k + 1]:.6g}; reduce dt below {h:.6g}")
-        states[k + 1] = x
+    states = np.empty((grid.shape[0], instance.node_count, 4))
+    initial = instance.initial_state
+    for k, x in enumerate(chain([initial], _forward_steps(
+            initial, control.controls, grid, instance.params, instance.graph.adjacency))):
+        states[k] = x
     return StateTrajectory(time_grid=grid, states=states)
+
+
+def _forward_totals(instance: ModelInstance, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expected IH and RC device totals per grid point of a stack of strategies.
+
+    ``controls`` has shape (B, K+1, N, 3) on the instance grid.  One RK4 pass
+    advances all B members at once, shape (B, N, 4), and keeps only the two
+    (B, K+1) totals the objective needs, never the (B, K+1, N, 4) trajectory.
+    Each total equals the one integrate_forward's trajectory gives, bit for bit.
+    """
+    grid = instance.time_grid()
+    batch = controls.shape[0]
+    initial = np.repeat(instance.initial_state[None], batch, axis=0)
+    ih = np.empty((batch, grid.shape[0]))
+    rc = np.empty((batch, grid.shape[0]))
+    for k, x in enumerate(chain([initial], _forward_steps(
+            initial, controls, grid, instance.params, instance.graph.adjacency))):
+        ih[:, k] = x[..., IH].sum(axis=-1)
+        rc[:, k] = r_complete(x).sum(axis=-1)
+    return ih, rc
 
 
 @dataclass
@@ -147,7 +195,7 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     steps = grid.shape[0] - 1
     dt = grid[1] - grid[0]
     beta_high, beta_low = instance.params.beta_high, instance.params.beta_low
-    adjacency = instance.graph.adjacency.astype(float)
+    adjacency = instance.graph.adjacency
     max_degree = adjacency.sum(axis=1).max()
     rate_max = max(beta_high * max_degree, beta_low * max_degree,
                    float(control.controls.max(initial=0.0)))

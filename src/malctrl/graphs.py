@@ -56,9 +56,12 @@ class UnconnectableError(TopologyError):
 class NetworkGraph:
     """Undirected device topology with a dense 0/1 adjacency matrix.
 
-    Immutable after construction (the adjacency array is marked read-only);
-    safe to share across concurrent workers.  Storage is dense, so memory
-    and matrix-vector cost are O(N^2); intended for up to a few hundred nodes.
+    The adjacency is stored as float64 with entries exactly 0.0 or 1.0, so
+    the matrix-vector products of the dynamics use it without a cast; graph
+    JSON still writes integer entries.  Immutable after construction (the
+    adjacency array is marked read-only); safe to share across concurrent
+    workers.  Storage is dense, so memory and matrix-vector cost are O(N^2);
+    intended for up to a few hundred nodes.
     """
 
     node_count: int
@@ -67,7 +70,7 @@ class NetworkGraph:
     room_assignment: tuple[str, ...]
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        return self.adjacency.sum(axis=1).astype(np.int64)
 
     def neighbors(self, i: int) -> np.ndarray:
         return np.flatnonzero(self.adjacency[i])
@@ -97,7 +100,7 @@ def validate_graph(adjacency, node_labels=None, room_assignment=None) -> Network
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise NonBinaryEntryError(i, j, a[i, j])
-    a = a.astype(np.int64)
+    a = a.astype(np.float64)
 
     diag = np.flatnonzero(np.diagonal(a))
     if diag.size:
@@ -267,7 +270,7 @@ def canonical_graph() -> NetworkGraph:
 def graph_to_dict(graph: NetworkGraph) -> dict:
     return {
         "n": graph.node_count,
-        "adjacency": graph.adjacency.tolist(),
+        "adjacency": graph.adjacency.astype(np.int64).tolist(),
         "labels": list(graph.node_labels),
         "rooms": list(graph.room_assignment),
     }

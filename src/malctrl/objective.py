@@ -66,18 +66,25 @@ def objective(state_traj: StateTrajectory, control_traj: ControlTrajectory) -> O
             or not np.array_equal(state_traj.time_grid, control_traj.time_grid)):
         raise GridMismatchError("state and control trajectories use different grids")
     states = state_traj.states
-    controls = control_traj.controls
-    dt = state_traj.dt
+    terms = _objective_terms(states[:, :, IH].sum(axis=1), r_complete(states).sum(axis=1),
+                            control_traj.controls, state_traj.dt)
+    return ObjectiveBreakdown(*(float(t) for t in terms))
 
-    infection = np.trapezoid(states[:, :, IH].sum(axis=1), dx=dt)
-    patch = np.trapezoid(0.5 * (controls[:, :, DELTA] ** 2).sum(axis=1), dx=dt)
+
+def _objective_terms(ih_totals: np.ndarray, rc_totals: np.ndarray, controls: np.ndarray,
+                    dt: float) -> tuple[np.ndarray, ...]:
+    """Trapezoid quadrature of the running cost from its per-grid-point parts.
+
+    ``ih_totals`` and ``rc_totals`` are the expected IH and RC device totals
+    at each grid point, shape (..., K+1); ``controls`` has shape
+    (..., K+1, N, 3).  Leading axes are batch axes, integrated member by
+    member.  Returns (total, infection, patch, restriction, recovery), the
+    order of ObjectiveBreakdown's fields.
+    """
+    infection = np.trapezoid(ih_totals, dx=dt, axis=-1)
+    patch = np.trapezoid(0.5 * (controls[..., DELTA] ** 2).sum(axis=-1), dx=dt, axis=-1)
     restriction = np.trapezoid(
-        0.5 * (controls[:, :, GAMMA_H] ** 2 + controls[:, :, GAMMA_L] ** 2).sum(axis=1), dx=dt)
-    recovery = np.trapezoid(r_complete(states).sum(axis=1), dx=dt)
-    return ObjectiveBreakdown(
-        total=float(infection + patch + restriction - recovery),
-        infection_term=float(infection),
-        patch_cost=float(patch),
-        restriction_cost=float(restriction),
-        recovery_reward=float(recovery),
-    )
+        0.5 * (controls[..., GAMMA_H] ** 2 + controls[..., GAMMA_L] ** 2).sum(axis=-1),
+        dx=dt, axis=-1)
+    recovery = np.trapezoid(rc_totals, dx=dt, axis=-1)
+    return infection + patch + restriction - recovery, infection, patch, restriction, recovery

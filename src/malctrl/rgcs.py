@@ -6,10 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import integrate_forward
+from .dynamics import _forward_totals
 from .model import ControlTrajectory, ModelInstance
-from .objective import objective
+from .objective import _objective_terms, objective
 from .sweep import fbsm_solve
+
+# strategies scored per batched forward pass: about 2 MiB of stacked controls,
+# which is 4 strategies at N=60 and 300 steps.  Larger batches buy little
+# speed and cost resident memory.
+_BATCH_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,12 @@ def rgcs_generate(instance: ModelInstance, config: RgcsConfig) -> ControlTraject
     return ControlTrajectory(time_grid=grid, controls=controls)
 
 
+def _batch_size(instance: ModelInstance) -> int:
+    """Strategies per batched forward pass, from the byte budget of their controls."""
+    control_bytes = (instance.time_steps + 1) * instance.node_count * 3 * 8
+    return max(1, _BATCH_BYTES // control_bytes)
+
+
 @dataclass
 class PopulationComparison:
     """Objective values of a random-strategy population next to the sweep optimum."""
@@ -80,16 +91,23 @@ def rgcs_population_compare(instance: ModelInstance, config: RgcsConfig) -> Popu
     """Evaluate population_size random strategies against the sweep optimum.
 
     Strategy i uses seed config.rng_seed + i, so the population is
-    reproducible and embarrassingly parallel in principle.
+    reproducible.  Strategies are scored in batches of a few, each batch in
+    one RK4 pass that keeps only the per-step totals the objective needs; each
+    J equals objective(integrate_forward(instance, strategy)).total bit for bit.
     """
+    grid = instance.time_grid()
+    dt = float(grid[1] - grid[0])   # the step objective() integrates with
+    batch = _batch_size(instance)
+    seeds = [config.rng_seed + i for i in range(config.population_size)]
     entries = []
-    for i in range(config.population_size):
-        seed = config.rng_seed + i
-        strategy = rgcs_generate(instance, RgcsConfig(
+    for start in range(0, len(seeds), batch):
+        chunk = seeds[start:start + batch]
+        controls = np.stack([rgcs_generate(instance, RgcsConfig(
             num_subintervals=config.num_subintervals, rng_seed=seed,
-            population_size=1))
-        states = integrate_forward(instance, strategy)
-        entries.append({"seed": seed, "J": objective(states, strategy).total})
+            population_size=1)).controls for seed in chunk])
+        ih, rc = _forward_totals(instance, controls)
+        totals = _objective_terms(ih, rc, controls, dt)[0]
+        entries.extend({"seed": seed, "J": float(j)} for seed, j in zip(chunk, totals))
     entries.sort(key=lambda e: (e["J"], e["seed"]))
 
     control, states, _, report = fbsm_solve(instance)

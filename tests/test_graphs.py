@@ -48,9 +48,18 @@ class TestValidateGraph:
             validate_graph([[0, 1], [1, 0]], node_labels=["only-one"])
 
     def test_adjacency_is_read_only(self):
-        g = validate_graph([[0, 1], [1, 0]])
+        # stored as float64 so the dynamics' matrix-vector products need no cast
+        g = validate_graph(np.array([[0, 1], [1, 0]], dtype=np.int64))
+        assert g.adjacency.dtype == np.float64
+        assert g.degrees().dtype == np.int64
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = 0
+
+    def test_json_keeps_integer_entries(self):
+        g = validate_graph([[0, 1], [1, 0]])
+        text = graph_to_json(g)
+        assert '"adjacency":[[0,1],[1,0]]' in text
+        assert graph_to_json(graph_from_json(text)) == text
 
 
 class TestSmartHomeSpec:

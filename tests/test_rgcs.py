@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malctrl.graphs import validate_graph
-from malctrl.model import ModelInstance, ModelParams
+from malctrl import rgcs
+from malctrl.dynamics import StepTooLargeError, _forward_totals, integrate_forward
+from malctrl.experiments import build_case_instance
+from malctrl.graphs import canonical_graph, validate_graph
+from malctrl.model import IH, ModelInstance, ModelParams, r_complete
 from malctrl.objective import objective
 from malctrl.rgcs import (RgcsConfig, random_partition, rgcs_generate,
                           rgcs_population_compare)
@@ -96,3 +99,58 @@ class TestPopulationCompare:
         js = [s["J"] for s in a.strategies]
         assert js == sorted(js)
         assert {s["seed"] for s in a.strategies} == set(range(21, 31))
+
+
+class TestBatchedPopulation:
+
+    @pytest.mark.parametrize("population_size", [1, 3, 4])
+    def test_population_j_equals_serial_objective_bit_for_bit(self, monkeypatch,
+                                                              population_size):
+        # batches of 3: sizes 1, B and B + 1 (the last batch partial)
+        monkeypatch.setattr(rgcs, "_batch_size", lambda instance: 3)
+        inst = small_instance(bounds=((0.1, 0.8), (0.1, 1.0), (0.1, 0.6)))
+        config = RgcsConfig(num_subintervals=7, rng_seed=40,
+                            population_size=population_size)
+        out = rgcs_population_compare(inst, config)
+        assert len(out.strategies) == population_size
+        for entry in out.strategies:
+            strategy = rgcs_generate(inst, RgcsConfig(num_subintervals=7,
+                                                      rng_seed=entry["seed"]))
+            serial = objective(integrate_forward(inst, strategy), strategy).total
+            assert entry["J"] == serial, entry["seed"]
+
+    def test_canonical_population_matches_serial_objective_bit_for_bit(self):
+        # N=60, 300 steps: batches of 4, so 5 strategies end in a partial batch
+        inst = build_case_instance(1, canonical_graph())
+        assert rgcs._batch_size(inst) == 4
+        out = rgcs_population_compare(inst, RgcsConfig(rng_seed=7, population_size=5))
+        strategies = [rgcs_generate(inst, RgcsConfig(rng_seed=entry["seed"]))
+                      for entry in out.strategies]
+        ih, rc = _forward_totals(inst, np.stack([s.controls for s in strategies]))
+        for b, (entry, strategy) in enumerate(zip(out.strategies, strategies)):
+            states = integrate_forward(inst, strategy)
+            assert entry["J"] == objective(states, strategy).total, entry["seed"]
+            np.testing.assert_array_equal(ih[b], states.states[:, :, IH].sum(axis=1))
+            np.testing.assert_array_equal(rc[b], r_complete(states.states).sum(axis=1))
+
+    @pytest.mark.parametrize("stiff_member", [0, 1])
+    def test_step_too_large_in_any_member_raises(self, stiff_member):
+        # beta is shared by the batch, so the member that leaves [0, 1] is the
+        # one whose restriction rate is far beyond RK4's stability limit at
+        # this coarse step; the other member stays put
+        graph = validate_graph([[0, 1], [1, 0]])
+        params = ModelParams.from_scalars(2, 0.0, 0.0, 1.0, delta=(0.0, 1.0),
+                                          gamma_high=(0.0, 40.0), gamma_low=(0.0, 1.0))
+        initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
+        inst = ModelInstance(graph=graph, params=params, initial_state=initial,
+                             time_steps=4)
+        calm = inst.constant_control(0.0, 0.0, 0.0)
+        stiff = inst.constant_control(0.0, 40.0, 0.0)
+        with pytest.raises(StepTooLargeError):
+            integrate_forward(inst, stiff)
+        members = [calm.controls, calm.controls]
+        members[stiff_member] = stiff.controls
+        with pytest.raises(StepTooLargeError):
+            _forward_totals(inst, np.stack(members))
+        ih, _ = _forward_totals(inst, np.stack([calm.controls, calm.controls]))
+        assert (ih == 1.0).all()
