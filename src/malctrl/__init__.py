@@ -7,9 +7,9 @@ from .graphs import (NetworkGraph, SmartHomeSpec, canonical_graph, canonical_spe
                      graph_to_json, is_connected, load_graph, save_graph,
                      validate_graph)
 from .model import (AdjointTrajectory, ControlTrajectory, ModelInstance,
-                    ModelParams, NodeState, StateTrajectory, load_instance,
+                    ModelParams, StateTrajectory, load_instance,
                     seed_initial_state, uniform_grid)
-from .dynamics import CtmcSummary, ctmc_simulate, integrate_forward, ode_rhs
+from .dynamics import CtmcSummary, ctmc_simulate, integrate_forward
 from .objective import ObjectiveBreakdown, objective, running_cost
 from .adjoint import adjoint_rhs, hamiltonian, integrate_backward
 from .sweep import SweepReport, control_update, fbsm_solve
@@ -24,9 +24,8 @@ __all__ = [
     "floorplan_spec", "generate_smart_home", "graph_from_json", "graph_to_json",
     "is_connected", "load_graph", "save_graph", "validate_graph",
     "AdjointTrajectory", "ControlTrajectory", "ModelInstance", "ModelParams",
-    "NodeState", "StateTrajectory", "load_instance", "seed_initial_state",
-    "uniform_grid",
-    "CtmcSummary", "ctmc_simulate", "integrate_forward", "ode_rhs",
+    "StateTrajectory", "load_instance", "seed_initial_state", "uniform_grid",
+    "CtmcSummary", "ctmc_simulate", "integrate_forward",
     "ObjectiveBreakdown", "objective", "running_cost",
     "adjoint_rhs", "hamiltonian", "integrate_backward",
     "SweepReport", "control_update", "fbsm_solve",

@@ -26,9 +26,8 @@ import numpy as np
 from .graphs import NetworkGraph
 from .model import (ADJOINT_MODES, DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F,
                     LAM_H, LAM_L, LAM_S, RF, S, AdjointTrajectory,
-                    ControlTrajectory, DimensionMismatchError,
-                    GridMismatchError, ModelInstance, ModelParams,
-                    StateTrajectory)
+                    ControlTrajectory, DimensionMismatchError, ModelInstance,
+                    ModelParams, StateTrajectory, _check_same_grid)
 from .dynamics import _reduced_rhs, _rk4_step
 from .objective import running_cost
 
@@ -95,9 +94,7 @@ def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTraject
     if mode is None:
         mode = instance.adjoint_mode
     grid = state_traj.time_grid
-    if (grid.shape != control_traj.time_grid.shape
-            or not np.array_equal(grid, control_traj.time_grid)):
-        raise GridMismatchError("state and control trajectories use different grids")
+    _check_same_grid(grid, control_traj.time_grid)
 
     steps = grid.shape[0] - 1
     h = -(grid[1] - grid[0])

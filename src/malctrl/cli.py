@@ -10,10 +10,10 @@ import click
 from . import graphs
 from .adjoint import ADJOINT_MODES
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment
-from .model import load_instance
+from .model import COMPARTMENTS, CONTROL_COLUMNS, COSTATE_COLUMNS, load_instance
 from .objective import objective
 from .rgcs import RgcsConfig, rgcs_population_compare
-from .serialize import adjoint_csv, control_csv, state_csv, summary_json, write_summary
+from .serialize import node_csv, summary_json, write_summary
 from .sweep import fbsm_solve
 
 
@@ -67,9 +67,12 @@ def optimize(instance_path: Path, adjoint_mode, omega, eps, max_iter, out_dir: P
         instance, adjoint_mode=adjoint_mode, omega=omega,
         epsilon=eps, max_iterations=max_iter)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "control.csv").write_text(control_csv(control))
-    (out_dir / "state.csv").write_text(state_csv(states))
-    (out_dir / "adjoint.csv").write_text(adjoint_csv(adjoints))
+    (out_dir / "control.csv").write_text(
+        node_csv(CONTROL_COLUMNS, control.time_grid, control.controls))
+    (out_dir / "state.csv").write_text(
+        node_csv(COMPARTMENTS, states.time_grid, states.full_states()))
+    (out_dir / "adjoint.csv").write_text(
+        node_csv(COSTATE_COLUMNS, adjoints.time_grid, adjoints.costates))
     write_summary(out_dir / "sweep_report.json", report.as_dict())
     write_summary(out_dir / "objective.json", objective(states, control).as_dict())
     status = "converged" if report.converged else "did not converge"

@@ -8,11 +8,9 @@ from itertools import chain
 
 import numpy as np
 
-from .graphs import NetworkGraph
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S,
-                    ControlTrajectory, DimensionMismatchError, GridMismatchError,
-                    ModelInstance, ModelParams, StateTrajectory, TRAJECTORY_TOL,
-                    r_complete, uniform_grid)
+                    ControlTrajectory, ModelInstance, ModelParams, StateTrajectory,
+                    TRAJECTORY_TOL, _check_same_grid, r_complete)
 
 
 class StepTooLargeError(RuntimeError):
@@ -87,27 +85,7 @@ def _forward_steps(initial: np.ndarray, controls: np.ndarray, grid: np.ndarray,
         yield x
 
 
-def ode_rhs(state: np.ndarray, control: np.ndarray, params: ModelParams,
-            graph: NetworkGraph) -> np.ndarray:
-    """All five compartment derivatives per node, shape (N, 5).
-
-    Columns are [dS, dIH, dIL, dRF, dRC].  Each row sums to zero up to
-    rounding because every term appears once with each sign.
-    """
-    state = np.asarray(state, dtype=float)
-    control = np.asarray(control, dtype=float)
-    n = graph.node_count
-    if state.shape != (n, 4):
-        raise DimensionMismatchError(f"state must have shape ({n}, 4), got {state.shape}")
-    if control.shape != (n, 3):
-        raise DimensionMismatchError(f"control must have shape ({n}, 3), got {control.shape}")
-    reduced = _reduced_rhs(state, control, params.beta_high, params.beta_low, graph.adjacency)
-    patched = control[:, DELTA] * state[:, RF]
-    return np.concatenate([reduced, patched[:, None]], axis=1)
-
-
-def integrate_forward(instance: ModelInstance, control: ControlTrajectory,
-                      dt: float | None = None) -> StateTrajectory:
+def integrate_forward(instance: ModelInstance, control: ControlTrajectory) -> StateTrajectory:
     """Advance the expected network state with classical fixed-step RK4.
 
     The control is piecewise constant: the grid value at index k is held for
@@ -115,18 +93,8 @@ def integrate_forward(instance: ModelInstance, control: ControlTrajectory,
     StepTooLargeError when any compartment leaves [-1e-6, 1 + 1e-6], which
     signals that the step size is too coarse for the configured rates.
     """
-    horizon = instance.params.horizon
-    if dt is None:
-        grid = instance.time_grid()
-    else:
-        steps = round(horizon / dt)
-        if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-            raise ValueError(f"dt={dt} does not divide the horizon {horizon}")
-        grid = uniform_grid(horizon, steps)
-    if control.time_grid.shape != grid.shape or not np.allclose(control.time_grid, grid):
-        raise GridMismatchError(
-            f"control grid has {control.time_grid.shape[0]} points, expected {grid.shape[0]}")
-
+    grid = instance.time_grid()
+    _check_same_grid(control.time_grid, grid)
     states = np.empty((grid.shape[0], instance.node_count, 4))
     initial = instance.initial_state
     for k, x in enumerate(chain([initial], _forward_steps(
@@ -182,8 +150,7 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     scheduled and are reproducible bit-for-bit for a given seed.
     """
     grid = instance.time_grid()
-    if control.time_grid.shape != grid.shape or not np.allclose(control.time_grid, grid):
-        raise GridMismatchError("control grid does not match the instance grid")
+    _check_same_grid(control.time_grid, grid)
     init = instance.initial_state
     if not np.isin(init, (0.0, 1.0)).all():
         raise NonIndicatorInitialStateError(

@@ -25,7 +25,7 @@ here are orderings and ranges evaluated on the canonical seeded topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,26 +49,8 @@ EXPERIMENT_IDS = (
 INITIAL_COUNTS = {"susceptible": 57, "infected_high": 2, "infected_low": 1,
                   "recover_first": 0, "recover_complete": 0}
 
-EXP1_HORIZON = 10.0
-
-EXP1_CASES = {
-    1: {"beta_high": 0.0004, "beta_low": 0.0002,
-        "control_rates": (0.9, 0.6, 0.4),
-        "delta_bounds": (0.1, 0.8), "gamma_high_bounds": (0.1, 1.0),
-        "gamma_low_bounds": (0.1, 0.6)},
-    2: {"beta_high": 0.0004, "beta_low": 0.0002,
-        "control_rates": (0.9, 0.6, 0.4),
-        "delta_bounds": (0.1, 0.7), "gamma_high_bounds": (0.1, 0.5),
-        "gamma_low_bounds": (0.1, 0.3)},
-    3: {"beta_high": 0.0006, "beta_low": 0.0004,
-        "control_rates": (0.9, 0.5, 0.1),
-        "delta_bounds": (0.1, 0.8), "gamma_high_bounds": (0.1, 1.0),
-        "gamma_low_bounds": (0.1, 0.6)},
-    4: {"beta_high": 0.0006, "beta_low": 0.0004,
-        "control_rates": (0.9, 0.5, 0.1),
-        "delta_bounds": (0.1, 0.7), "gamma_high_bounds": (0.1, 0.5),
-        "gamma_low_bounds": (0.1, 0.3)},
-}
+# control columns as the summaries name them
+CONTROL_NAMES = ("delta", "gamma_high", "gamma_low")
 
 EXP3_PARAMS = {"horizon": 12.0, "beta_high": 0.004, "beta_low": 0.002,
                "delta_rate": 0.5, "gamma_high_rate": 0.4, "gamma_low_rate": 0.2}
@@ -76,15 +58,26 @@ EXP3_REFERENCE = {"peak_IH_uncontrolled": 46, "peak_IH_controlled": 33,
                   "peak_IL": 6, "reduction_pct": 21.66,
                   "uncontrolled_share_pct": 76.66, "controlled_share_pct": 55.0}
 
-EXP4_HORIZON = 30.0
 EXP4_BETA_HIGH = (0.0021, 0.0022, 0.0023, 0.0024)
-EXP4_SHARED = {"beta_low": 0.0020, "control_rates": (0.6, 0.35, 0.2),
-               "delta_bounds": (0.1, 0.6), "gamma_high_bounds": (0.1, 0.3),
-               "gamma_low_bounds": (0.1, 0.2)}
+EXP4_SHARED = {"beta_low": 0.0020, "horizon": 30.0, "rates": (0.6, 0.35, 0.2),
+               "bounds": ((0.1, 0.6), (0.1, 0.3), (0.1, 0.2))}
 EXP4_REFERENCE = {"peak_IH": [24, 25, 26, 27], "peak_IL": [17, 16, 15, 14]}
 
-_OVERRIDE_KEYS = {"beta_high", "beta_low", "horizon", "time_steps", "adjoint_mode",
-                  "max_iterations", "convergence_epsilon", "relaxation_weight"}
+# The solved cases, one row each: the arguments of _instance.  ``rates`` and
+# ``bounds`` list the constant control rates and their (lo, hi) boxes in
+# CONTROL_NAMES order.
+CASES = {
+    "exp1_case1": {"beta_high": 0.0004, "beta_low": 0.0002, "horizon": 10.0,
+                   "rates": (0.9, 0.6, 0.4), "bounds": ((0.1, 0.8), (0.1, 1.0), (0.1, 0.6))},
+    "exp1_case2": {"beta_high": 0.0004, "beta_low": 0.0002, "horizon": 10.0,
+                   "rates": (0.9, 0.6, 0.4), "bounds": ((0.1, 0.7), (0.1, 0.5), (0.1, 0.3))},
+    "exp1_case3": {"beta_high": 0.0006, "beta_low": 0.0004, "horizon": 10.0,
+                   "rates": (0.9, 0.5, 0.1), "bounds": ((0.1, 0.8), (0.1, 1.0), (0.1, 0.6))},
+    "exp1_case4": {"beta_high": 0.0006, "beta_low": 0.0004, "horizon": 10.0,
+                   "rates": (0.9, 0.5, 0.1), "bounds": ((0.1, 0.7), (0.1, 0.5), (0.1, 0.3))},
+    **{f"exp4_stage{stage}": dict(EXP4_SHARED, beta_high=beta_high)
+       for stage, beta_high in enumerate(EXP4_BETA_HIGH, start=1)},
+}
 
 
 @dataclass
@@ -92,18 +85,13 @@ class ExperimentSpec:
     experiment_id: str
     out_dir: Path
     graph: str | Path = "canonical"
-    overrides: dict = field(default_factory=dict)
     rng_seed: int = 7              # master seed of the exp2 population
     population_size: int = 100
-    num_subintervals: int = 100
 
     def __post_init__(self):
         if self.experiment_id not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment id {self.experiment_id!r};"
                              f" expected one of {EXPERIMENT_IDS}")
-        unknown = set(self.overrides) - _OVERRIDE_KEYS
-        if unknown:
-            raise ValueError(f"unknown override keys: {sorted(unknown)}")
         self.out_dir = Path(self.out_dir)
 
 
@@ -184,109 +172,51 @@ def _resolve_graph(ref) -> NetworkGraph:
     return load_graph(ref)
 
 
-def _bounded_instance(graph, beta_high, beta_low, horizon, delta_bounds,
-                      gamma_high_bounds, gamma_low_bounds, control_rates=None,
-                      overrides=None) -> ModelInstance:
-    overrides = dict(overrides or {})
-    beta_high = overrides.pop("beta_high", beta_high)
-    beta_low = overrides.pop("beta_low", beta_low)
-    horizon = overrides.pop("horizon", horizon)
-    params = ModelParams.from_scalars(
-        graph.node_count, beta_high, beta_low, horizon,
-        delta=delta_bounds, gamma_high=gamma_high_bounds, gamma_low=gamma_low_bounds)
+def _instance(graph: NetworkGraph, beta_high: float, beta_low: float, horizon: float,
+              rates, bounds=None) -> ModelInstance:
+    """A sixty-device instance seeded with INITIAL_COUNTS.
+
+    ``rates`` are the constant control rates (delta, gamma_high, gamma_low);
+    ``bounds`` their (lo, hi) boxes in the same order.  With no bounds, each
+    box is pinned at its rate, so the fixed schedule is the only admissible one.
+    """
+    if bounds is None:
+        bounds = tuple((rate, rate) for rate in rates)
+    params = ModelParams.from_scalars(graph.node_count, beta_high, beta_low, horizon, *bounds)
     initial = seed_initial_state(graph, **INITIAL_COUNTS)
     return ModelInstance(graph=graph, params=params, initial_state=initial,
-                         control_rates=control_rates, **overrides)
+                         control_rates=tuple(rates))
 
 
-def build_case_instance(case_id: int, graph: NetworkGraph,
-                        overrides: dict | None = None) -> ModelInstance:
-    case = EXP1_CASES[case_id]
-    return _bounded_instance(
-        graph, case["beta_high"], case["beta_low"], EXP1_HORIZON,
-        case["delta_bounds"], case["gamma_high_bounds"], case["gamma_low_bounds"],
-        control_rates=case["control_rates"], overrides=overrides)
+def build_case_instance(case_id: int, graph: NetworkGraph) -> ModelInstance:
+    return _instance(graph, **CASES[f"exp1_case{case_id}"])
 
 
-def build_exp3_instances(graph: NetworkGraph, overrides: dict | None = None):
-    """(uncontrolled, controlled) instances with rates pinned via degenerate boxes.
-
-    "Uncontrolled" means no restricted environment at all: both restriction
-    rates are held at zero while patching stays at its constant rate (which
-    never fires because nothing reaches the recover-first compartment).
-    """
-    p = EXP3_PARAMS
-    uncontrolled = _bounded_instance(
-        graph, p["beta_high"], p["beta_low"], p["horizon"],
-        delta_bounds=(p["delta_rate"], p["delta_rate"]),
-        gamma_high_bounds=(0.0, 0.0), gamma_low_bounds=(0.0, 0.0),
-        control_rates=(p["delta_rate"], 0.0, 0.0), overrides=overrides)
-    controlled = _bounded_instance(
-        graph, p["beta_high"], p["beta_low"], p["horizon"],
-        delta_bounds=(p["delta_rate"], p["delta_rate"]),
-        gamma_high_bounds=(p["gamma_high_rate"], p["gamma_high_rate"]),
-        gamma_low_bounds=(p["gamma_low_rate"], p["gamma_low_rate"]),
-        control_rates=(p["delta_rate"], p["gamma_high_rate"], p["gamma_low_rate"]),
-        overrides=overrides)
-    return uncontrolled, controlled
+def _peak(states: StateTrajectory, column: int) -> float:
+    return float(states.states[:, :, column].sum(axis=1).max())
 
 
-def build_exp4_instances(stage: int, graph: NetworkGraph,
-                         overrides: dict | None = None):
-    """(solve_instance, propagation_instance) for one infection-rate stage.
-
-    The solve instance carries the stage's control boxes for the sweep
-    solver.  The propagation instance pins the restriction rates to zero
-    (the same unrestrained convention exp3 uses) so the infection-rate
-    sensitivity the stage sweep measures is visible: any admissible
-    restriction schedule on a sixty-node topology outweighs the largest
-    possible growth rate of this stage family, leaving every controlled
-    peak at the initial condition.
-    """
-    shared = EXP4_SHARED
-    beta_high = EXP4_BETA_HIGH[stage - 1]
-    solve_instance = _bounded_instance(
-        graph, beta_high, shared["beta_low"], EXP4_HORIZON,
-        shared["delta_bounds"], shared["gamma_high_bounds"], shared["gamma_low_bounds"],
-        control_rates=shared["control_rates"], overrides=overrides)
-    delta_rate = shared["control_rates"][0]
-    propagation_instance = _bounded_instance(
-        graph, beta_high, shared["beta_low"], EXP4_HORIZON,
-        delta_bounds=(delta_rate, delta_rate),
-        gamma_high_bounds=(0.0, 0.0), gamma_low_bounds=(0.0, 0.0),
-        control_rates=(delta_rate, 0.0, 0.0), overrides=overrides)
-    return solve_instance, propagation_instance
-
-
-def _bounds_dict(case: dict) -> dict:
-    return {"delta": list(case["delta_bounds"]),
-            "gamma_high": list(case["gamma_high_bounds"]),
-            "gamma_low": list(case["gamma_low_bounds"])}
-
-
-def _run_exp1_case(case_id: int, graph: NetworkGraph, spec: ExperimentSpec) -> dict:
-    instance = build_case_instance(case_id, graph, spec.overrides)
-    control, states, adjoints, report = fbsm_solve(instance)
+def _run_exp1_case(case_id: str, graph: NetworkGraph, spec: ExperimentSpec) -> dict:
+    case = CASES[case_id]
+    instance = _instance(graph, **case)
+    control, states, _, report = fbsm_solve(instance)
     breakdown = objective(states, control)
     nodes = select_sample_nodes(graph, instance.initial_state)
-    case = EXP1_CASES[case_id]
     summary = {
-        "experiment": f"exp1_case{case_id}",
+        "experiment": case_id,
         "case": {
             "beta_high": case["beta_high"], "beta_low": case["beta_low"],
             "horizon": instance.params.horizon,
-            "control_rates": {"delta": case["control_rates"][0],
-                              "gamma_high": case["control_rates"][1],
-                              "gamma_low": case["control_rates"][2]},
-            "control_bounds": _bounds_dict(case),
+            "control_rates": dict(zip(CONTROL_NAMES, case["rates"])),
+            "control_bounds": {name: list(box) for name, box in zip(CONTROL_NAMES, case["bounds"])},
         },
         "adjoint_mode": instance.adjoint_mode,
         "sample_nodes": nodes,
         "objective": breakdown.as_dict(),
         "sweep": report.as_dict(),
-        "peak_IH": float(states.states[:, :, IH].sum(axis=1).max()),
+        "peak_IH": _peak(states, IH),
     }
-    out = spec.out_dir / f"exp1_case{case_id}"
+    out = spec.out_dir / case_id
     out.mkdir(parents=True, exist_ok=True)
     write_summary(out / "summary.json", summary)
     (out / "samples.csv").write_text(sampled_nodes_csv(states, control, nodes))
@@ -295,9 +225,8 @@ def _run_exp1_case(case_id: int, graph: NetworkGraph, spec: ExperimentSpec) -> d
 
 
 def _run_exp2(graph: NetworkGraph, spec: ExperimentSpec) -> dict:
-    instance = build_case_instance(1, graph, spec.overrides)
-    config = RgcsConfig(num_subintervals=spec.num_subintervals,
-                        rng_seed=spec.rng_seed, population_size=spec.population_size)
+    instance = build_case_instance(1, graph)
+    config = RgcsConfig(rng_seed=spec.rng_seed, population_size=spec.population_size)
     comparison = rgcs_population_compare(instance, config)
     population_min = comparison.strategies[0]["J"]
     summary = {
@@ -319,13 +248,21 @@ def _run_exp2(graph: NetworkGraph, spec: ExperimentSpec) -> dict:
 
 
 def _run_exp3(graph: NetworkGraph, spec: ExperimentSpec) -> dict:
-    uncontrolled, controlled = build_exp3_instances(graph, spec.overrides)
+    """Forward runs with and without the restricted environment.
+
+    "Uncontrolled" means no restricted environment at all: both restriction
+    rates are held at zero while patching stays at its constant rate (which
+    never fires because nothing reaches the recover-first compartment).
+    """
+    p = EXP3_PARAMS
     runs = {}
-    for name, instance in (("uncontrolled", uncontrolled), ("controlled", controlled)):
-        states = integrate_forward(instance, instance.fixed_control_trajectory())
-        runs[name] = states
-    peak_ih = {name: float(tr.states[:, :, IH].sum(axis=1).max()) for name, tr in runs.items()}
-    peak_il = {name: float(tr.states[:, :, IL].sum(axis=1).max()) for name, tr in runs.items()}
+    for name, restriction in (("uncontrolled", (0.0, 0.0)),
+                              ("controlled", (p["gamma_high_rate"], p["gamma_low_rate"]))):
+        instance = _instance(graph, p["beta_high"], p["beta_low"], p["horizon"],
+                             (p["delta_rate"], *restriction))
+        runs[name] = integrate_forward(instance, instance.fixed_control_trajectory())
+    peak_ih = {name: _peak(tr, IH) for name, tr in runs.items()}
+    peak_il = {name: _peak(tr, IL) for name, tr in runs.items()}
     reduction = 100.0 * (peak_ih["uncontrolled"] - peak_ih["controlled"]) / peak_ih["uncontrolled"]
     summary = {
         "experiment": "exp3",
@@ -347,23 +284,32 @@ def _run_exp3(graph: NetworkGraph, spec: ExperimentSpec) -> dict:
     return summary
 
 
-def _run_exp4_stage(stage: int, graph: NetworkGraph, spec: ExperimentSpec) -> dict:
-    solve_instance, propagation_instance = build_exp4_instances(stage, graph, spec.overrides)
-    control, opt_states, _, report = fbsm_solve(solve_instance)
-    prop_states = integrate_forward(
-        propagation_instance, propagation_instance.fixed_control_trajectory())
+def _run_exp4_stage(case_id: str, graph: NetworkGraph, spec: ExperimentSpec) -> dict:
+    """The optimally controlled run of one infection-rate stage, and its propagation run.
+
+    The propagation run pins the restriction rates to zero (the same
+    unrestrained convention exp3 uses) so the infection-rate sensitivity the
+    stage sweep measures is visible: any admissible restriction schedule on a
+    sixty-node topology outweighs the largest possible growth rate of this
+    stage family, leaving every controlled peak at the initial condition.
+    """
+    case = CASES[case_id]
+    control, opt_states, _, report = fbsm_solve(_instance(graph, **case))
+    propagation = _instance(graph, case["beta_high"], case["beta_low"], case["horizon"],
+                            (case["rates"][0], 0.0, 0.0))
+    prop_states = integrate_forward(propagation, propagation.fixed_control_trajectory())
     summary = {
-        "experiment": f"exp4_stage{stage}",
-        "beta_high": solve_instance.params.beta_high,
-        "beta_low": solve_instance.params.beta_low,
-        "horizon": solve_instance.params.horizon,
-        "peak_IH": float(prop_states.states[:, :, IH].sum(axis=1).max()),
-        "peak_IL": float(prop_states.states[:, :, IL].sum(axis=1).max()),
-        "peak_IH_optimal": float(opt_states.states[:, :, IH].sum(axis=1).max()),
-        "peak_IL_optimal": float(opt_states.states[:, :, IL].sum(axis=1).max()),
+        "experiment": case_id,
+        "beta_high": case["beta_high"],
+        "beta_low": case["beta_low"],
+        "horizon": case["horizon"],
+        "peak_IH": _peak(prop_states, IH),
+        "peak_IL": _peak(prop_states, IL),
+        "peak_IH_optimal": _peak(opt_states, IH),
+        "peak_IL_optimal": _peak(opt_states, IL),
         "sweep": report.as_dict(),
     }
-    out = spec.out_dir / f"exp4_stage{stage}"
+    out = spec.out_dir / case_id
     out.mkdir(parents=True, exist_ok=True)
     write_summary(out / "summary.json", summary)
     (out / "propagation_totals.csv").write_text(totals_csv(prop_states))
@@ -371,40 +317,42 @@ def _run_exp4_stage(stage: int, graph: NetworkGraph, spec: ExperimentSpec) -> di
     return summary
 
 
+def _exp4_orderings(stages: list[dict]) -> dict:
+    peaks_ih = [s["peak_IH"] for s in stages]
+    peaks_il = [s["peak_IL"] for s in stages]
+    return {
+        "orderings": {
+            "peak_IH_strictly_increasing": bool(
+                all(a < b for a, b in zip(peaks_ih, peaks_ih[1:]))),
+            "peak_IL_non_increasing": bool(
+                all(a >= b for a, b in zip(peaks_il, peaks_il[1:]))),
+        },
+        "reference_values": dict(EXP4_REFERENCE),
+    }
+
+
+# family id -> (member runner, key of the member list, extra family fields)
+_FAMILIES = {
+    "exp1": (_run_exp1_case, "cases", lambda cases: {}),
+    "exp4": (_run_exp4_stage, "stages", _exp4_orderings),
+}
+
+
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run one experiment (or a whole family) and write its artifacts."""
     graph = _resolve_graph(spec.graph)
     eid = spec.experiment_id
-    if eid.startswith("exp1_case"):
-        return _run_exp1_case(int(eid[-1]), graph, spec)
-    if eid == "exp1":
-        cases = [_run_exp1_case(c, graph, spec) for c in (1, 2, 3, 4)]
-        summary = {"experiment": "exp1", "cases": cases}
-        spec.out_dir.mkdir(parents=True, exist_ok=True)
-        write_summary(spec.out_dir / "exp1_summary.json", summary)
-        return summary
     if eid == "exp2":
         return _run_exp2(graph, spec)
     if eid == "exp3":
         return _run_exp3(graph, spec)
-    if eid.startswith("exp4_stage"):
-        return _run_exp4_stage(int(eid[-1]), graph, spec)
-    if eid == "exp4":
-        stages = [_run_exp4_stage(s, graph, spec) for s in (1, 2, 3, 4)]
-        peaks_ih = [s["peak_IH"] for s in stages]
-        peaks_il = [s["peak_IL"] for s in stages]
-        summary = {
-            "experiment": "exp4",
-            "stages": stages,
-            "orderings": {
-                "peak_IH_strictly_increasing": bool(
-                    all(a < b for a, b in zip(peaks_ih, peaks_ih[1:]))),
-                "peak_IL_non_increasing": bool(
-                    all(a >= b for a, b in zip(peaks_il, peaks_il[1:]))),
-            },
-            "reference_values": dict(EXP4_REFERENCE),
-        }
-        spec.out_dir.mkdir(parents=True, exist_ok=True)
-        write_summary(spec.out_dir / "exp4_summary.json", summary)
-        return summary
-    raise ValueError(f"unknown experiment id {eid!r}")
+    family = eid.split("_")[0]
+    runner, key, extra = _FAMILIES[family]
+    if eid in CASES:
+        return runner(eid, graph, spec)
+    members = [runner(case_id, graph, spec) for case_id in CASES
+               if case_id.startswith(family + "_")]
+    summary = {"experiment": eid, key: members, **extra(members)}
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    write_summary(spec.out_dir / f"{eid}_summary.json", summary)
+    return summary

@@ -223,38 +223,30 @@ def generate_smart_home(spec: SmartHomeSpec) -> NetworkGraph:
                 pick = others[rng.integers(others.size)]
                 a[0, pick] = a[pick, 0] = 1
 
-    comps = _components(a)
-    comps.sort(key=min)
-    for k in range(1, len(comps)):
-        a[min(comps[k]), min(comps[k - 1])] = 1
-        a[min(comps[k - 1]), min(comps[k])] = 1
+    roots = np.flatnonzero(_component_labels(a) == np.arange(n))
+    a[roots[1:], roots[:-1]] = 1
+    a[roots[:-1], roots[1:]] = 1
 
     return validate_graph(a, labels, assignment)
 
 
-def _components(a: np.ndarray) -> list[list[int]]:
+def _component_labels(a: np.ndarray) -> np.ndarray:
+    """The lowest node index of each node's connected component.
+
+    Every node takes the minimum label of itself and its neighbours until no
+    label changes; each component then carries the label of its root.
+    """
     n = a.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in np.flatnonzero(a[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        comps.append(comp)
-    return comps
+    labels = np.arange(n)
+    while True:
+        reached = np.minimum(labels, np.where(a != 0, labels, n).min(axis=1, initial=n))
+        if np.array_equal(reached, labels):
+            return labels
+        labels = reached
 
 
 def is_connected(graph: NetworkGraph) -> bool:
-    return len(_components(graph.adjacency)) == 1
+    return not _component_labels(graph.adjacency).any()
 
 
 def canonical_graph() -> NetworkGraph:
@@ -303,16 +295,6 @@ def load_graph(path) -> NetworkGraph:
             f"graph file {path} not found; regenerate the canonical dataset with: "
             "malctrl dataset generate --spec configs/canonical_spec.json --out " + str(path))
     return graph_from_json(path.read_text())
-
-
-def spec_to_dict(spec: SmartHomeSpec) -> dict:
-    return {
-        "total_devices": spec.total_devices,
-        "rooms": [[name, count] for name, count in spec.rooms],
-        "intra_room_density": spec.intra_room_density,
-        "inter_room_hub": spec.inter_room_hub,
-        "rng_seed": spec.rng_seed,
-    }
 
 
 def spec_from_dict(data: dict) -> SmartHomeSpec:

@@ -1,4 +1,4 @@
-"""Model data types: parameters, node states, trajectories, and instances.
+"""Model data types: parameters, trajectories, and instances.
 
 Array layout conventions used across the package:
 
@@ -13,7 +13,7 @@ Array layout conventions used across the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ from .graphs import NetworkGraph, canonical_graph, graph_from_dict, load_graph
 
 # state columns
 S, IH, IL, RF = 0, 1, 2, 3
-STATE_COLUMNS = ("S", "IH", "IL", "RF")
 COMPARTMENTS = ("S", "IH", "IL", "RF", "RC")
 
 # control columns
@@ -31,6 +30,7 @@ CONTROL_COLUMNS = ("delta", "gamma_h", "gamma_l")
 
 # costate columns
 LAM_S, LAM_H, LAM_L, LAM_F = 0, 1, 2, 3
+COSTATE_COLUMNS = ("lamS", "lamH", "lamL", "lamF")
 
 STATE_TOL = 1e-9          # tolerance for constructed states
 TRAJECTORY_TOL = 1e-6     # tolerance the integrator guarantees along trajectories
@@ -44,40 +44,6 @@ class DimensionMismatchError(ValueError):
 
 class GridMismatchError(ValueError):
     """Two trajectories do not share the same time grid."""
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """Compartment occupancy probabilities of a single device.
-
-    Only four compartments are stored; ``r_complete`` is derived from the
-    normalization constraint.
-    """
-
-    s: float
-    i_high: float
-    i_low: float
-    r_first: float
-
-    def __post_init__(self):
-        for name, v in (("s", self.s), ("i_high", self.i_high),
-                        ("i_low", self.i_low), ("r_first", self.r_first)):
-            if not -STATE_TOL <= v <= 1.0 + STATE_TOL:
-                raise ValueError(f"{name}={v} outside [0, 1] (tol {STATE_TOL})")
-        if not -STATE_TOL <= self.r_complete <= 1.0 + STATE_TOL:
-            raise ValueError(f"derived r_complete={self.r_complete} outside [0, 1]")
-
-    @property
-    def r_complete(self) -> float:
-        return 1.0 - self.s - self.i_high - self.i_low - self.r_first
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s, self.i_high, self.i_low, self.r_first])
-
-    @classmethod
-    def from_array(cls, row) -> "NodeState":
-        s, ih, il, rf = (float(v) for v in row)
-        return cls(s, ih, il, rf)
 
 
 def r_complete(states: np.ndarray) -> np.ndarray:
@@ -290,9 +256,6 @@ class ModelInstance:
         if self.control_rates is None:
             raise ValueError("instance has no constant control rates configured")
         return self.constant_control(*self.control_rates)
-
-    def with_overrides(self, **kwargs) -> "ModelInstance":
-        return replace(self, **kwargs)
 
 
 def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int,

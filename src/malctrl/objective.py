@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, ControlTrajectory,
-                    DimensionMismatchError, GridMismatchError, StateTrajectory,
+                    DimensionMismatchError, StateTrajectory, _check_same_grid,
                     r_complete)
 
 
@@ -62,9 +62,7 @@ def running_cost(state: np.ndarray, control: np.ndarray) -> float:
 
 def objective(state_traj: StateTrajectory, control_traj: ControlTrajectory) -> ObjectiveBreakdown:
     """Trapezoid quadrature of the running cost over the shared grid."""
-    if (state_traj.time_grid.shape != control_traj.time_grid.shape
-            or not np.array_equal(state_traj.time_grid, control_traj.time_grid)):
-        raise GridMismatchError("state and control trajectories use different grids")
+    _check_same_grid(state_traj.time_grid, control_traj.time_grid)
     states = state_traj.states
     terms = _objective_terms(states[:, :, IH].sum(axis=1), r_complete(states).sum(axis=1),
                             control_traj.controls, state_traj.dt)

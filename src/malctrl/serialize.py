@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .model import AdjointTrajectory, ControlTrajectory, StateTrajectory
+import numpy as np
+
+from .model import COMPARTMENTS, CONTROL_COLUMNS, ControlTrajectory, StateTrajectory
 
 _TIME_FMT = ".9g"
 _VALUE_FMT = ".12g"
@@ -24,11 +26,6 @@ def _fmt(v: float) -> str:
     return format(float(v), _VALUE_FMT)
 
 
-def canonical_json(obj) -> str:
-    """Compact canonical JSON: sorted keys, no insignificant whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def summary_json(obj) -> str:
     """Readable but still byte-stable JSON for experiment summaries."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -38,44 +35,19 @@ def write_summary(path, obj) -> None:
     Path(path).write_text(summary_json(obj))
 
 
-def state_csv(traj: StateTrajectory) -> str:
-    """Long-format per-node trajectory: t,node,S,IH,IL,RF,RC."""
-    rows = ["t,node,S,IH,IL,RF,RC"]
-    full = traj.full_states()
-    for k, t in enumerate(traj.time_grid):
+def node_csv(columns, time_grid: np.ndarray, values: np.ndarray, nodes=None) -> str:
+    """Long-format per-node rows ``t,node,<columns>`` of a (K+1, N, C) array.
+
+    ``nodes`` selects which nodes get a row at each grid point, in that
+    order; by default every node does.
+    """
+    if nodes is None:
+        nodes = range(values.shape[1])
+    rows = [",".join(("t", "node", *columns))]
+    for k, t in enumerate(time_grid):
         ts = _fmt_t(t)
-        for i in range(traj.node_count):
-            vals = ",".join(_fmt(v) for v in full[k, i])
-            rows.append(f"{ts},{i},{vals}")
-    return "\n".join(rows) + "\n"
-
-
-def state_json(traj: StateTrajectory) -> str:
-    full = traj.full_states()
-    return canonical_json({
-        "header": ["t", "node", "S", "IH", "IL", "RF", "RC"],
-        "times": [float(t) for t in traj.time_grid],
-        "states": [[[float(v) for v in row] for row in snap] for snap in full],
-    })
-
-
-def adjoint_csv(traj: AdjointTrajectory) -> str:
-    """Long-format costates: t,node,lamS,lamH,lamL,lamF."""
-    rows = ["t,node,lamS,lamH,lamL,lamF"]
-    for k, t in enumerate(traj.time_grid):
-        ts = _fmt_t(t)
-        for i in range(traj.costates.shape[1]):
-            vals = ",".join(_fmt(v) for v in traj.costates[k, i])
-            rows.append(f"{ts},{i},{vals}")
-    return "\n".join(rows) + "\n"
-
-
-def control_csv(traj: ControlTrajectory) -> str:
-    rows = ["t,node,delta,gamma_h,gamma_l"]
-    for k, t in enumerate(traj.time_grid):
-        ts = _fmt_t(t)
-        for i in range(traj.node_count):
-            vals = ",".join(_fmt(v) for v in traj.controls[k, i])
+        for i in nodes:
+            vals = ",".join(_fmt(v) for v in values[k, i])
             rows.append(f"{ts},{i},{vals}")
     return "\n".join(rows) + "\n"
 
@@ -93,12 +65,5 @@ def totals_csv(traj: StateTrajectory) -> str:
 def sampled_nodes_csv(state_traj: StateTrajectory, control_traj: ControlTrajectory,
                       nodes) -> str:
     """States and controls of selected nodes: one row per (t, node)."""
-    rows = ["t,node,S,IH,IL,RF,RC,delta,gamma_h,gamma_l"]
-    full = state_traj.full_states()
-    for k, t in enumerate(state_traj.time_grid):
-        ts = _fmt_t(t)
-        for i in nodes:
-            state_vals = ",".join(_fmt(v) for v in full[k, i])
-            ctrl_vals = ",".join(_fmt(v) for v in control_traj.controls[k, i])
-            rows.append(f"{ts},{i},{state_vals},{ctrl_vals}")
-    return "\n".join(rows) + "\n"
+    values = np.concatenate([state_traj.full_states(), control_traj.controls], axis=-1)
+    return node_csv(COMPARTMENTS + CONTROL_COLUMNS, state_traj.time_grid, values, nodes)

@@ -9,8 +9,8 @@ import numpy as np
 from .adjoint import integrate_backward
 from .dynamics import integrate_forward
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, RF,
-                    AdjointTrajectory, ControlTrajectory, GridMismatchError,
-                    ModelInstance, ModelParams, StateTrajectory)
+                    AdjointTrajectory, ControlTrajectory, ModelInstance,
+                    ModelParams, StateTrajectory, _check_same_grid)
 from .objective import objective
 
 
@@ -40,9 +40,7 @@ def control_update(state_traj: StateTrajectory, adjoint_traj: AdjointTrajectory,
     (lam_h - lam_f) * IH, (lam_l - lam_f) * IL for the two restriction
     rates; the quadratic control cost makes the clamp the exact box minimum.
     """
-    if (state_traj.time_grid.shape != adjoint_traj.time_grid.shape
-            or not np.array_equal(state_traj.time_grid, adjoint_traj.time_grid)):
-        raise GridMismatchError("state and adjoint trajectories use different grids")
+    _check_same_grid(state_traj.time_grid, adjoint_traj.time_grid)
     states, lams = state_traj.states, adjoint_traj.costates
     raw = np.empty(states.shape[:2] + (3,))
     raw[:, :, DELTA] = lams[:, :, LAM_F] * states[:, :, RF]
@@ -56,10 +54,9 @@ def _l2(arr: np.ndarray, dt: float) -> float:
     return float(np.sqrt(dt * (arr ** 2).sum()))
 
 
-def fbsm_solve(instance: ModelInstance, initial_control: ControlTrajectory | None = None,
-               adjoint_mode: str | None = None, omega: float | None = None,
-               epsilon: float | None = None, max_iterations: int | None = None,
-               on_iteration=None):
+def fbsm_solve(instance: ModelInstance, adjoint_mode: str | None = None,
+               omega: float | None = None, epsilon: float | None = None,
+               max_iterations: int | None = None, on_iteration=None):
     """Iterate forward state and backward costate passes to a fixed point.
 
     Each iteration integrates the state under the previous control, the
@@ -85,8 +82,7 @@ def fbsm_solve(instance: ModelInstance, initial_control: ControlTrajectory | Non
     if eps <= 0 or n_max < 1:
         raise ValueError("need epsilon > 0 and max_iterations >= 1")
 
-    control = instance.lower_bound_control() if initial_control is None else initial_control
-    control.validate_bounds(instance.params)
+    control = instance.lower_bound_control()
     dt = instance.dt
     prev_states = np.zeros((instance.time_steps + 1, instance.node_count, 4))
     history: list[float] = []

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from malctrl.adjoint import integrate_backward
-from malctrl.dynamics import ctmc_simulate, integrate_forward, ode_rhs
+from malctrl.dynamics import _reduced_rhs, ctmc_simulate, integrate_forward
 from malctrl.experiments import ExperimentSpec, build_case_instance, run_experiment
 from malctrl.graphs import (canonical_graph, canonical_spec, floorplan_spec,
                             generate_smart_home, graph_to_json, validate_graph)
-from malctrl.model import (IH, IL, LAM_F, LAM_H, LAM_L, RF,
+from malctrl.model import (DELTA, IH, IL, LAM_F, LAM_H, LAM_L, RF,
                            AdjointTrajectory, ControlTrajectory, ModelInstance,
                            ModelParams, StateTrajectory, seed_initial_state,
                            uniform_grid)
@@ -68,7 +68,10 @@ def test_criterion_02_rhs_components_sum_to_zero():
     for _ in range(1000):
         state = rng.dirichlet(np.ones(5), size=60)[:, :4]
         control = rng.random((60, 3))
-        sums = ode_rhs(state, control, params, graph).sum(axis=1)
+        reduced = _reduced_rhs(state, control, params.beta_high, params.beta_low,
+                               graph.adjacency)
+        # the fifth column is the patch flow RF -> RC, delta * RF
+        sums = reduced.sum(axis=1) + control[:, DELTA] * state[:, RF]
         worst = max(worst, float(np.abs(sums).max()))
     assert worst <= 1e-12, f"worst per-node component sum {worst}"
     _report(2, "rhs-sum-to-zero", started)

@@ -5,7 +5,6 @@ from click.testing import CliRunner
 
 from malctrl.cli import main
 from malctrl.graphs import graph_from_json
-from malctrl.serialize import canonical_json
 
 
 @pytest.fixture
@@ -31,7 +30,7 @@ def small_instance_config(graph_path):
 def test_dataset_generate_and_validate(runner, tmp_path):
     spec_path = tmp_path / "spec.json"
     out_path = tmp_path / "graph.json"
-    spec_path.write_text(canonical_json(SPEC))
+    spec_path.write_text(json.dumps(SPEC))
     result = runner.invoke(main, ["dataset", "generate", "--spec", str(spec_path),
                                   "--out", str(out_path)])
     assert result.exit_code == 0, result.output
@@ -45,8 +44,8 @@ def test_dataset_generate_and_validate(runner, tmp_path):
 
 def test_dataset_validate_rejects_bad_matrix(runner, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(canonical_json({"n": 2, "adjacency": [[0, 1], [0, 0]],
-                                   "labels": ["a", "b"], "rooms": ["r", "r"]}))
+    bad.write_text(json.dumps({"n": 2, "adjacency": [[0, 1], [0, 0]],
+                               "labels": ["a", "b"], "rooms": ["r", "r"]}))
     result = runner.invoke(main, ["dataset", "validate", str(bad)])
     assert result.exit_code == 1
     assert "invalid" in result.output
@@ -54,12 +53,12 @@ def test_dataset_validate_rejects_bad_matrix(runner, tmp_path):
 
 def test_optimize_writes_artifacts(runner, tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(canonical_json(SPEC))
+    spec_path.write_text(json.dumps(SPEC))
     graph_path = tmp_path / "graph.json"
     runner.invoke(main, ["dataset", "generate", "--spec", str(spec_path),
                          "--out", str(graph_path)])
     inst_path = tmp_path / "instance.json"
-    inst_path.write_text(canonical_json(small_instance_config(graph_path)))
+    inst_path.write_text(json.dumps(small_instance_config(graph_path)))
     out_dir = tmp_path / "run"
     result = runner.invoke(main, ["optimize", "--instance", str(inst_path),
                                   "--adjoint-mode", "consistent",
@@ -78,12 +77,12 @@ def test_optimize_writes_artifacts(runner, tmp_path):
 
 def test_rgcs_compare_writes_sorted_population(runner, tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(canonical_json(SPEC))
+    spec_path.write_text(json.dumps(SPEC))
     graph_path = tmp_path / "graph.json"
     runner.invoke(main, ["dataset", "generate", "--spec", str(spec_path),
                          "--out", str(graph_path)])
     inst_path = tmp_path / "instance.json"
-    inst_path.write_text(canonical_json(small_instance_config(graph_path)))
+    inst_path.write_text(json.dumps(small_instance_config(graph_path)))
     out_path = tmp_path / "rgcs.json"
     result = runner.invoke(main, ["rgcs-compare", "--instance", str(inst_path),
                                   "--n", "20", "--population", "10",
@@ -106,7 +105,7 @@ def test_experiment_run_exp3(runner, tmp_path):
 
 def test_times_printed_with_nine_significant_digits(runner, tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(canonical_json(SPEC))
+    spec_path.write_text(json.dumps(SPEC))
     graph_path = tmp_path / "graph.json"
     runner.invoke(main, ["dataset", "generate", "--spec", str(spec_path),
                          "--out", str(graph_path)])
@@ -114,7 +113,7 @@ def test_times_printed_with_nine_significant_digits(runner, tmp_path):
     config["horizon"] = 1.0
     config["solver"]["time_steps"] = 3
     inst_path = tmp_path / "instance.json"
-    inst_path.write_text(canonical_json(config))
+    inst_path.write_text(json.dumps(config))
     out_dir = tmp_path / "run"
     runner.invoke(main, ["optimize", "--instance", str(inst_path),
                          "--out-prefix", str(out_dir)])

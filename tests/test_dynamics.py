@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malctrl.dynamics import StepTooLargeError, integrate_forward, ode_rhs
+from malctrl.dynamics import (StepTooLargeError, _reduced_rhs, ctmc_simulate,
+                              integrate_forward)
 from malctrl.graphs import canonical_graph, validate_graph
 from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S,
-                           ControlTrajectory, DimensionMismatchError,
-                           ModelInstance, ModelParams, seed_initial_state)
+                           ControlTrajectory, GridMismatchError, ModelInstance,
+                           ModelParams, seed_initial_state)
 
 TWO_NODE = validate_graph([[0, 1], [1, 0]])
 
@@ -22,6 +23,13 @@ def make_instance(graph, beta_high, beta_low, horizon, bounds=((0.0, 1.0),) * 3,
         initial[:, S] = 1.0
     return ModelInstance(graph=graph, params=params, initial_state=initial,
                          time_steps=time_steps)
+
+
+def ode_rhs(state, control, params, graph):
+    """All five compartment derivatives per node, shape (N, 5): the integrated
+    four of _reduced_rhs plus the patch flow delta * RF into RC."""
+    reduced = _reduced_rhs(state, control, params.beta_high, params.beta_low, graph.adjacency)
+    return np.concatenate([reduced, (control[:, DELTA] * state[:, RF])[:, None]], axis=1)
 
 
 def naive_rhs(state, control, beta_high, beta_low, adjacency):
@@ -85,11 +93,6 @@ class TestOdeRhs:
             worst = max(worst, np.abs(sums).max())
         assert worst <= 1e-12
 
-    def test_dimension_mismatch(self):
-        params = ModelParams.from_scalars(2, 0.5, 0.25, 1.0)
-        with pytest.raises(DimensionMismatchError):
-            ode_rhs(np.zeros((3, 4)), np.zeros((3, 3)), params, TWO_NODE)
-
 
 class TestIntegrateForward:
 
@@ -114,7 +117,6 @@ class TestIntegrateForward:
         control = inst.constant_control(0.6, 0.5, 0.4)
         traj = integrate_forward(inst, control)
 
-        from malctrl.dynamics import _reduced_rhs
         fine = 100
         x = initial.copy()
         h = inst.dt / fine
@@ -135,10 +137,18 @@ class TestIntegrateForward:
         assert (np.diff(s, axis=0) <= 1e-12).all()
         assert (np.diff(rc, axis=0) >= -1e-12).all()
 
-    def test_explicit_dt_must_divide_horizon(self):
-        inst = make_instance(TWO_NODE, 0.1, 0.05, 1.0)
-        with pytest.raises(ValueError, match="divide"):
-            integrate_forward(inst, inst.constant_control(0, 0, 0), dt=0.3)
+    def test_control_off_the_grid_rejected(self):
+        # one grid point a single ulp away: the objective would refuse the
+        # resulting trajectory, so the forward pass and the jump process refuse
+        # the control up front
+        initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
+        inst = make_instance(TWO_NODE, 0.1, 0.05, 1.0, initial=initial, time_steps=10)
+        control = inst.constant_control(0.2, 0.2, 0.2)
+        control.time_grid[5] = np.nextafter(control.time_grid[5], 1.0)
+        with pytest.raises(GridMismatchError):
+            integrate_forward(inst, control)
+        with pytest.raises(GridMismatchError):
+            ctmc_simulate(inst, control, rng_seed=0, num_runs=1)
 
     def test_step_too_large_detected(self):
         # beta far beyond the stability limit at this step size

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from malctrl.experiments import (EXP4_BETA_HIGH, ExperimentSpec,
-                                 build_exp3_instances, build_exp4_instances,
-                                 run_experiment, select_sample_nodes, snapshot)
+from malctrl.experiments import (CASES, EXP3_PARAMS, EXP4_BETA_HIGH, ExperimentSpec,
+                                 _instance, run_experiment, select_sample_nodes,
+                                 snapshot)
 from malctrl.graphs import canonical_graph
 from malctrl.model import StateTrajectory, seed_initial_state, uniform_grid
 
@@ -148,17 +148,24 @@ class TestExp1Case:
 class TestInstanceBuilders:
 
     def test_exp3_uncontrolled_pins_restrictions_to_zero(self):
-        unc, ctl = build_exp3_instances(canonical_graph())
+        # with no bounds, every control box is pinned at its rate
+        p = EXP3_PARAMS
+        unc = _instance(canonical_graph(), p["beta_high"], p["beta_low"], p["horizon"],
+                        (0.5, 0.0, 0.0))
+        ctl = _instance(canonical_graph(), p["beta_high"], p["beta_low"], p["horizon"],
+                        (0.5, 0.4, 0.2))
         assert unc.control_rates == (0.5, 0.0, 0.0)
         assert ctl.control_rates == (0.5, 0.4, 0.2)
         assert (unc.params.gamma_high_hi == 0.0).all()
         assert (ctl.params.gamma_high_lo == 0.4).all()
+        np.testing.assert_array_equal(ctl.params.lower_bounds(), ctl.params.upper_bounds())
 
     def test_exp4_stage_instances(self):
-        solve_inst, prop_inst = build_exp4_instances(2, canonical_graph())
+        solve_inst = _instance(canonical_graph(), **CASES["exp4_stage2"])
         assert solve_inst.params.beta_high == 0.0022
+        assert solve_inst.params.horizon == 30.0
         assert (solve_inst.params.gamma_high_hi == 0.3).all()
-        assert prop_inst.control_rates == (0.6, 0.0, 0.0)
+        assert solve_inst.control_rates == (0.6, 0.35, 0.2)
         counts = solve_inst.initial_state.sum(axis=0)
         assert counts[1] == 2.0 and counts[2] == 1.0  # 2 high seeds, 1 low
 
@@ -178,7 +185,3 @@ class TestSpecValidation:
     def test_unknown_id_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown experiment id"):
             ExperimentSpec("exp9", out_dir=tmp_path)
-
-    def test_unknown_override_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="override"):
-            ExperimentSpec("exp3", out_dir=tmp_path, overrides={"bogus": 1})

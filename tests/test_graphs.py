@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from malctrl.graphs import (AsymmetricError, EmptyRoomError, GraphValidationErro
                             canonical_spec, floorplan_spec, generate_smart_home,
                             graph_from_json, graph_to_json, is_connected,
                             validate_graph)
+from malctrl.graphs import _component_labels
 
 
 class TestValidateGraph:
@@ -116,6 +118,27 @@ class TestGenerateSmartHome:
             if others:
                 assert g.adjacency[0, others].sum() >= 1, f"hub misses {room}"
 
+    def test_bridges_join_component_roots_in_order(self):
+        # the drawn links {0,2}, {1,3}, {5,6}, {5,7} leave four components
+        # rooted at 0, 1, 4 and 5; consecutive roots get one bridge each
+        spec = SmartHomeSpec(total_devices=8, rooms=(("a", 4), ("b", 4)),
+                             intra_room_density=0.3, inter_room_hub=False, rng_seed=17)
+        g = generate_smart_home(spec)
+        edges = np.argwhere(np.triu(g.adjacency)).tolist()
+        assert edges == [[0, 1], [0, 2], [1, 3], [1, 4], [4, 5], [5, 6], [5, 7]]
+        assert is_connected(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           density=st.floats(min_value=0.0, max_value=0.4))
+    def test_component_labels_match_graph_search(self, seed, density):
+        rng = np.random.default_rng(seed)
+        a = np.triu((rng.random((12, 12)) < density).astype(int), 1)
+        a = a + a.T
+        roots = [min(_reachable(a, i)) for i in range(12)]
+        assert _component_labels(a).tolist() == roots
+        assert is_connected(validate_graph(a)) == (max(roots) == 0)
+
     def test_zero_density_with_hub_connects(self):
         spec = SmartHomeSpec(total_devices=7, rooms=(("hub", 1), ("a", 3), ("b", 3)),
                              intra_room_density=0.0, inter_room_hub=True, rng_seed=3)
@@ -156,16 +179,16 @@ class TestSerialization:
 class TestCanonicalInstance:
 
     def test_matches_checked_in_file(self):
-        from pathlib import Path
-        data_file = Path(__file__).parent.parent / "src/malctrl/data/canonical_smart_home.json"
-        assert graph_to_json(canonical_graph()) == data_file.read_text()
+        # digest of the canonical graph JSON as first generated; a change in
+        # the generator that moves any link changes it
+        digest = hashlib.sha256(graph_to_json(canonical_graph()).encode()).hexdigest()
+        assert digest == "754caacaaf21d3ea3ff12fbaf55be030f80e5fbc65f42e69e219101aab61df71"
 
     def test_shape(self):
         g = canonical_graph()
         assert g.node_count == canonical_spec().total_devices == 60
         assert is_connected(g)
-        bfs_reachable = _bfs_count(g.adjacency)
-        assert bfs_reachable == 60
+        assert len(_reachable(g.adjacency, 0)) == 60
 
     def test_spectral_radius_supports_rate_sweeps(self):
         # the experiment suite needs beta_high * lambda_max to clear the 0.1
@@ -174,13 +197,13 @@ class TestCanonicalInstance:
         assert lam > 50.0
 
 
-def _bfs_count(a):
-    seen = {0}
-    queue = [0]
+def _reachable(a, start):
+    seen = {start}
+    queue = [start]
     while queue:
         v = queue.pop()
         for w in np.flatnonzero(a[v]):
             if w not in seen:
                 seen.add(int(w))
                 queue.append(int(w))
-    return len(seen)
+    return seen

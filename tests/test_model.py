@@ -2,27 +2,30 @@ import numpy as np
 import pytest
 
 from malctrl.graphs import canonical_graph, validate_graph
-from malctrl.model import (IH, IL, ModelInstance, ModelParams, NodeState,
-                           instance_from_dict, seed_initial_state, uniform_grid)
+from malctrl.model import (IH, IL, ModelInstance, ModelParams, StateTrajectory,
+                           instance_from_dict, r_complete, seed_initial_state,
+                           uniform_grid, validate_states)
 
 
 class TestNodeState:
 
     def test_derived_recover_complete(self):
-        ns = NodeState(s=0.2, i_high=0.3, i_low=0.1, r_first=0.15)
-        assert ns.r_complete == pytest.approx(0.25)
+        assert r_complete(np.array([0.2, 0.3, 0.1, 0.15])) == pytest.approx(0.25)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            NodeState(s=1.2, i_high=0.0, i_low=0.0, r_first=0.0)
+            validate_states(np.array([[1.2, 0.0, 0.0, 0.0]]), 1)
 
     def test_rejects_over_normalized(self):
-        with pytest.raises(ValueError, match="r_complete"):
-            NodeState(s=0.8, i_high=0.8, i_low=0.0, r_first=0.0)
+        with pytest.raises(ValueError, match="recover-complete"):
+            validate_states(np.array([[0.8, 0.8, 0.0, 0.0]]), 1)
 
     def test_array_round_trip(self):
-        ns = NodeState(0.5, 0.25, 0.125, 0.0625)
-        assert NodeState.from_array(ns.as_array()) == ns
+        # the four stored columns come back unchanged next to the derived RC
+        states = np.array([[[0.5, 0.25, 0.125, 0.0625]]])
+        validate_states(states, 1)
+        full = StateTrajectory(np.zeros(1), states).full_states()
+        np.testing.assert_array_equal(full[0, 0], [0.5, 0.25, 0.125, 0.0625, 0.0625])
 
 
 class TestModelParams:

@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from malctrl.graphs import load_graph
-from malctrl.model import StateTrajectory, uniform_grid
-from malctrl.serialize import (canonical_json, state_csv, state_json,
-                               summary_json, totals_csv)
+from malctrl.graphs import graph_to_json, load_graph, validate_graph
+from malctrl.model import COMPARTMENTS, StateTrajectory, uniform_grid
+from malctrl.serialize import node_csv, summary_json, totals_csv
 
 
 def small_traj():
@@ -18,21 +17,18 @@ def small_traj():
 
 
 def test_state_csv_layout():
-    lines = state_csv(small_traj()).splitlines()
+    traj = small_traj()
+    lines = node_csv(COMPARTMENTS, traj.time_grid, traj.full_states()).splitlines()
     assert lines[0] == "t,node,S,IH,IL,RF,RC"
     assert len(lines) == 1 + 3 * 2
     # derived RC column closes the normalization
     row = lines[3].split(",")
     assert row[:2] == ["0.5", "0"]
     assert float(row[-1]) == pytest.approx(1.0 - 0.25 - 0.5 - 0.125 - 0.0625)
-
-
-def test_state_json_equivalent():
-    data = json.loads(state_json(small_traj()))
-    assert data["header"] == ["t", "node", "S", "IH", "IL", "RF", "RC"]
-    assert data["times"] == [0.0, 0.5, 1.0]
-    assert len(data["states"]) == 3
-    assert len(data["states"][0][0]) == 5
+    # a node subset keeps the given order at every grid point
+    subset = node_csv(COMPARTMENTS, traj.time_grid, traj.full_states(), nodes=[1, 0])
+    assert [r.split(",")[1] for r in subset.splitlines()[1:]] == ["1", "0"] * 3
+    assert subset.splitlines()[4] == lines[3]
 
 
 def test_totals_csv_sums_nodes():
@@ -43,8 +39,8 @@ def test_totals_csv_sums_nodes():
 
 
 def test_canonical_json_is_sorted_and_compact():
-    text = canonical_json({"b": 1, "a": [1, 2]})
-    assert text == '{"a":[1,2],"b":1}\n'
+    text = graph_to_json(validate_graph([[0, 1], [1, 0]], ["b", "a"], ["r", "r"]))
+    assert text == '{"adjacency":[[0,1],[1,0]],"labels":["b","a"],"n":2,"rooms":["r","r"]}\n'
 
 
 def test_summary_json_round_trip_stability():

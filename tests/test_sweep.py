@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,8 +80,8 @@ class TestFbsmSolve:
 
     def test_objective_history_monotone_in_consistent_mode(self):
         for case in (1, 2, 3, 4):
-            inst = build_case_instance(case, canonical_graph(),
-                                       overrides={"adjoint_mode": "consistent"})
+            inst = replace(build_case_instance(case, canonical_graph()),
+                           adjoint_mode="consistent")
             _, _, _, report = fbsm_solve(inst)
             hist = report.objective_history
             diffs = np.diff(hist[3:])
@@ -94,8 +96,7 @@ class TestFbsmSolve:
         assert a_report.as_dict() == b_report.as_dict()
 
     def test_not_converged_reported_not_raised(self):
-        inst = build_case_instance(1, canonical_graph(),
-                                   overrides={"max_iterations": 2})
+        inst = replace(build_case_instance(1, canonical_graph()), max_iterations=2)
         _, _, _, report = fbsm_solve(inst)
         assert not report.converged
         assert report.iterations_used == 2
