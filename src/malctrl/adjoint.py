@@ -1,6 +1,7 @@
 """Hamiltonian, costate dynamics, and backward integration.
 
-Two costate conventions are supported, selected by ``mode``:
+Two costate conventions are supported, selected by ``mode`` in
+``adjoint_rhs`` and by the instance's ``adjoint_mode`` in ``integrate_backward``:
 
 * ``"paper"`` (default): the published four costate equations as-is.  The
   running cost's recovery credit does not feed back through the
@@ -83,16 +84,16 @@ def adjoint_rhs(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
 
 
 def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTrajectory,
-                       instance: ModelInstance, mode: str | None = None) -> AdjointTrajectory:
+                       instance: ModelInstance) -> AdjointTrajectory:
     """RK4 the costates backward from a zero terminal condition.
 
     States feeding the half-step stages are the average of the two bracketing
     grid snapshots; no interpolation beyond the cell endpoints is used.  Each
     cell reuses the piecewise-constant control of its left grid point, the
-    same value the forward pass used there.
+    same value the forward pass used there.  The costate convention is
+    ``instance.adjoint_mode``.
     """
-    if mode is None:
-        mode = instance.adjoint_mode
+    mode = instance.adjoint_mode
     grid = state_traj.time_grid
     _check_same_grid(grid, control_traj.time_grid)
 

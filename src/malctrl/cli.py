@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -35,6 +37,7 @@ def dataset_generate(spec_path: Path, out_path: Path):
     """Generate a seeded smart-home topology."""
     spec = graphs.load_spec(spec_path)
     graph = graphs.generate_smart_home(spec)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     graphs.save_graph(graph, out_path)
     click.echo(f"wrote {graph.node_count}-node graph to {out_path}")
 
@@ -45,7 +48,7 @@ def dataset_validate(path: Path):
     """Check a topology file against the structural invariants."""
     try:
         graph = graphs.load_graph(path)
-    except graphs.GraphValidationError as err:
+    except (graphs.GraphValidationError, json.JSONDecodeError) as err:
         click.echo(f"invalid: {err}", err=True)
         sys.exit(1)
     click.echo(f"valid: {graph.node_count} nodes, {int(graph.adjacency.sum()) // 2} links")
@@ -61,11 +64,18 @@ def dataset_validate(path: Path):
 @click.option("--max-iter", type=int, default=None)
 @click.option("--out-prefix", "out_dir", required=True, type=click.Path(path_type=Path))
 def optimize(instance_path: Path, adjoint_mode, omega, eps, max_iter, out_dir: Path):
-    """Solve the optimality system and write control/state/adjoint CSVs."""
-    instance = load_instance(instance_path)
-    control, states, adjoints, report = fbsm_solve(
-        instance, adjoint_mode=adjoint_mode, omega=omega,
-        epsilon=eps, max_iterations=max_iter)
+    """Solve the optimality system and write control/state/adjoint CSVs.
+
+    The solver options that are given override the instance's solver block.
+    """
+    given = {"adjoint_mode": adjoint_mode, "relaxation_weight": omega,
+             "convergence_epsilon": eps, "max_iterations": max_iter}
+    try:
+        instance = replace(load_instance(instance_path),
+                           **{key: value for key, value in given.items() if value is not None})
+    except ValueError as err:
+        raise click.ClickException(str(err)) from err
+    control, states, adjoints, report = fbsm_solve(instance)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "control.csv").write_text(
         node_csv(CONTROL_COLUMNS, control.time_grid, control.controls))
@@ -116,9 +126,8 @@ def experiment():
               help="Master seed of the exp2 strategy population.")
 def experiment_run(experiment_id: str, graph_ref: str, out_dir: Path, seed: int):
     """Run one experiment (or family) and write its artifacts."""
-    graph = graph_ref if graph_ref == "canonical" else Path(graph_ref)
     spec = ExperimentSpec(experiment_id=experiment_id, out_dir=out_dir,
-                          graph=graph, rng_seed=seed)
+                          graph=graph_ref, rng_seed=seed)
     run_experiment(spec)
     click.echo(f"{experiment_id} artifacts written under {out_dir}")
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import NetworkGraph, canonical_graph, load_graph
+from .graphs import NetworkGraph, resolve_graph
 from .model import (COMPARTMENTS, IH, IL, ModelInstance, ModelParams,
                     StateTrajectory, seed_initial_state)
 from .dynamics import integrate_forward
@@ -162,14 +162,6 @@ def select_sample_nodes(graph: NetworkGraph, initial_state: np.ndarray,
         if i not in chosen:
             chosen.append(i)
     return chosen[:count]
-
-
-def _resolve_graph(ref) -> NetworkGraph:
-    if isinstance(ref, NetworkGraph):
-        return ref
-    if ref == "canonical":
-        return canonical_graph()
-    return load_graph(ref)
 
 
 def _instance(graph: NetworkGraph, beta_high: float, beta_low: float, horizon: float,
@@ -340,7 +332,7 @@ _FAMILIES = {
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run one experiment (or a whole family) and write its artifacts."""
-    graph = _resolve_graph(spec.graph)
+    graph = resolve_graph(spec.graph)
     eid = spec.experiment_id
     if eid == "exp2":
         return _run_exp2(graph, spec)

@@ -273,6 +273,8 @@ def graph_to_json(graph: NetworkGraph) -> str:
 
 
 def graph_from_dict(data: dict) -> NetworkGraph:
+    if "adjacency" not in data:
+        raise GraphValidationError("topology has no adjacency matrix")
     graph = validate_graph(data["adjacency"], data.get("labels"), data.get("rooms"))
     if "n" in data and int(data["n"]) != graph.node_count:
         raise GraphValidationError(
@@ -295,6 +297,19 @@ def load_graph(path) -> NetworkGraph:
             f"graph file {path} not found; regenerate the canonical dataset with: "
             "malctrl dataset generate --spec configs/canonical_spec.json --out " + str(path))
     return graph_from_json(path.read_text())
+
+
+def resolve_graph(ref, base_dir=None) -> NetworkGraph:
+    """The canonical graph for ``"canonical"``, else the topology file at ``ref``.
+
+    A relative path is taken from ``base_dir`` when one is given.
+    """
+    if ref == "canonical":
+        return canonical_graph()
+    path = Path(ref)
+    if base_dir is not None and not path.is_absolute():
+        path = Path(base_dir) / path
+    return load_graph(path)
 
 
 def spec_from_dict(data: dict) -> SmartHomeSpec:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import NetworkGraph, canonical_graph, graph_from_dict, load_graph
+from .graphs import NetworkGraph, graph_from_dict, resolve_graph
 
 # state columns
 S, IH, IL, RF = 0, 1, 2, 3
@@ -152,11 +152,6 @@ class StateTrajectory:
         """Expected device counts per compartment, shape (K+1, 5)."""
         return self.full_states().sum(axis=1)
 
-    def validate(self, tol: float = TRAJECTORY_TOL) -> None:
-        if self.states.shape[0] != self.time_grid.shape[0]:
-            raise GridMismatchError("state array does not match the time grid length")
-        validate_states(self.states, self.node_count, tol=tol)
-
 
 @dataclass
 class ControlTrajectory:
@@ -173,12 +168,6 @@ class ControlTrajectory:
     def node_count(self) -> int:
         return self.controls.shape[1]
 
-    def validate_bounds(self, params: ModelParams, tol: float = 1e-12) -> None:
-        lo = params.lower_bounds()[None, :, :]
-        hi = params.upper_bounds()[None, :, :]
-        if (self.controls < lo - tol).any() or (self.controls > hi + tol).any():
-            raise ValueError("control trajectory leaves its admissible box")
-
 
 @dataclass
 class AdjointTrajectory:
@@ -187,17 +176,15 @@ class AdjointTrajectory:
     time_grid: np.ndarray
     costates: np.ndarray
 
-    def validate(self) -> None:
-        if self.costates.shape[0] != self.time_grid.shape[0]:
-            raise GridMismatchError("costate array does not match the time grid length")
-        if self.costates[-1].any():
-            raise ValueError("terminal costates must be exactly zero")
-
 
 @dataclass(frozen=True)
 class ModelInstance:
     """A solvable problem instance: topology, rates, bounds, initial state,
-    constant control rates, and sweep-solver settings."""
+    constant control rates, and sweep-solver settings.
+
+    The solver settings are set, defaulted and checked here only; change them
+    with ``dataclasses.replace(instance, adjoint_mode="consistent")``.
+    """
 
     graph: NetworkGraph
     params: ModelParams
@@ -271,7 +258,10 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
     everything else starts susceptible.
     """
     n = graph.node_count
-    total = susceptible + infected_high + infected_low + recover_first + recover_complete
+    counts = (susceptible, infected_high, infected_low, recover_first, recover_complete)
+    if min(counts) < 0:
+        raise ValueError(f"compartment counts must be non-negative, got {counts}")
+    total = sum(counts)
     if total != n:
         raise ValueError(f"compartment counts sum to {total}, expected {n}")
     deg = graph.degrees()
@@ -306,6 +296,11 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
 # ---------------------------------------------------------------------------
 # instance JSON config
 
+# key of the "solver" block -> its type; the defaults are ModelInstance's
+_SOLVER_KEYS = {"max_iterations": int, "convergence_epsilon": float,
+               "relaxation_weight": float, "adjoint_mode": str, "time_steps": int}
+
+
 def _bounds_pair(raw, n: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = raw
     lo = np.full(n, float(lo)) if np.isscalar(lo) else np.asarray(lo, dtype=float)
@@ -320,13 +315,8 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
     graph_ref = data["graph"]
     if isinstance(graph_ref, dict):
         graph = graph_from_dict(graph_ref)
-    elif graph_ref == "canonical":
-        graph = canonical_graph()
     else:
-        path = Path(graph_ref)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        graph = load_graph(path)
+        graph = resolve_graph(graph_ref, base_dir)
     n = graph.node_count
 
     bounds = data["control_bounds"]
@@ -361,14 +351,12 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
                          float(rates["gamma_low"]))
 
     solver = data.get("solver", {})
-    return ModelInstance(
-        graph=graph, params=params, initial_state=state, control_rates=control_rates,
-        max_iterations=int(solver.get("max_iterations", 100)),
-        convergence_epsilon=float(solver.get("convergence_epsilon", 1e-4)),
-        relaxation_weight=float(solver.get("relaxation_weight", 0.5)),
-        adjoint_mode=str(solver.get("adjoint_mode", "paper")),
-        time_steps=int(solver.get("time_steps", 300)),
-    )
+    unknown = sorted(set(solver) - set(_SOLVER_KEYS))
+    if unknown:
+        raise ValueError(f"unknown solver keys {unknown}; expected keys among {sorted(_SOLVER_KEYS)}")
+    return ModelInstance(graph=graph, params=params, initial_state=state,
+                         control_rates=control_rates,
+                         **{key: _SOLVER_KEYS[key](value) for key, value in solver.items()})
 
 
 def load_instance(path) -> ModelInstance:

@@ -54,34 +54,25 @@ def _l2(arr: np.ndarray, dt: float) -> float:
     return float(np.sqrt(dt * (arr ** 2).sum()))
 
 
-def fbsm_solve(instance: ModelInstance, adjoint_mode: str | None = None,
-               omega: float | None = None, epsilon: float | None = None,
-               max_iterations: int | None = None, on_iteration=None):
+def fbsm_solve(instance: ModelInstance):
     """Iterate forward state and backward costate passes to a fixed point.
 
     Each iteration integrates the state under the previous control, the
     costates backward along it, forms the clamped pointwise update, and blends
-    it with the previous control as (1 - omega) * new + omega * old.  omega=0
-    recovers the undamped literal update; the 0.5 default damps the
-    oscillation that undamped sweeps develop.  Stops when the combined
-    discrete-L2 change of state and control trajectories drops below epsilon,
-    or after max_iterations (the report then carries converged=False rather
-    than raising).  The literal zero initial control lies below the lower
+    it with the previous control as (1 - omega) * new + omega * old, where
+    omega is ``instance.relaxation_weight``.  omega=0 recovers the undamped
+    literal update; the default weight damps the oscillation that undamped
+    sweeps develop.  Stops when the combined discrete-L2 change of state and control
+    trajectories drops below ``instance.convergence_epsilon``, or after
+    ``instance.max_iterations`` (the report then carries converged=False
+    rather than raising).  The literal zero initial control lies below the lower
     bounds, so the first pass starts from the clamped lower-bound schedule.
 
     Returns (control, state, adjoint, report) with the state and adjoint
     recomputed once under the final control so the returned triple is
     self-consistent.
     """
-    mode = instance.adjoint_mode if adjoint_mode is None else adjoint_mode
-    w = instance.relaxation_weight if omega is None else omega
-    eps = instance.convergence_epsilon if epsilon is None else epsilon
-    n_max = instance.max_iterations if max_iterations is None else max_iterations
-    if not 0.0 <= w < 1.0:
-        raise ValueError("relaxation weight must lie in [0, 1)")
-    if eps <= 0 or n_max < 1:
-        raise ValueError("need epsilon > 0 and max_iterations >= 1")
-
+    w = instance.relaxation_weight
     control = instance.lower_bound_control()
     dt = instance.dt
     prev_states = np.zeros((instance.time_steps + 1, instance.node_count, 4))
@@ -89,11 +80,11 @@ def fbsm_solve(instance: ModelInstance, adjoint_mode: str | None = None,
     residual = np.inf
     converged = False
     iteration = 0
-    while iteration < n_max:
+    while iteration < instance.max_iterations:
         iteration += 1
         state_traj = integrate_forward(instance, control)
         history.append(objective(state_traj, control).total)
-        adjoint_traj = integrate_backward(state_traj, control, instance, mode=mode)
+        adjoint_traj = integrate_backward(state_traj, control, instance)
         updated = control_update(state_traj, adjoint_traj, instance.params)
         blended = ControlTrajectory(
             time_grid=control.time_grid,
@@ -103,14 +94,12 @@ def fbsm_solve(instance: ModelInstance, adjoint_mode: str | None = None,
                     + _l2(blended.controls - control.controls, dt))
         prev_states = state_traj.states
         control = blended
-        if on_iteration is not None:
-            on_iteration(iteration, control)
-        if residual < eps:
+        if residual < instance.convergence_epsilon:
             converged = True
             break
 
     state_traj = integrate_forward(instance, control)
-    adjoint_traj = integrate_backward(state_traj, control, instance, mode=mode)
+    adjoint_traj = integrate_backward(state_traj, control, instance)
     history.append(objective(state_traj, control).total)
     report = SweepReport(iterations_used=iteration, converged=converged,
                          final_residual=residual, objective_history=history)

@@ -149,7 +149,8 @@ class TestIntegrateBackward:
         control = inst.constant_control(0.0, 0.0, 0.0)
         states = integrate_forward(inst, control)
         adj = integrate_backward(states, control, inst)
-        adj.validate()
+        assert adj.costates.shape == (61, 2, 4)
+        assert not adj.costates[-1].any()
         expected = np.broadcast_to((3.0 - adj.time_grid)[:, None], (61, 2))
         np.testing.assert_allclose(adj.costates[:, :, LAM_H], expected, atol=1e-12)
         assert not adj.costates[:, :, LAM_S].any()
@@ -209,7 +210,7 @@ class TestGradientCheck:
         u = 0.4 + 0.2 * rng.random((inst.time_steps + 1, inst.node_count, 3))
         control = ControlTrajectory(grid, u)
         states = integrate_forward(inst, control)
-        adj = integrate_backward(states, control, inst, mode="consistent")
+        adj = integrate_backward(states, control, inst)
 
         def drift_sensitivity(c):
             lam, st_arr = adj.costates, states.states

@@ -27,6 +27,24 @@ def small_instance_config(graph_path):
     }
 
 
+def write_instance(runner, tmp_path, solver=None):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC))
+    graph_path = tmp_path / "graph.json"
+    runner.invoke(main, ["dataset", "generate", "--spec", str(spec_path),
+                         "--out", str(graph_path)])
+    config = small_instance_config(graph_path)
+    config["solver"].update(solver or {})
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(config))
+    return inst_path
+
+
+def optimize(runner, inst_path, out_dir, *flags):
+    return runner.invoke(main, ["optimize", "--instance", str(inst_path), *flags,
+                                "--out-prefix", str(out_dir)])
+
+
 def test_dataset_generate_and_validate(runner, tmp_path):
     spec_path = tmp_path / "spec.json"
     out_path = tmp_path / "graph.json"
@@ -52,13 +70,7 @@ def test_dataset_validate_rejects_bad_matrix(runner, tmp_path):
 
 
 def test_optimize_writes_artifacts(runner, tmp_path):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(SPEC))
-    graph_path = tmp_path / "graph.json"
-    runner.invoke(main, ["dataset", "generate", "--spec", str(spec_path),
-                         "--out", str(graph_path)])
-    inst_path = tmp_path / "instance.json"
-    inst_path.write_text(json.dumps(small_instance_config(graph_path)))
+    inst_path = write_instance(runner, tmp_path)
     out_dir = tmp_path / "run"
     result = runner.invoke(main, ["optimize", "--instance", str(inst_path),
                                   "--adjoint-mode", "consistent",
@@ -76,13 +88,7 @@ def test_optimize_writes_artifacts(runner, tmp_path):
 
 
 def test_rgcs_compare_writes_sorted_population(runner, tmp_path):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(SPEC))
-    graph_path = tmp_path / "graph.json"
-    runner.invoke(main, ["dataset", "generate", "--spec", str(spec_path),
-                         "--out", str(graph_path)])
-    inst_path = tmp_path / "instance.json"
-    inst_path.write_text(json.dumps(small_instance_config(graph_path)))
+    inst_path = write_instance(runner, tmp_path)
     out_path = tmp_path / "rgcs.json"
     result = runner.invoke(main, ["rgcs-compare", "--instance", str(inst_path),
                                   "--n", "20", "--population", "10",
@@ -120,3 +126,69 @@ def test_times_printed_with_nine_significant_digits(runner, tmp_path):
     lines = (out_dir / "state.csv").read_text().splitlines()
     times = {line.split(",")[0] for line in lines[1:]}
     assert times == {"0", "0.333333333", "0.666666667", "1"}
+
+
+def test_dataset_generate_creates_parent_dir(runner, tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC))
+    out_path = tmp_path / "new" / "dir" / "graph.json"
+    result = runner.invoke(main, ["dataset", "generate", "--spec", str(spec_path),
+                                  "--out", str(out_path)])
+    assert result.exit_code == 0, result.output
+    assert graph_from_json(out_path.read_text()).node_count == 8
+
+
+@pytest.mark.parametrize("text", ['{"n": 2, "labels": ["a", "b"]}', '{"n": 2, "adjacency": [[0, 1'],
+                         ids=["no-adjacency", "malformed-json"])
+def test_dataset_validate_reports_unreadable_topology(runner, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    result = runner.invoke(main, ["dataset", "validate", str(bad)])
+    assert result.exit_code == 1
+    assert result.output.startswith("invalid: ")
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_optimize_max_iter_flag(runner, tmp_path):
+    inst_path = write_instance(runner, tmp_path)
+    result = optimize(runner, inst_path, tmp_path / "run", "--max-iter", "1")
+    assert result.exit_code == 2, result.output
+    report = json.loads((tmp_path / "run" / "sweep_report.json").read_text())
+    assert report["iterations_used"] == 1 and not report["converged"]
+
+
+def test_optimize_eps_flag(runner, tmp_path):
+    # the first residual measures the whole state trajectory, far above 100
+    inst_path = write_instance(runner, tmp_path)
+    result = optimize(runner, inst_path, tmp_path / "run", "--eps", "100")
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "run" / "sweep_report.json").read_text())
+    assert report["iterations_used"] == 1 and report["converged"]
+
+
+def test_optimize_adjoint_mode_flag_overrides_instance(runner, tmp_path):
+    inst_path = write_instance(runner, tmp_path, {"adjoint_mode": "consistent"})
+    objectives = {}
+    for name, flags in (("default", ()), ("paper", ("--adjoint-mode", "paper")),
+                        ("consistent", ("--adjoint-mode", "consistent"))):
+        result = optimize(runner, inst_path, tmp_path / name, *flags)
+        assert result.exit_code == 0, result.output
+        objectives[name] = (tmp_path / name / "objective.json").read_text()
+    assert objectives["default"] == objectives["consistent"]
+    assert json.loads(objectives["paper"])["J"] != json.loads(objectives["consistent"])["J"]
+
+
+def test_optimize_rejects_bad_omega_before_writing(runner, tmp_path):
+    inst_path = write_instance(runner, tmp_path)
+    result = optimize(runner, inst_path, tmp_path / "run", "--omega", "1.5")
+    assert result.exit_code == 1
+    assert "relaxation_weight" in result.output
+    assert not (tmp_path / "run").exists()
+
+
+def test_optimize_rejects_unknown_solver_key(runner, tmp_path):
+    inst_path = write_instance(runner, tmp_path, {"max_iter": 3})
+    result = optimize(runner, inst_path, tmp_path / "run")
+    assert result.exit_code == 1
+    assert "max_iter" in result.output
+    assert not (tmp_path / "run").exists()

@@ -8,7 +8,8 @@ from malctrl.dynamics import (StepTooLargeError, _reduced_rhs, ctmc_simulate,
 from malctrl.graphs import canonical_graph, validate_graph
 from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S,
                            ControlTrajectory, GridMismatchError, ModelInstance,
-                           ModelParams, seed_initial_state)
+                           ModelParams, TRAJECTORY_TOL, seed_initial_state,
+                           validate_states)
 
 TWO_NODE = validate_graph([[0, 1], [1, 0]])
 
@@ -129,7 +130,8 @@ class TestIntegrateForward:
         initial = seed_initial_state(graph, 57, 2, 1)
         inst = make_instance(graph, 0.004, 0.002, 12.0, initial=initial, time_steps=300)
         traj = integrate_forward(inst, inst.constant_control(0.5, 0.4, 0.2))
-        traj.validate()
+        assert traj.states.shape == (301, 60, 4)
+        validate_states(traj.states, 60, tol=TRAJECTORY_TOL)
         totals = traj.full_states().sum(axis=2)
         assert np.abs(totals - 1.0).max() <= 1e-6
         s = traj.states[:, :, S]

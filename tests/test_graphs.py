@@ -11,7 +11,7 @@ from malctrl.graphs import (AsymmetricError, EmptyRoomError, GraphValidationErro
                             SmartHomeSpec, UnconnectableError, canonical_graph,
                             canonical_spec, floorplan_spec, generate_smart_home,
                             graph_from_json, graph_to_json, is_connected,
-                            validate_graph)
+                            resolve_graph, save_graph, validate_graph)
 from malctrl.graphs import _component_labels
 
 
@@ -174,6 +174,20 @@ class TestSerialization:
         data["n"] = 5
         with pytest.raises(GraphValidationError):
             graph_from_json(json.dumps(data))
+
+
+class TestResolveGraph:
+
+    def test_canonical(self):
+        assert graph_to_json(resolve_graph("canonical")) == graph_to_json(canonical_graph())
+
+    def test_relative_path_taken_from_base_dir(self, tmp_path):
+        g = validate_graph([[0, 1], [1, 0]])
+        (tmp_path / "topo").mkdir()
+        save_graph(g, tmp_path / "topo" / "g.json")
+        for ref in ("topo/g.json", tmp_path / "topo" / "g.json"):
+            assert graph_to_json(resolve_graph(ref, base_dir=tmp_path)) == graph_to_json(g)
+        assert graph_to_json(resolve_graph(str(tmp_path / "topo" / "g.json"))) == graph_to_json(g)
 
 
 class TestCanonicalInstance:

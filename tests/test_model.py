@@ -55,6 +55,11 @@ class TestSeedInitialState:
         with pytest.raises(ValueError, match="sum"):
             seed_initial_state(canonical_graph(), 50, 2, 1)
 
+    def test_negative_count_rejected(self):
+        # 61 + (-1) + 0 sums to the 60 devices, but a count cannot be negative
+        with pytest.raises(ValueError, match="non-negative"):
+            seed_initial_state(canonical_graph(), 61, -1, 0)
+
     def test_canonical_seeding_is_deterministic_and_degree_ranked(self):
         graph = canonical_graph()
         state = seed_initial_state(graph, 57, 2, 1)
@@ -113,6 +118,15 @@ class TestModelInstance:
                           adjoint_mode="exact")
 
 
+CASE1_CONFIG = {
+    "graph": "canonical",
+    "beta_high": 0.0004, "beta_low": 0.0002, "horizon": 10.0,
+    "initial_state": {"susceptible": 57, "infected_high": 2, "infected_low": 1},
+    "control_bounds": {"delta": [0.1, 0.8], "gamma_high": [0.1, 1.0],
+                       "gamma_low": [0.1, 0.6]},
+}
+
+
 class TestInstanceConfig:
 
     def test_from_dict_canonical_graph(self):
@@ -132,6 +146,23 @@ class TestInstanceConfig:
         assert inst.adjoint_mode == "consistent"
         assert inst.time_steps == 150
         assert inst.initial_state[:, IH].sum() == 2.0
+
+    def test_solver_defaults_and_types(self):
+        config = dict(CASE1_CONFIG, solver={"max_iterations": 7.0, "relaxation_weight": 0})
+        inst = instance_from_dict(config)
+        assert inst.max_iterations == 7 and type(inst.max_iterations) is int
+        assert inst.relaxation_weight == 0.0 and type(inst.relaxation_weight) is float
+        # the other settings keep ModelInstance's defaults
+        default = ModelInstance(graph=inst.graph, params=inst.params,
+                                initial_state=inst.initial_state)
+        assert inst.convergence_epsilon == default.convergence_epsilon
+        assert inst.adjoint_mode == default.adjoint_mode
+        assert inst.time_steps == default.time_steps
+
+    def test_unknown_solver_key_rejected(self):
+        config = dict(CASE1_CONFIG, solver={"max_iter": 3, "time_step": 10})
+        with pytest.raises(ValueError, match=r"\['max_iter', 'time_step'\]"):
+            instance_from_dict(config)
 
     def test_per_node_initial_state_and_bounds(self):
         config = {

@@ -61,9 +61,11 @@ class TestRgcsGenerate:
 
     def test_strategies_always_admissible(self):
         inst = small_instance(bounds=((0.1, 0.8), (0.2, 0.9), (0.0, 0.3)))
+        lo = inst.params.lower_bounds()[None]
+        hi = inst.params.upper_bounds()[None]
         for seed in range(20):
-            traj = rgcs_generate(inst, RgcsConfig(rng_seed=seed))
-            traj.validate_bounds(inst.params)
+            controls = rgcs_generate(inst, RgcsConfig(rng_seed=seed)).controls
+            assert (controls >= lo - 1e-12).all() and (controls <= hi + 1e-12).all()
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**63 - 1),

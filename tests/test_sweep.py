@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from malctrl.adjoint import integrate_backward
 from malctrl.dynamics import integrate_forward
 from malctrl.graphs import canonical_graph
 from malctrl.model import (DELTA, GAMMA_H, AdjointTrajectory, ModelInstance,
@@ -66,16 +67,17 @@ class TestFbsmSolve:
                                       inst.lower_bound_control().controls)
 
     def test_case1_converges_and_is_admissible(self):
+        # a solve returns its last iterate, so solves capped at one and two
+        # iterations return the first two iterates of the converged solve
         inst = build_case_instance(1, canonical_graph())
-        iterate_log = []
-        control, states, adjoints, report = fbsm_solve(
-            inst, on_iteration=lambda k, c: iterate_log.append(c.controls.copy()))
+        control, states, adjoints, report = fbsm_solve(inst)
         assert report.converged
         assert report.final_residual < 1e-4
         assert report.iterations_used <= 100
+        iterates = [fbsm_solve(replace(inst, max_iterations=k))[0].controls for k in (1, 2)]
         lo = inst.params.lower_bounds()[None]
         hi = inst.params.upper_bounds()[None]
-        for controls in iterate_log:
+        for controls in iterates + [control.controls]:
             assert (controls >= lo - 1e-12).all() and (controls <= hi + 1e-12).all()
 
     def test_objective_history_monotone_in_consistent_mode(self):
@@ -106,15 +108,12 @@ class TestFbsmSolve:
         # the lower-bound pass (undamped sweeps oscillate instead of
         # converging on the canonical cases, which is why damping exists)
         inst = build_case_instance(1, canonical_graph())
-        captured = []
-        fbsm_solve(inst, omega=0.0, max_iterations=1,
-                   on_iteration=lambda k, c: captured.append(c.controls.copy()))
+        first = fbsm_solve(replace(inst, relaxation_weight=0.0, max_iterations=1))[0]
         start = inst.lower_bound_control()
-        from malctrl.adjoint import integrate_backward
         states = integrate_forward(inst, start)
         expected = control_update(states, integrate_backward(states, start, inst),
                                   inst.params)
-        np.testing.assert_array_equal(captured[0], expected.controls)
+        np.testing.assert_array_equal(first.controls, expected.controls)
 
     def test_relaxation_keeps_iterates_in_box(self):
         # convexity of the box: blending two admissible schedules stays inside
