@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +17,18 @@ from .objective import objective
 from .rgcs import RgcsConfig, rgcs_population_compare
 from .serialize import node_csv, summary_json, write_summary
 from .sweep import fbsm_solve
+
+
+_INPUT_ERRORS = (ValueError, TypeError, OSError)  # what reading bad input raises
+
+
+@contextmanager
+def _bad_input():
+    """Bad input ends a command with ``Error: ...``, exit 1; solver failures pass through."""
+    try:
+        yield
+    except _INPUT_ERRORS as err:
+        raise click.ClickException(str(err)) from err
 
 
 @click.group()
@@ -35,8 +47,8 @@ def dataset():
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def dataset_generate(spec_path: Path, out_path: Path):
     """Generate a seeded smart-home topology."""
-    spec = graphs.load_spec(spec_path)
-    graph = graphs.generate_smart_home(spec)
+    with _bad_input():
+        graph = graphs.generate_smart_home(graphs.load_spec(spec_path))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     graphs.save_graph(graph, out_path)
     click.echo(f"wrote {graph.node_count}-node graph to {out_path}")
@@ -48,7 +60,7 @@ def dataset_validate(path: Path):
     """Check a topology file against the structural invariants."""
     try:
         graph = graphs.load_graph(path)
-    except (graphs.GraphValidationError, json.JSONDecodeError) as err:
+    except _INPUT_ERRORS as err:
         click.echo(f"invalid: {err}", err=True)
         sys.exit(1)
     click.echo(f"valid: {graph.node_count} nodes, {int(graph.adjacency.sum()) // 2} links")
@@ -70,11 +82,9 @@ def optimize(instance_path: Path, adjoint_mode, omega, eps, max_iter, out_dir: P
     """
     given = {"adjoint_mode": adjoint_mode, "relaxation_weight": omega,
              "convergence_epsilon": eps, "max_iterations": max_iter}
-    try:
+    with _bad_input():
         instance = replace(load_instance(instance_path),
                            **{key: value for key, value in given.items() if value is not None})
-    except ValueError as err:
-        raise click.ClickException(str(err)) from err
     control, states, adjoints, report = fbsm_solve(instance)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "control.csv").write_text(
@@ -102,9 +112,10 @@ def optimize(instance_path: Path, adjoint_mode, omega, eps, max_iter, out_dir: P
 def rgcs_compare(instance_path: Path, num_subintervals: int, population: int,
                  seed: int, out_path: Path):
     """Score a random-strategy population against the sweep optimum."""
-    instance = load_instance(instance_path)
-    config = RgcsConfig(num_subintervals=num_subintervals, rng_seed=seed,
-                        population_size=population)
+    with _bad_input():
+        instance = load_instance(instance_path)
+        config = RgcsConfig(num_subintervals=num_subintervals, rng_seed=seed,
+                            population_size=population)
     comparison = rgcs_population_compare(instance, config)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(summary_json(comparison.as_dict()))
@@ -128,7 +139,8 @@ def experiment_run(experiment_id: str, graph_ref: str, out_dir: Path, seed: int)
     """Run one experiment (or family) and write its artifacts."""
     spec = ExperimentSpec(experiment_id=experiment_id, out_dir=out_dir,
                           graph=graph_ref, rng_seed=seed)
-    run_experiment(spec)
+    with _bad_input():  # the graph and the seed are the only inputs
+        run_experiment(spec)
     click.echo(f"{experiment_id} artifacts written under {out_dir}")
 
 

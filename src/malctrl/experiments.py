@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import NetworkGraph, resolve_graph
-from .model import (COMPARTMENTS, IH, IL, ModelInstance, ModelParams,
+from .model import (COMPARTMENTS, CONTROL_NAMES, IH, IL, ModelInstance, ModelParams,
                     StateTrajectory, seed_initial_state)
 from .dynamics import integrate_forward
 from .objective import objective
@@ -48,9 +48,6 @@ EXPERIMENT_IDS = (
 # initial device counts shared by all sixty-device experiments
 INITIAL_COUNTS = {"susceptible": 57, "infected_high": 2, "infected_low": 1,
                   "recover_first": 0, "recover_complete": 0}
-
-# control columns as the summaries name them
-CONTROL_NAMES = ("delta", "gamma_high", "gamma_low")
 
 EXP3_PARAMS = {"horizon": 12.0, "beta_high": 0.004, "beta_low": 0.002,
                "delta_rate": 0.5, "gamma_high_rate": 0.4, "gamma_low_rate": 0.2}

@@ -276,9 +276,9 @@ def graph_from_dict(data: dict) -> NetworkGraph:
     if "adjacency" not in data:
         raise GraphValidationError("topology has no adjacency matrix")
     graph = validate_graph(data["adjacency"], data.get("labels"), data.get("rooms"))
-    if "n" in data and int(data["n"]) != graph.node_count:
-        raise GraphValidationError(
-            f"declared n={data['n']} does not match adjacency size {graph.node_count}")
+    n = data.get("n", graph.node_count)
+    if type(n) is not int or n != graph.node_count:
+        raise GraphValidationError(f"declared n={n!r} is not the adjacency size {graph.node_count}")
     return graph
 
 
@@ -312,13 +312,20 @@ def resolve_graph(ref, base_dir=None) -> NetworkGraph:
     return load_graph(path)
 
 
+def required(data: dict, key: str, where: str):
+    """``data[key]``; a missing key raises a ValueError that names it."""
+    if key not in data:
+        raise ValueError(f"{where} is missing the required key {key!r}")
+    return data[key]
+
+
 def spec_from_dict(data: dict) -> SmartHomeSpec:
     return SmartHomeSpec(
-        total_devices=int(data["total_devices"]),
-        rooms=tuple((str(name), int(count)) for name, count in data["rooms"]),
-        intra_room_density=float(data["intra_room_density"]),
-        inter_room_hub=bool(data["inter_room_hub"]),
-        rng_seed=int(data["rng_seed"]),
+        total_devices=int(required(data, "total_devices", "spec")),
+        rooms=tuple((str(name), int(count)) for name, count in required(data, "rooms", "spec")),
+        intra_room_density=float(required(data, "intra_room_density", "spec")),
+        inter_room_hub=bool(required(data, "inter_room_hub", "spec")),
+        rng_seed=int(required(data, "rng_seed", "spec")),
     )
 
 

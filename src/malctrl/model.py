@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import NetworkGraph, graph_from_dict, resolve_graph
+from .graphs import NetworkGraph, graph_from_dict, required, resolve_graph
 
 # state columns
 S, IH, IL, RF = 0, 1, 2, 3
@@ -26,7 +26,8 @@ COMPARTMENTS = ("S", "IH", "IL", "RF", "RC")
 
 # control columns
 DELTA, GAMMA_H, GAMMA_L = 0, 1, 2
-CONTROL_COLUMNS = ("delta", "gamma_h", "gamma_l")
+CONTROL_COLUMNS = ("delta", "gamma_h", "gamma_l")   # CSV headers
+CONTROL_NAMES = ("delta", "gamma_high", "gamma_low")  # JSON and summary keys
 
 # costate columns
 LAM_S, LAM_H, LAM_L, LAM_F = 0, 1, 2, 3
@@ -56,63 +57,63 @@ def validate_states(states: np.ndarray, n: int, tol: float = STATE_TOL) -> None:
     if states.shape[-2:] != (n, 4):
         raise DimensionMismatchError(f"expected state shape (..., {n}, 4), got {states.shape}")
     lo, hi = states.min(), states.max()
-    if lo < -tol or hi > 1.0 + tol:
+    if not -tol <= lo <= hi <= 1.0 + tol:  # also false for NaN
         raise ValueError(f"state entries outside [0, 1] (min {lo}, max {hi}, tol {tol})")
     rc = r_complete(states)
-    if rc.min() < -tol or rc.max() > 1.0 + tol:
+    if not -tol <= rc.min() <= rc.max() <= 1.0 + tol:
         raise ValueError("derived recover-complete compartment outside [0, 1]")
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Infection rates, horizon, and per-node control boxes."""
+    """Infection rates, horizon, and the per-node control box: ``lower`` and
+    ``upper`` are read-only float64 (N, 3) arrays, columns DELTA, GAMMA_H, GAMMA_L."""
 
     beta_high: float
     beta_low: float
     horizon: float
-    delta_lo: np.ndarray
-    delta_hi: np.ndarray
-    gamma_high_lo: np.ndarray
-    gamma_high_hi: np.ndarray
-    gamma_low_lo: np.ndarray
-    gamma_low_hi: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.beta_low <= self.beta_high:
-            raise ValueError(f"need 0 <= beta_low <= beta_high, got {self.beta_low}, {self.beta_high}")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        n = self.node_count
-        for name in ("delta", "gamma_high", "gamma_low"):
-            lo = getattr(self, f"{name}_lo")
-            hi = getattr(self, f"{name}_hi")
-            if lo.shape != (n,) or hi.shape != (n,):
-                raise DimensionMismatchError(f"{name} bounds must be vectors of length {n}")
-            if (lo < 0).any() or (lo > hi).any():
-                raise ValueError(f"need 0 <= {name}_lo <= {name}_hi per node")
+        if not 0.0 <= self.beta_low <= self.beta_high < np.inf:
+            raise ValueError(f"need finite 0 <= beta_low <= beta_high,"
+                             f" got {self.beta_low}, {self.beta_high}")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        lower, upper = (np.array(bound, dtype=np.float64) for bound in (self.lower, self.upper))
+        if lower.ndim != 2 or lower.shape[1] != 3 or upper.shape != lower.shape:
+            raise DimensionMismatchError(f"need (N, 3) control bounds, got {lower.shape}, {upper.shape}")
+        bad = ~(np.isfinite(upper) & (0.0 <= lower) & (lower <= upper))
+        if bad.any():
+            raise ValueError(f"need finite 0 <= lo <= hi for {CONTROL_NAMES[np.argwhere(bad)[0, 1]]}")
+        lower.flags.writeable = upper.flags.writeable = False
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @property
     def node_count(self) -> int:
-        return self.delta_lo.shape[0]
+        return self.lower.shape[0]
 
     @classmethod
     def from_scalars(cls, node_count, beta_high, beta_low, horizon,
                      delta=(0.0, 0.0), gamma_high=(0.0, 0.0), gamma_low=(0.0, 0.0)) -> "ModelParams":
-        """Broadcast scalar (lo, hi) control bounds to per-node vectors."""
-        full = lambda v: np.full(node_count, float(v))
-        return cls(
-            beta_high=float(beta_high), beta_low=float(beta_low), horizon=float(horizon),
-            delta_lo=full(delta[0]), delta_hi=full(delta[1]),
-            gamma_high_lo=full(gamma_high[0]), gamma_high_hi=full(gamma_high[1]),
-            gamma_low_lo=full(gamma_low[0]), gamma_low_hi=full(gamma_low[1]),
-        )
+        """The box from a (lo, hi) pair per control; each bound is a scalar or length N."""
+        box = np.empty((2, node_count, 3))
+        for column, (name, pair) in enumerate(zip(CONTROL_NAMES, (delta, gamma_high, gamma_low))):
+            lo, hi = pair
+            for side, bound in enumerate(np.asarray(b, dtype=float) for b in (lo, hi)):
+                if bound.shape not in ((), (node_count,)):
+                    raise DimensionMismatchError(f"{name} bounds must be scalars or length {node_count}")
+                box[side, :, column] = bound
+        return cls(float(beta_high), float(beta_low), float(horizon), *box)
 
     def lower_bounds(self) -> np.ndarray:
-        """(N, 3) lower control box, columns [delta, gamma_h, gamma_l]."""
-        return np.stack([self.delta_lo, self.gamma_high_lo, self.gamma_low_lo], axis=1)
+        """The (N, 3) lower control box, columns [delta, gamma_h, gamma_l]."""
+        return self.lower
 
     def upper_bounds(self) -> np.ndarray:
-        return np.stack([self.delta_hi, self.gamma_high_hi, self.gamma_low_hi], axis=1)
+        return self.upper
 
 
 def uniform_grid(horizon: float, steps: int) -> np.ndarray:
@@ -205,6 +206,9 @@ class ModelInstance:
             raise DimensionMismatchError(f"initial_state must have shape ({n}, 4)")
         validate_states(state, n, tol=STATE_TOL)
         object.__setattr__(self, "initial_state", state)
+        rates = self.control_rates
+        if rates is not None and not (np.isfinite(rates).all() and min(rates) >= 0):
+            raise ValueError(f"control_rates must be finite and non-negative, got {rates}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.convergence_epsilon <= 0:
@@ -229,8 +233,7 @@ class ModelInstance:
 
     def lower_bound_control(self) -> ControlTrajectory:
         grid = self.time_grid()
-        lo = self.params.lower_bounds()
-        controls = np.broadcast_to(lo, (grid.shape[0],) + lo.shape).copy()
+        controls = np.broadcast_to(self.params.lower, (grid.shape[0], self.node_count, 3)).copy()
         return ControlTrajectory(time_grid=grid, controls=controls)
 
     def constant_control(self, delta: float, gamma_high: float, gamma_low: float) -> ControlTrajectory:
@@ -301,45 +304,27 @@ _SOLVER_KEYS = {"max_iterations": int, "convergence_epsilon": float,
                "relaxation_weight": float, "adjoint_mode": str, "time_steps": int}
 
 
-def _bounds_pair(raw, n: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = raw
-    lo = np.full(n, float(lo)) if np.isscalar(lo) else np.asarray(lo, dtype=float)
-    hi = np.full(n, float(hi)) if np.isscalar(hi) else np.asarray(hi, dtype=float)
-    if lo.shape != (n,) or hi.shape != (n,):
-        raise ValueError(f"{name} bounds must be scalars or length-{n} lists")
-    return lo, hi
-
-
 def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
-    """Build a ModelInstance from its JSON configuration dictionary."""
-    graph_ref = data["graph"]
-    if isinstance(graph_ref, dict):
-        graph = graph_from_dict(graph_ref)
-    else:
-        graph = resolve_graph(graph_ref, base_dir)
-    n = graph.node_count
+    """Build a ModelInstance from its JSON configuration dictionary.
 
-    bounds = data["control_bounds"]
-    d_lo, d_hi = _bounds_pair(bounds["delta"], n, "delta")
-    gh_lo, gh_hi = _bounds_pair(bounds["gamma_high"], n, "gamma_high")
-    gl_lo, gl_hi = _bounds_pair(bounds["gamma_low"], n, "gamma_low")
-    params = ModelParams(
-        beta_high=float(data["beta_high"]), beta_low=float(data["beta_low"]),
-        horizon=float(data["horizon"]),
-        delta_lo=d_lo, delta_hi=d_hi,
-        gamma_high_lo=gh_lo, gamma_high_hi=gh_hi,
-        gamma_low_lo=gl_lo, gamma_low_hi=gl_hi,
-    )
+    A missing required key raises a ValueError that names it.
+    """
+    ref = required(data, "graph", "instance")
+    graph = graph_from_dict(ref) if isinstance(ref, dict) else resolve_graph(ref, base_dir)
 
-    init = data["initial_state"]
+    bounds = required(data, "control_bounds", "instance")
+    params = ModelParams.from_scalars(
+        graph.node_count,
+        *(required(data, key, "instance") for key in ("beta_high", "beta_low", "horizon")),
+        *(required(bounds, name, "control_bounds") for name in CONTROL_NAMES))
+
+    init = required(data, "initial_state", "instance")
     if "per_node" in init:
         state = np.asarray(init["per_node"], dtype=float)
     else:
         state = seed_initial_state(
-            graph,
-            susceptible=int(init["susceptible"]),
-            infected_high=int(init["infected_high"]),
-            infected_low=int(init["infected_low"]),
+            graph, *(int(required(init, key, "initial_state"))
+                     for key in ("susceptible", "infected_high", "infected_low")),
             recover_first=int(init.get("recover_first", 0)),
             recover_complete=int(init.get("recover_complete", 0)),
         )
@@ -347,8 +332,7 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
     rates = data.get("control_rates")
     control_rates = None
     if rates is not None:
-        control_rates = (float(rates["delta"]), float(rates["gamma_high"]),
-                         float(rates["gamma_low"]))
+        control_rates = tuple(float(required(rates, name, "control_rates")) for name in CONTROL_NAMES)
 
     solver = data.get("solver", {})
     unknown = sorted(set(solver) - set(_SOLVER_KEYS))

@@ -55,8 +55,7 @@ def rgcs_generate(instance: ModelInstance, config: RgcsConfig) -> ControlTraject
     rng = np.random.default_rng(config.rng_seed)
     horizon = instance.params.horizon
     cuts = random_partition(horizon, config.num_subintervals, rng)
-    lo = instance.params.lower_bounds()   # (N, 3)
-    hi = instance.params.upper_bounds()
+    lo, hi = instance.params.lower, instance.params.upper   # (N, 3) each
     draws = rng.random((instance.node_count, config.num_subintervals + 1, 3))
     values = lo[:, None, :] + (hi - lo)[:, None, :] * draws
     grid = instance.time_grid()

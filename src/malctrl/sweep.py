@@ -46,7 +46,7 @@ def control_update(state_traj: StateTrajectory, adjoint_traj: AdjointTrajectory,
     raw[:, :, DELTA] = lams[:, :, LAM_F] * states[:, :, RF]
     raw[:, :, GAMMA_H] = (lams[:, :, LAM_H] - lams[:, :, LAM_F]) * states[:, :, IH]
     raw[:, :, GAMMA_L] = (lams[:, :, LAM_L] - lams[:, :, LAM_F]) * states[:, :, IL]
-    clamped = np.clip(raw, params.lower_bounds()[None, :, :], params.upper_bounds()[None, :, :])
+    clamped = np.clip(raw, params.lower, params.upper)
     return ControlTrajectory(time_grid=state_traj.time_grid.copy(), controls=clamped)
 
 

@@ -138,8 +138,13 @@ def test_dataset_generate_creates_parent_dir(runner, tmp_path):
     assert graph_from_json(out_path.read_text()).node_count == 8
 
 
-@pytest.mark.parametrize("text", ['{"n": 2, "labels": ["a", "b"]}', '{"n": 2, "adjacency": [[0, 1'],
-                         ids=["no-adjacency", "malformed-json"])
+@pytest.mark.parametrize("text", ['{"n": 2, "labels": ["a", "b"]}', '{"n": 2, "adjacency": [[0, 1',
+                                  '{"adjacency": [[0, 1], [1, 0]], "n": "two"}',
+                                  '{"adjacency": [[0, 1], [1, 0]], "n": null}',
+                                  '{"adjacency": [[0, 1], [1, 0]], "n": 2.5}',
+                                  '{"adjacency": [[0, 1], [1, 0]], "labels": 5}'],
+                         ids=["no-adjacency", "malformed-json", "n-string", "n-null", "n-fraction",
+                              "labels-not-a-list"])
 def test_dataset_validate_reports_unreadable_topology(runner, tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -192,3 +197,51 @@ def test_optimize_rejects_unknown_solver_key(runner, tmp_path):
     assert result.exit_code == 1
     assert "max_iter" in result.output
     assert not (tmp_path / "run").exists()
+
+
+def spec_file(tmp_path, **changes):
+    spec = {key: value for key, value in dict(SPEC, **changes).items() if value is not None}
+    path = tmp_path / "bad_spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def edited_instance(runner, tmp_path, edit):
+    inst_path = write_instance(runner, tmp_path)
+    config = json.loads(inst_path.read_text())
+    edit(config)
+    inst_path.write_text(json.dumps(config))  # nan and inf become JSON's NaN and Infinity
+    return str(inst_path)
+
+
+def optimize_args(edit):
+    return lambda runner, tmp, out: ["optimize", "--instance", edited_instance(runner, tmp, edit),
+                                     "--out-prefix", out]
+
+
+# case -> (text the error names, (runner, tmp_path, output path) -> command line)
+BAD_INPUT = {
+    "optimize-missing-beta_high": ("beta_high", optimize_args(lambda c: c.pop("beta_high"))),
+    "optimize-delta-NaN": ("finite 0 <= lo <= hi for delta", optimize_args(
+        lambda c: c["control_bounds"].update(delta=[float("nan"), 0.8]))),
+    "optimize-horizon-Infinity": ("horizon must be positive and finite", optimize_args(
+        lambda c: c.update(horizon=float("inf")))),
+    "rgcs-compare-n-zero": ("num_subintervals", lambda runner, tmp, out: [
+        "rgcs-compare", "--instance", str(write_instance(runner, tmp)), "--n", "0", "--out", out]),
+    "experiment-missing-graph": ("nothere.json", lambda runner, tmp, out: [
+        "experiment", "run", "--id", "exp3", "--graph", str(tmp / "nothere.json"), "--out", out]),
+    "generate-empty-room": ("0 devices", lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp, rooms=[["a", 8], ["b", 0]]), "--out", out]),
+    "generate-missing-density": ("intra_room_density", lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp, intra_room_density=None), "--out", out]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_reported_before_writing(runner, tmp_path, case):
+    named, args = BAD_INPUT[case]
+    out = tmp_path / "out"
+    result = runner.invoke(main, args(runner, tmp_path, str(out)))
+    assert result.exit_code == 1
+    assert result.stderr.startswith("Error: ") and named in result.stderr
+    assert not out.exists()

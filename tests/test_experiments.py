@@ -7,7 +7,7 @@ from malctrl.experiments import (CASES, EXP3_PARAMS, EXP4_BETA_HIGH, ExperimentS
                                  _instance, run_experiment, select_sample_nodes,
                                  snapshot)
 from malctrl.graphs import canonical_graph
-from malctrl.model import StateTrajectory, seed_initial_state, uniform_grid
+from malctrl.model import GAMMA_H, StateTrajectory, seed_initial_state, uniform_grid
 
 
 class TestSnapshot:
@@ -156,15 +156,15 @@ class TestInstanceBuilders:
                         (0.5, 0.4, 0.2))
         assert unc.control_rates == (0.5, 0.0, 0.0)
         assert ctl.control_rates == (0.5, 0.4, 0.2)
-        assert (unc.params.gamma_high_hi == 0.0).all()
-        assert (ctl.params.gamma_high_lo == 0.4).all()
+        assert (unc.params.upper[:, GAMMA_H] == 0.0).all()
+        assert (ctl.params.lower[:, GAMMA_H] == 0.4).all()
         np.testing.assert_array_equal(ctl.params.lower_bounds(), ctl.params.upper_bounds())
 
     def test_exp4_stage_instances(self):
         solve_inst = _instance(canonical_graph(), **CASES["exp4_stage2"])
         assert solve_inst.params.beta_high == 0.0022
         assert solve_inst.params.horizon == 30.0
-        assert (solve_inst.params.gamma_high_hi == 0.3).all()
+        assert (solve_inst.params.upper[:, GAMMA_H] == 0.3).all()
         assert solve_inst.control_rates == (0.6, 0.35, 0.2)
         counts = solve_inst.initial_state.sum(axis=0)
         assert counts[1] == 2.0 and counts[2] == 1.0  # 2 high seeds, 1 low

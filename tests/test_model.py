@@ -1,8 +1,12 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from malctrl.graphs import canonical_graph, validate_graph
-from malctrl.model import (IH, IL, ModelInstance, ModelParams, StateTrajectory,
+from malctrl.model import (DELTA, GAMMA_L, IH, IL, DimensionMismatchError, ModelInstance,
+                           ModelParams, StateTrajectory,
                            instance_from_dict, r_complete, seed_initial_state,
                            uniform_grid, validate_states)
 
@@ -47,6 +51,49 @@ class TestModelParams:
                                      gamma_high=(0.2, 0.9), gamma_low=(0.3, 0.7))
         np.testing.assert_array_equal(p.lower_bounds(), [[0.1, 0.2, 0.3]] * 2)
         np.testing.assert_array_equal(p.upper_bounds(), [[0.8, 0.9, 0.7]] * 2)
+
+    def test_box_is_two_read_only_arrays(self):
+        assert [f.name for f in fields(ModelParams)] == [
+            "beta_high", "beta_low", "horizon", "lower", "upper"]
+        lower = np.zeros((2, 3))
+        p = ModelParams(0.2, 0.1, 1.0, lower, np.ones((2, 3)))
+        assert p.node_count == 2
+        for box in (p.lower, p.upper):
+            assert box.dtype == np.float64 and box.shape == (2, 3)
+            assert not box.flags.writeable
+        assert p.lower_bounds() is p.lower and p.upper_bounds() is p.upper
+        lower[0, 0] = 5.0  # the params keep their own copy
+        assert p.lower[0, 0] == 0.0
+
+    def test_box_shapes_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            ModelParams(0.2, 0.1, 1.0, np.zeros((2, 3)), np.ones((3, 3)))
+        with pytest.raises(DimensionMismatchError):
+            ModelParams(0.2, 0.1, 1.0, np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["beta_high", "beta_low", "horizon", "lower", "upper"])
+    def test_non_finite_rejected(self, where, bad):
+        values = {"beta_high": 0.2, "beta_low": 0.1, "horizon": 1.0,
+                  "lower": np.zeros((2, 3)), "upper": np.ones((2, 3))}
+        if where in ("lower", "upper"):
+            values[where][1, GAMMA_L] = bad
+        else:
+            values[where] = bad
+        with pytest.raises(ValueError, match="finite|positive"):
+            ModelParams(**values)
+
+    def test_from_scalars_takes_per_node_bounds(self):
+        p = ModelParams.from_scalars(2, 0.2, 0.1, 1.0, delta=([0.1, 0.2], 0.8),
+                                     gamma_low=(0.0, [0.3, 0.4]))
+        np.testing.assert_array_equal(p.lower, [[0.1, 0.0, 0.0], [0.2, 0.0, 0.0]])
+        np.testing.assert_array_equal(p.upper, [[0.8, 0.0, 0.3], [0.8, 0.0, 0.4]])
+
+    def test_from_scalars_rejects_malformed_pairs(self):
+        with pytest.raises(ValueError):
+            ModelParams.from_scalars(2, 0.2, 0.1, 1.0, delta=(0.1, 0.5, 0.8))
+        with pytest.raises(DimensionMismatchError, match="gamma_high"):
+            ModelParams.from_scalars(2, 0.2, 0.1, 1.0, gamma_high=([0.1, 0.2, 0.3], 0.8))
 
 
 class TestSeedInitialState:
@@ -109,6 +156,22 @@ class TestModelInstance:
         steps = np.diff(grid)
         assert np.allclose(steps, steps[0])
 
+    @pytest.mark.parametrize("rates", [(np.nan, 0.4, 0.2), (0.5, np.inf, 0.2), (0.5, 0.4, -0.1)])
+    def test_control_rates_must_be_finite_and_non_negative(self, rates):
+        graph = canonical_graph()
+        params = ModelParams.from_scalars(60, 0.001, 0.0005, 6.0)
+        with pytest.raises(ValueError, match="control_rates"):
+            ModelInstance(graph=graph, params=params,
+                          initial_state=seed_initial_state(graph, 57, 2, 1), control_rates=rates)
+
+    def test_nan_initial_state_rejected(self):
+        graph = canonical_graph()
+        params = ModelParams.from_scalars(60, 0.001, 0.0005, 6.0)
+        state = seed_initial_state(graph, 57, 2, 1)
+        state[3, IH] = np.nan
+        with pytest.raises(ValueError, match="outside"):
+            ModelInstance(graph=graph, params=params, initial_state=state)
+
     def test_adjoint_mode_validated(self):
         graph = canonical_graph()
         params = ModelParams.from_scalars(60, 0.001, 0.0005, 6.0)
@@ -164,6 +227,18 @@ class TestInstanceConfig:
         with pytest.raises(ValueError, match=r"\['max_iter', 'time_step'\]"):
             instance_from_dict(config)
 
+    @pytest.mark.parametrize("path", [("beta_high",), ("graph",), ("control_bounds",),
+                                      ("control_bounds", "gamma_low"),
+                                      ("initial_state", "infected_high")], ids="/".join)
+    def test_missing_required_key_named(self, path):
+        config = json.loads(json.dumps(CASE1_CONFIG))
+        block = config
+        for key in path[:-1]:
+            block = block[key]
+        del block[path[-1]]
+        with pytest.raises(ValueError, match=f"missing the required key '{path[-1]}'"):
+            instance_from_dict(config)
+
     def test_per_node_initial_state_and_bounds(self):
         config = {
             "graph": {"n": 2, "adjacency": [[0, 1], [1, 0]],
@@ -174,6 +249,6 @@ class TestInstanceConfig:
                                "gamma_high": [0.0, 1.0], "gamma_low": [0.0, 1.0]},
         }
         inst = instance_from_dict(config)
-        np.testing.assert_array_equal(inst.params.delta_lo, [0.1, 0.2])
-        np.testing.assert_array_equal(inst.params.delta_hi, [0.5, 0.6])
+        np.testing.assert_array_equal(inst.params.lower[:, DELTA], [0.1, 0.2])
+        np.testing.assert_array_equal(inst.params.upper[:, DELTA], [0.5, 0.6])
         assert inst.initial_state[0, IH] == 1.0
