@@ -13,7 +13,7 @@ from .dynamics import CtmcSummary, ctmc_simulate, integrate_forward
 from .objective import ObjectiveBreakdown, objective, running_cost
 from .adjoint import adjoint_rhs, hamiltonian, integrate_backward
 from .sweep import SweepReport, control_update, fbsm_solve
-from .rgcs import PopulationComparison, RgcsConfig, rgcs_generate, rgcs_population_compare
+from .rgcs import RgcsConfig, rgcs_generate, rgcs_population
 from .experiments import (ExperimentSpec, SnapshotReport, run_experiment,
                           select_sample_nodes, snapshot)
 
@@ -29,7 +29,7 @@ __all__ = [
     "ObjectiveBreakdown", "objective", "running_cost",
     "adjoint_rhs", "hamiltonian", "integrate_backward",
     "SweepReport", "control_update", "fbsm_solve",
-    "PopulationComparison", "RgcsConfig", "rgcs_generate", "rgcs_population_compare",
+    "RgcsConfig", "rgcs_generate", "rgcs_population",
     "ExperimentSpec", "SnapshotReport", "run_experiment", "select_sample_nodes",
     "snapshot",
     "__version__",

@@ -11,10 +11,10 @@ import click
 
 from . import graphs
 from .adjoint import ADJOINT_MODES
-from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment
+from .experiments import EXPERIMENT_IDS, ExperimentSpec, population_comparison, run_experiment
 from .model import COMPARTMENTS, CONTROL_COLUMNS, COSTATE_COLUMNS, load_instance
 from .objective import objective
-from .rgcs import RgcsConfig, rgcs_population_compare
+from .rgcs import RgcsConfig
 from .serialize import node_csv, summary_json, write_summary
 from .sweep import fbsm_solve
 
@@ -116,11 +116,11 @@ def rgcs_compare(instance_path: Path, num_subintervals: int, population: int,
         instance = load_instance(instance_path)
         config = RgcsConfig(num_subintervals=num_subintervals, rng_seed=seed,
                             population_size=population)
-    comparison = rgcs_population_compare(instance, config)
+    comparison = population_comparison(instance, config)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(summary_json(comparison.as_dict()))
-    best = comparison.strategies[0]["J"]
-    click.echo(f"optimal J = {comparison.optimal_J:.6g}, best random J = {best:.6g}")
+    out_path.write_text(summary_json(comparison))
+    best = comparison["strategies"][0]["J"]
+    click.echo(f"optimal J = {comparison['optimal_J']:.6g}, best random J = {best:.6g}")
 
 
 @main.group()

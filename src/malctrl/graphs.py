@@ -13,43 +13,8 @@ class GraphValidationError(ValueError):
     """An adjacency matrix violates a structural invariant."""
 
 
-class NonSquareError(GraphValidationError):
-    def __init__(self, shape):
-        self.shape = tuple(shape)
-        super().__init__(f"adjacency matrix must be square, got shape {self.shape}")
-
-
-class NonBinaryEntryError(GraphValidationError):
-    def __init__(self, i, j, value):
-        self.i, self.j, self.value = int(i), int(j), value
-        super().__init__(f"adjacency[{i},{j}] = {value!r} is not 0 or 1")
-
-
-class SelfLoopError(GraphValidationError):
-    def __init__(self, i):
-        self.i = int(i)
-        super().__init__(f"adjacency[{i},{i}] = 1: self-loops are not allowed")
-
-
-class AsymmetricError(GraphValidationError):
-    def __init__(self, i, j):
-        self.i, self.j = int(i), int(j)
-        super().__init__(f"adjacency[{i},{j}] != adjacency[{j},{i}]: links must be undirected")
-
-
 class TopologyError(ValueError):
     """The smart-home generator cannot produce a graph for this spec."""
-
-
-class EmptyRoomError(TopologyError):
-    def __init__(self, room):
-        self.room = room
-        super().__init__(f"room {room!r} has 0 devices")
-
-
-class UnconnectableError(TopologyError):
-    def __init__(self):
-        super().__init__("intra-room density 0 with no hub cannot yield a connected graph")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,23 +58,23 @@ def validate_graph(adjacency, node_labels=None, room_assignment=None) -> Network
     """
     a = np.asarray(adjacency)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareError(a.shape)
+        raise GraphValidationError(f"adjacency matrix must be square, got shape {a.shape}")
     n = a.shape[0]
 
     bad = ~((a == 0) | (a == 1))
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise NonBinaryEntryError(i, j, a[i, j])
+        raise GraphValidationError(f"adjacency[{i},{j}] = {a.item(i, j)!r} is not 0 or 1")
     a = a.astype(np.float64)
 
     diag = np.flatnonzero(np.diagonal(a))
     if diag.size:
-        raise SelfLoopError(diag[0])
+        raise GraphValidationError(f"adjacency[{diag[0]},{diag[0]}] = 1: self-loops are not allowed")
 
     asym = np.tril(a != a.T, k=-1)
     if asym.any():
         i, j = np.argwhere(asym)[0]
-        raise AsymmetricError(i, j)
+        raise GraphValidationError(f"adjacency[{i},{j}] != adjacency[{j},{i}]: links must be undirected")
 
     if node_labels is None:
         node_labels = tuple(f"device-{k:02d}" for k in range(n))
@@ -191,9 +156,9 @@ def generate_smart_home(spec: SmartHomeSpec) -> NetworkGraph:
     """
     for name, count in spec.rooms:
         if count == 0:
-            raise EmptyRoomError(name)
+            raise TopologyError(f"room {name!r} has 0 devices")
     if spec.intra_room_density == 0.0 and not spec.inter_room_hub and spec.total_devices > 1:
-        raise UnconnectableError()
+        raise TopologyError("intra-room density 0 with no hub cannot yield a connected graph")
 
     n = spec.total_devices
     rng = np.random.default_rng(spec.rng_seed)

@@ -101,8 +101,12 @@ class ModelParams:
         """The box from a (lo, hi) pair per control; each bound is a scalar or length N."""
         box = np.empty((2, node_count, 3))
         for column, (name, pair) in enumerate(zip(CONTROL_NAMES, (delta, gamma_high, gamma_low))):
-            lo, hi = pair
-            for side, bound in enumerate(np.asarray(b, dtype=float) for b in (lo, hi)):
+            try:
+                lo, hi = (np.asarray(b, dtype=float) for b in pair)
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} bounds must be a (lo, hi) pair of numbers,"
+                                 f" got {pair!r}") from None
+            for side, bound in enumerate((lo, hi)):
                 if bound.shape not in ((), (node_count,)):
                     raise DimensionMismatchError(f"{name} bounds must be scalars or length {node_count}")
                 box[side, :, column] = bound

@@ -8,8 +8,7 @@ import numpy as np
 
 from .dynamics import _forward_totals
 from .model import ControlTrajectory, ModelInstance
-from .objective import _objective_terms, objective
-from .sweep import fbsm_solve
+from .objective import _objective_terms
 
 # strategies scored per batched forward pass: about 2 MiB of stacked controls,
 # which is 4 strategies at N=60 and 300 steps.  Larger batches buy little
@@ -28,6 +27,8 @@ class RgcsConfig:
             raise ValueError("num_subintervals must be at least 1")
         if self.population_size < 1:
             raise ValueError("population_size must be at least 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def random_partition(horizon: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -70,24 +71,8 @@ def _batch_size(instance: ModelInstance) -> int:
     return max(1, _BATCH_BYTES // control_bytes)
 
 
-@dataclass
-class PopulationComparison:
-    """Objective values of a random-strategy population next to the sweep optimum."""
-
-    strategies: list[dict]       # {"seed": int, "J": float}, sorted by J ascending
-    optimal_J: float
-    optimal_converged: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "strategies": [dict(s) for s in self.strategies],
-            "optimal_J": self.optimal_J,
-            "optimal_converged": self.optimal_converged,
-        }
-
-
-def rgcs_population_compare(instance: ModelInstance, config: RgcsConfig) -> PopulationComparison:
-    """Evaluate population_size random strategies against the sweep optimum.
+def rgcs_population(instance: ModelInstance, config: RgcsConfig) -> list[dict]:
+    """Objective values of population_size random strategies, sorted by (J, seed).
 
     Strategy i uses seed config.rng_seed + i, so the population is
     reproducible.  Strategies are scored in batches of a few, each batch in
@@ -108,8 +93,4 @@ def rgcs_population_compare(instance: ModelInstance, config: RgcsConfig) -> Popu
         totals = _objective_terms(ih, rc, controls, dt)[0]
         entries.extend({"seed": seed, "J": float(j)} for seed, j in zip(chunk, totals))
     entries.sort(key=lambda e: (e["J"], e["seed"]))
-
-    control, states, _, report = fbsm_solve(instance)
-    best = objective(states, control).total
-    return PopulationComparison(strategies=entries, optimal_J=best,
-                                optimal_converged=report.converged)
+    return entries

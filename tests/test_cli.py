@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from malctrl.cli import main
+from malctrl.experiments import ExperimentSpec, run_experiment
 from malctrl.graphs import graph_from_json
+from malctrl.serialize import summary_json
 
 
 @pytest.fixture
@@ -101,6 +104,18 @@ def test_rgcs_compare_writes_sorted_population(runner, tmp_path):
     assert "optimal_J" in data
 
 
+def test_rgcs_compare_writes_the_exp2_population_block(runner, tmp_path):
+    out_path = tmp_path / "rgcs.json"
+    instance = Path(__file__).resolve().parents[1] / "configs" / "case1_instance.json"
+    result = runner.invoke(main, ["rgcs-compare", "--instance", str(instance),
+                                  "--n", "100", "--population", "5", "--seed", "7",
+                                  "--out", str(out_path)])
+    assert result.exit_code == 0, result.output
+    summary = run_experiment(ExperimentSpec("exp2", tmp_path / "exp", rng_seed=7,
+                                            population_size=5))
+    assert out_path.read_text() == summary_json(summary["population"])
+
+
 def test_experiment_run_exp3(runner, tmp_path):
     result = runner.invoke(main, ["experiment", "run", "--id", "exp3",
                                   "--out", str(tmp_path)])
@@ -138,19 +153,27 @@ def test_dataset_generate_creates_parent_dir(runner, tmp_path):
     assert graph_from_json(out_path.read_text()).node_count == 8
 
 
-@pytest.mark.parametrize("text", ['{"n": 2, "labels": ["a", "b"]}', '{"n": 2, "adjacency": [[0, 1',
-                                  '{"adjacency": [[0, 1], [1, 0]], "n": "two"}',
-                                  '{"adjacency": [[0, 1], [1, 0]], "n": null}',
-                                  '{"adjacency": [[0, 1], [1, 0]], "n": 2.5}',
-                                  '{"adjacency": [[0, 1], [1, 0]], "labels": 5}'],
-                         ids=["no-adjacency", "malformed-json", "n-string", "n-null", "n-fraction",
-                              "labels-not-a-list"])
-def test_dataset_validate_reports_unreadable_topology(runner, tmp_path, text):
+# case -> (topology file text, text the message names)
+UNREADABLE = {
+    "no-adjacency": ('{"n": 2, "labels": ["a", "b"]}', "no adjacency matrix"),
+    "malformed-json": ('{"n": 2, "adjacency": [[0, 1', "Expecting"),
+    "n-string": ('{"adjacency": [[0, 1], [1, 0]], "n": "two"}', "n='two'"),
+    "n-null": ('{"adjacency": [[0, 1], [1, 0]], "n": null}', "n=None"),
+    "n-fraction": ('{"adjacency": [[0, 1], [1, 0]], "n": 2.5}', "n=2.5"),
+    "labels-not-a-list": ('{"adjacency": [[0, 1], [1, 0]], "labels": 5}', "not iterable"),
+    "non-binary-float": ('{"adjacency": [[0, 0.5], [0.5, 0]]}', "adjacency[0,1] = 0.5 is not 0 or 1"),
+    "non-binary-int": ('{"adjacency": [[0, 2], [2, 0]]}', "adjacency[0,1] = 2 is not 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_dataset_validate_reports_unreadable_topology(runner, tmp_path, case):
+    text, named = UNREADABLE[case]
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     result = runner.invoke(main, ["dataset", "validate", str(bad)])
     assert result.exit_code == 1
-    assert result.output.startswith("invalid: ")
+    assert result.output.startswith("invalid: ") and named in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
@@ -226,10 +249,17 @@ BAD_INPUT = {
         lambda c: c["control_bounds"].update(delta=[float("nan"), 0.8]))),
     "optimize-horizon-Infinity": ("horizon must be positive and finite", optimize_args(
         lambda c: c.update(horizon=float("inf")))),
+    "optimize-delta-scalar": ("delta bounds must be a (lo, hi) pair", optimize_args(
+        lambda c: c["control_bounds"].update(delta=0.5))),
     "rgcs-compare-n-zero": ("num_subintervals", lambda runner, tmp, out: [
         "rgcs-compare", "--instance", str(write_instance(runner, tmp)), "--n", "0", "--out", out]),
+    "rgcs-compare-negative-seed": ("rng_seed must be non-negative, got -1", lambda runner, tmp, out: [
+        "rgcs-compare", "--instance", str(write_instance(runner, tmp)), "--seed", "-1",
+        "--out", out]),
     "experiment-missing-graph": ("nothere.json", lambda runner, tmp, out: [
         "experiment", "run", "--id", "exp3", "--graph", str(tmp / "nothere.json"), "--out", out]),
+    "experiment-negative-seed": ("rng_seed must be non-negative, got -1", lambda runner, tmp, out: [
+        "experiment", "run", "--id", "exp2", "--seed", "-1", "--out", out]),
     "generate-empty-room": ("0 devices", lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, rooms=[["a", 8], ["b", 0]]), "--out", out]),
     "generate-missing-density": ("intra_room_density", lambda runner, tmp, out: [

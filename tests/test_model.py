@@ -95,6 +95,11 @@ class TestModelParams:
         with pytest.raises(DimensionMismatchError, match="gamma_high"):
             ModelParams.from_scalars(2, 0.2, 0.1, 1.0, gamma_high=([0.1, 0.2, 0.3], 0.8))
 
+    @pytest.mark.parametrize("pair", [0.5, [0.1, 0.5, 0.9], "ab", None])
+    def test_from_scalars_names_the_control_of_a_malformed_pair(self, pair):
+        with pytest.raises(ValueError, match=r"^delta bounds must be a \(lo, hi\) pair"):
+            ModelParams.from_scalars(2, 0.2, 0.1, 1.0, delta=pair)
+
 
 class TestSeedInitialState:
 

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from malctrl import rgcs
 from malctrl.dynamics import StepTooLargeError, _forward_totals, integrate_forward
-from malctrl.experiments import build_case_instance
+from malctrl.experiments import build_case_instance, population_comparison
 from malctrl.graphs import canonical_graph, validate_graph
 from malctrl.model import IH, ModelInstance, ModelParams, r_complete
 from malctrl.objective import objective
-from malctrl.rgcs import (RgcsConfig, random_partition, rgcs_generate,
-                          rgcs_population_compare)
+from malctrl.rgcs import RgcsConfig, random_partition, rgcs_generate, rgcs_population
 
 
 def small_instance(bounds, horizon=5.0, steps=100):
@@ -84,23 +83,22 @@ class TestPopulationCompare:
         # zero-width boxes force both the random strategy and the sweep
         # optimum onto the same constant schedule
         inst = small_instance(bounds=((0.4, 0.4), (0.3, 0.3), (0.2, 0.2)))
-        out = rgcs_population_compare(inst, RgcsConfig(rng_seed=3, population_size=1))
-        assert out.strategies[0]["J"] == pytest.approx(out.optimal_J, rel=1e-10)
+        out = population_comparison(inst, RgcsConfig(rng_seed=3, population_size=1))
+        assert out["strategies"][0]["J"] == pytest.approx(out["optimal_J"], rel=1e-10)
 
     def test_sweep_beats_population_on_small_instance(self):
         inst = small_instance(bounds=((0.1, 0.8), (0.1, 1.0), (0.1, 0.6)))
-        out = rgcs_population_compare(inst, RgcsConfig(rng_seed=11, population_size=20))
-        assert out.optimal_J < out.strategies[0]["J"]
+        out = population_comparison(inst, RgcsConfig(rng_seed=11, population_size=20))
+        assert out["optimal_J"] < out["strategies"][0]["J"]
 
     def test_deterministic_sorted_list(self):
         inst = small_instance(bounds=((0.1, 0.8), (0.1, 1.0), (0.1, 0.6)))
         config = RgcsConfig(rng_seed=21, population_size=10)
-        a = rgcs_population_compare(inst, config)
-        b = rgcs_population_compare(inst, config)
-        assert a.as_dict() == b.as_dict()
-        js = [s["J"] for s in a.strategies]
+        a = rgcs_population(inst, config)
+        assert a == rgcs_population(inst, config)
+        js = [s["J"] for s in a]
         assert js == sorted(js)
-        assert {s["seed"] for s in a.strategies} == set(range(21, 31))
+        assert {s["seed"] for s in a} == set(range(21, 31))
 
 
 class TestBatchedPopulation:
@@ -113,9 +111,9 @@ class TestBatchedPopulation:
         inst = small_instance(bounds=((0.1, 0.8), (0.1, 1.0), (0.1, 0.6)))
         config = RgcsConfig(num_subintervals=7, rng_seed=40,
                             population_size=population_size)
-        out = rgcs_population_compare(inst, config)
-        assert len(out.strategies) == population_size
-        for entry in out.strategies:
+        out = rgcs_population(inst, config)
+        assert len(out) == population_size
+        for entry in out:
             strategy = rgcs_generate(inst, RgcsConfig(num_subintervals=7,
                                                       rng_seed=entry["seed"]))
             serial = objective(integrate_forward(inst, strategy), strategy).total
@@ -125,11 +123,11 @@ class TestBatchedPopulation:
         # N=60, 300 steps: batches of 4, so 5 strategies end in a partial batch
         inst = build_case_instance(1, canonical_graph())
         assert rgcs._batch_size(inst) == 4
-        out = rgcs_population_compare(inst, RgcsConfig(rng_seed=7, population_size=5))
+        out = rgcs_population(inst, RgcsConfig(rng_seed=7, population_size=5))
         strategies = [rgcs_generate(inst, RgcsConfig(rng_seed=entry["seed"]))
-                      for entry in out.strategies]
+                      for entry in out]
         ih, rc = _forward_totals(inst, np.stack([s.controls for s in strategies]))
-        for b, (entry, strategy) in enumerate(zip(out.strategies, strategies)):
+        for b, (entry, strategy) in enumerate(zip(out, strategies)):
             states = integrate_forward(inst, strategy)
             assert entry["J"] == objective(states, strategy).total, entry["seed"]
             np.testing.assert_array_equal(ih[b], states.states[:, :, IH].sum(axis=1))
