@@ -4,12 +4,11 @@ integration, and a stochastic jump-process oracle for validation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S,
-                    ControlTrajectory, ModelInstance, ModelParams, StateTrajectory,
+from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S, ControlTrajectory,
+                    DimensionMismatchError, ModelInstance, StateTrajectory,
                     TRAJECTORY_TOL, _check_same_grid, r_complete)
 
 
@@ -51,9 +50,9 @@ def _rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
 
     ``stage`` is 0 at the start of the step, 1 at its midpoint (second and
     third stages) and 2 at its end, so a right-hand side driven by sampled
-    data can pick the sample of each stage.  The forward, batched forward
-    and backward passes all step here; the expression order fixes the last
-    bits of every state and costate trajectory.
+    data can pick the sample of each stage.  The forward and backward passes
+    both step here; the expression order fixes the last bits of every state
+    and costate trajectory.
     """
     k1 = rhs(x, 0)
     k2 = rhs(x + 0.5 * h * k1, 1)
@@ -62,18 +61,30 @@ def _rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _forward_steps(initial: np.ndarray, controls: np.ndarray, grid: np.ndarray,
-                   params: ModelParams, adjacency: np.ndarray):
-    """Yield the RK4 state after each step of the grid, shape (..., N, 4).
+def integrate_forward(instance: ModelInstance, control: ControlTrajectory) -> StateTrajectory:
+    """Advance the expected network state with classical fixed-step RK4.
 
-    ``controls`` has shape (..., K+1, N, 3) with the same leading batch axes
-    as ``initial``; the value at index k is held for the whole step to
-    t_{k+1}.  Raises StepTooLargeError as soon as any compartment of any
-    batch member leaves [-1e-6, 1 + 1e-6].
+    ``control.controls`` has shape (..., K+1, N, 3); leading axes are batch
+    axes, so a stack of B strategies gives states of shape (B, K+1, N, 4) in
+    one pass, each member bit-identical to its own pass.  The control is
+    piecewise constant: the grid value at index k is held for the whole step
+    to t_{k+1}, including the half-step stages.  Raises StepTooLargeError
+    when any compartment of any member leaves [-1e-6, 1 + 1e-6], which
+    signals that the step size is too coarse for the configured rates.
     """
+    grid = instance.time_grid()
+    _check_same_grid(control.time_grid, grid)
+    controls = control.controls
+    n = instance.node_count
+    if controls.shape[-3:] != (grid.shape[0], n, 3):
+        raise DimensionMismatchError(
+            f"expected control shape (..., {grid.shape[0]}, {n}, 3), got {controls.shape}")
     h = grid[1] - grid[0]
-    beta_high, beta_low = params.beta_high, params.beta_low
-    x = initial
+    beta_high, beta_low = instance.params.beta_high, instance.params.beta_low
+    adjacency = instance.graph.adjacency
+    states = np.empty(controls.shape[:-1] + (4,))
+    x = np.broadcast_to(instance.initial_state, controls.shape[:-3] + (n, 4)).copy()
+    states[..., 0, :, :] = x
     for k in range(grid.shape[0] - 1):
         u = controls[..., k, :, :]
         x = _rk4_step(lambda y, _stage: _reduced_rhs(y, u, beta_high, beta_low, adjacency), x, h)
@@ -82,45 +93,8 @@ def _forward_steps(initial: np.ndarray, controls: np.ndarray, grid: np.ndarray,
                 or rc.min() < -TRAJECTORY_TOL or rc.max() > 1.0 + TRAJECTORY_TOL):
             raise StepTooLargeError(
                 f"state left [0, 1] at t={grid[k + 1]:.6g}; reduce dt below {h:.6g}")
-        yield x
-
-
-def integrate_forward(instance: ModelInstance, control: ControlTrajectory) -> StateTrajectory:
-    """Advance the expected network state with classical fixed-step RK4.
-
-    The control is piecewise constant: the grid value at index k is held for
-    the whole step to t_{k+1}, including the half-step stages.  Raises
-    StepTooLargeError when any compartment leaves [-1e-6, 1 + 1e-6], which
-    signals that the step size is too coarse for the configured rates.
-    """
-    grid = instance.time_grid()
-    _check_same_grid(control.time_grid, grid)
-    states = np.empty((grid.shape[0], instance.node_count, 4))
-    initial = instance.initial_state
-    for k, x in enumerate(chain([initial], _forward_steps(
-            initial, control.controls, grid, instance.params, instance.graph.adjacency))):
-        states[k] = x
+        states[..., k + 1, :, :] = x
     return StateTrajectory(time_grid=grid, states=states)
-
-
-def _forward_totals(instance: ModelInstance, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expected IH and RC device totals per grid point of a stack of strategies.
-
-    ``controls`` has shape (B, K+1, N, 3) on the instance grid.  One RK4 pass
-    advances all B members at once, shape (B, N, 4), and keeps only the two
-    (B, K+1) totals the objective needs, never the (B, K+1, N, 4) trajectory.
-    Each total equals the one integrate_forward's trajectory gives, bit for bit.
-    """
-    grid = instance.time_grid()
-    batch = controls.shape[0]
-    initial = np.repeat(instance.initial_state[None], batch, axis=0)
-    ih = np.empty((batch, grid.shape[0]))
-    rc = np.empty((batch, grid.shape[0]))
-    for k, x in enumerate(chain([initial], _forward_steps(
-            initial, controls, grid, instance.params, instance.graph.adjacency))):
-        ih[:, k] = x[..., IH].sum(axis=-1)
-        rc[:, k] = r_complete(x).sum(axis=-1)
-    return ih, rc
 
 
 @dataclass
@@ -151,6 +125,10 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     """
     grid = instance.time_grid()
     _check_same_grid(control.time_grid, grid)
+    n = instance.node_count
+    if control.controls.shape != (grid.shape[0], n, 3):
+        raise DimensionMismatchError(
+            f"expected control shape ({grid.shape[0]}, {n}, 3), got {control.controls.shape}")
     init = instance.initial_state
     if not np.isin(init, (0.0, 1.0)).all():
         raise NonIndicatorInitialStateError(
@@ -158,7 +136,6 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     if num_runs < 1:
         raise ValueError("num_runs must be positive")
 
-    n = instance.node_count
     steps = grid.shape[0] - 1
     dt = grid[1] - grid[0]
     beta_high, beta_low = instance.params.beta_high, instance.params.beta_low

@@ -112,6 +112,8 @@ class SmartHomeSpec:
             raise ValueError(f"room device counts sum to {total}, expected {self.total_devices}")
         if not 0.0 <= self.intra_room_density <= 1.0:
             raise ValueError("intra_room_density must lie in [0, 1]")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def floorplan_spec(rng_seed: int = 42) -> SmartHomeSpec:
@@ -240,6 +242,9 @@ def graph_to_json(graph: NetworkGraph) -> str:
 def graph_from_dict(data: dict) -> NetworkGraph:
     if "adjacency" not in data:
         raise GraphValidationError("topology has no adjacency matrix")
+    for key in ("labels", "rooms"):
+        if key in data and not isinstance(data[key], list):
+            raise GraphValidationError(f"{key} must be a list, got {data[key]!r}")
     graph = validate_graph(data["adjacency"], data.get("labels"), data.get("rooms"))
     n = data.get("n", graph.node_count)
     if type(n) is not int or n != graph.node_count:
@@ -284,13 +289,26 @@ def required(data: dict, key: str, where: str):
     return data[key]
 
 
+def integer(value, name: str) -> int:
+    """``value`` as an int; a fraction, a boolean or a non-number raises a
+    ValueError that names ``name``."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, (float, np.floating)) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def spec_from_dict(data: dict) -> SmartHomeSpec:
+    hub = required(data, "inter_room_hub", "spec")
+    if not isinstance(hub, bool):
+        raise ValueError(f"inter_room_hub must be true or false, got {hub!r}")
     return SmartHomeSpec(
-        total_devices=int(required(data, "total_devices", "spec")),
-        rooms=tuple((str(name), int(count)) for name, count in required(data, "rooms", "spec")),
+        total_devices=integer(required(data, "total_devices", "spec"), "total_devices"),
+        rooms=tuple((str(name), integer(count, f"rooms[{i}] device count"))
+                    for i, (name, count) in enumerate(required(data, "rooms", "spec"))),
         intra_room_density=float(required(data, "intra_room_density", "spec")),
-        inter_room_hub=bool(required(data, "inter_room_hub", "spec")),
-        rng_seed=int(required(data, "rng_seed", "spec")),
+        inter_room_hub=hub,
+        rng_seed=integer(required(data, "rng_seed", "spec"), "rng_seed"),
     )
 
 

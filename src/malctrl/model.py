@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import NetworkGraph, graph_from_dict, required, resolve_graph
+from .graphs import NetworkGraph, graph_from_dict, integer, required, resolve_graph
 
 # state columns
 S, IH, IL, RF = 0, 1, 2, 3
@@ -133,7 +133,8 @@ def _check_same_grid(grid_a: np.ndarray, grid_b: np.ndarray) -> None:
 
 @dataclass
 class StateTrajectory:
-    """Grid-sampled expected network state, shape (K+1, N, 4)."""
+    """Grid-sampled expected network state, shape (K+1, N, 4), or
+    (..., K+1, N, 4) for a stack of trajectories."""
 
     time_grid: np.ndarray
     states: np.ndarray
@@ -144,23 +145,24 @@ class StateTrajectory:
 
     @property
     def node_count(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-2]
 
     def r_complete(self) -> np.ndarray:
         return r_complete(self.states)
 
     def full_states(self) -> np.ndarray:
-        """(K+1, N, 5) array including the derived RC column."""
+        """(..., K+1, N, 5) array including the derived RC column."""
         return np.concatenate([self.states, self.r_complete()[..., None]], axis=-1)
 
     def compartment_totals(self) -> np.ndarray:
-        """Expected device counts per compartment, shape (K+1, 5)."""
-        return self.full_states().sum(axis=1)
+        """Expected device counts per compartment, shape (..., K+1, 5)."""
+        return self.full_states().sum(axis=-2)
 
 
 @dataclass
 class ControlTrajectory:
-    """Grid-sampled control schedule, shape (K+1, N, 3).
+    """Grid-sampled control schedule, shape (K+1, N, 3), or (..., K+1, N, 3)
+    for a stack of schedules.
 
     Controls are piecewise constant: the row at grid index k applies on
     [t_k, t_{k+1}).
@@ -171,7 +173,7 @@ class ControlTrajectory:
 
     @property
     def node_count(self) -> int:
-        return self.controls.shape[1]
+        return self.controls.shape[-2]
 
 
 @dataclass
@@ -327,10 +329,10 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
         state = np.asarray(init["per_node"], dtype=float)
     else:
         state = seed_initial_state(
-            graph, *(int(required(init, key, "initial_state"))
+            graph, *(integer(required(init, key, "initial_state"), key)
                      for key in ("susceptible", "infected_high", "infected_low")),
-            recover_first=int(init.get("recover_first", 0)),
-            recover_complete=int(init.get("recover_complete", 0)),
+            recover_first=integer(init.get("recover_first", 0), "recover_first"),
+            recover_complete=integer(init.get("recover_complete", 0), "recover_complete"),
         )
 
     rates = data.get("control_rates")
@@ -342,9 +344,10 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
     unknown = sorted(set(solver) - set(_SOLVER_KEYS))
     if unknown:
         raise ValueError(f"unknown solver keys {unknown}; expected keys among {sorted(_SOLVER_KEYS)}")
+    settings = {key: integer(value, key) if _SOLVER_KEYS[key] is int else _SOLVER_KEYS[key](value)
+                for key, value in solver.items()}
     return ModelInstance(graph=graph, params=params, initial_state=state,
-                         control_rates=control_rates,
-                         **{key: _SOLVER_KEYS[key](value) for key, value in solver.items()})
+                         control_rates=control_rates, **settings)
 
 
 def load_instance(path) -> ModelInstance:

@@ -27,14 +27,15 @@ class ObjectiveBreakdown:
     """Cumulative objective and its four quadrature terms.
 
     ``total`` is computed as infection + patch + restriction - recovery of
-    the individually integrated terms, so that identity holds exactly.
+    the individually integrated terms, so that identity holds exactly.  The
+    fields are floats for one trajectory and arrays for a stack.
     """
 
-    total: float
-    infection_term: float
-    patch_cost: float
-    restriction_cost: float
-    recovery_reward: float
+    total: float | np.ndarray
+    infection_term: float | np.ndarray
+    patch_cost: float | np.ndarray
+    restriction_cost: float | np.ndarray
+    recovery_reward: float | np.ndarray
 
     def as_dict(self) -> dict:
         return {
@@ -61,28 +62,26 @@ def running_cost(state: np.ndarray, control: np.ndarray) -> float:
 
 
 def objective(state_traj: StateTrajectory, control_traj: ControlTrajectory) -> ObjectiveBreakdown:
-    """Trapezoid quadrature of the running cost over the shared grid."""
-    _check_same_grid(state_traj.time_grid, control_traj.time_grid)
-    states = state_traj.states
-    terms = _objective_terms(states[:, :, IH].sum(axis=1), r_complete(states).sum(axis=1),
-                            control_traj.controls, state_traj.dt)
-    return ObjectiveBreakdown(*(float(t) for t in terms))
+    """Trapezoid quadrature of the running cost over the shared grid.
 
-
-def _objective_terms(ih_totals: np.ndarray, rc_totals: np.ndarray, controls: np.ndarray,
-                    dt: float) -> tuple[np.ndarray, ...]:
-    """Trapezoid quadrature of the running cost from its per-grid-point parts.
-
-    ``ih_totals`` and ``rc_totals`` are the expected IH and RC device totals
-    at each grid point, shape (..., K+1); ``controls`` has shape
-    (..., K+1, N, 3).  Leading axes are batch axes, integrated member by
-    member.  Returns (total, infection, patch, restriction, recovery), the
-    order of ObjectiveBreakdown's fields.
+    States (..., K+1, N, 4) and controls (..., K+1, N, 3) must agree on every
+    axis but the last; leading axes are batch axes, integrated member by
+    member.  Each field is a Python float for one trajectory and a
+    (...)-shaped array for a stack.
     """
-    infection = np.trapezoid(ih_totals, dx=dt, axis=-1)
+    _check_same_grid(state_traj.time_grid, control_traj.time_grid)
+    states, controls = state_traj.states, control_traj.controls
+    if states.shape[:-1] != controls.shape[:-1]:
+        raise DimensionMismatchError(
+            f"incompatible states {states.shape} and controls {controls.shape}")
+    dt = state_traj.dt
+    infection = np.trapezoid(states[..., IH].sum(axis=-1), dx=dt, axis=-1)
     patch = np.trapezoid(0.5 * (controls[..., DELTA] ** 2).sum(axis=-1), dx=dt, axis=-1)
     restriction = np.trapezoid(
         0.5 * (controls[..., GAMMA_H] ** 2 + controls[..., GAMMA_L] ** 2).sum(axis=-1),
         dx=dt, axis=-1)
-    recovery = np.trapezoid(rc_totals, dx=dt, axis=-1)
-    return infection + patch + restriction - recovery, infection, patch, restriction, recovery
+    recovery = np.trapezoid(r_complete(states).sum(axis=-1), dx=dt, axis=-1)
+    terms = (infection + patch + restriction - recovery, infection, patch, restriction, recovery)
+    if states.ndim == 3:
+        terms = (float(t) for t in terms)
+    return ObjectiveBreakdown(*terms)

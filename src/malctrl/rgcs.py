@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import _forward_totals
+from .dynamics import integrate_forward
 from .model import ControlTrajectory, ModelInstance
-from .objective import _objective_terms
+from .objective import objective
 
 # strategies scored per batched forward pass: about 2 MiB of stacked controls,
-# which is 4 strategies at N=60 and 300 steps.  Larger batches buy little
-# speed and cost resident memory.
+# which is 4 strategies at N=60 and 300 steps.  Each batch also holds its
+# (B, K+1, N, 4) states, 4/3 of the controls' bytes.  Larger batches buy
+# little speed and cost resident memory.
 _BATCH_BYTES = 2 * 2**20
 
 
@@ -75,22 +76,19 @@ def rgcs_population(instance: ModelInstance, config: RgcsConfig) -> list[dict]:
     """Objective values of population_size random strategies, sorted by (J, seed).
 
     Strategy i uses seed config.rng_seed + i, so the population is
-    reproducible.  Strategies are scored in batches of a few, each batch in
-    one RK4 pass that keeps only the per-step totals the objective needs; each
-    J equals objective(integrate_forward(instance, strategy)).total bit for bit.
+    reproducible.  Strategies are scored in batches of a few, each batch a
+    stack that one integrate_forward and one objective call score; each J
+    equals objective(integrate_forward(instance, strategy)).total bit for bit.
     """
     grid = instance.time_grid()
-    dt = float(grid[1] - grid[0])   # the step objective() integrates with
     batch = _batch_size(instance)
     seeds = [config.rng_seed + i for i in range(config.population_size)]
     entries = []
     for start in range(0, len(seeds), batch):
         chunk = seeds[start:start + batch]
-        controls = np.stack([rgcs_generate(instance, RgcsConfig(
-            num_subintervals=config.num_subintervals, rng_seed=seed,
-            population_size=1)).controls for seed in chunk])
-        ih, rc = _forward_totals(instance, controls)
-        totals = _objective_terms(ih, rc, controls, dt)[0]
+        stack = ControlTrajectory(time_grid=grid, controls=np.stack([
+            rgcs_generate(instance, replace(config, rng_seed=seed)).controls for seed in chunk]))
+        totals = objective(integrate_forward(instance, stack), stack).total
         entries.extend({"seed": seed, "J": float(j)} for seed, j in zip(chunk, totals))
     entries.sort(key=lambda e: (e["J"], e["seed"]))
     return entries

@@ -160,7 +160,9 @@ UNREADABLE = {
     "n-string": ('{"adjacency": [[0, 1], [1, 0]], "n": "two"}', "n='two'"),
     "n-null": ('{"adjacency": [[0, 1], [1, 0]], "n": null}', "n=None"),
     "n-fraction": ('{"adjacency": [[0, 1], [1, 0]], "n": 2.5}', "n=2.5"),
-    "labels-not-a-list": ('{"adjacency": [[0, 1], [1, 0]], "labels": 5}', "not iterable"),
+    "labels-not-a-list": ('{"adjacency": [[0, 1], [1, 0]], "labels": 5}', "labels"),
+    "labels-string": ('{"adjacency": [[0, 1], [1, 0]], "labels": "ab"}', "labels must be a list"),
+    "rooms-not-a-list": ('{"adjacency": [[0, 1], [1, 0]], "rooms": 5}', "rooms must be a list"),
     "non-binary-float": ('{"adjacency": [[0, 0.5], [0.5, 0]]}', "adjacency[0,1] = 0.5 is not 0 or 1"),
     "non-binary-int": ('{"adjacency": [[0, 2], [2, 0]]}', "adjacency[0,1] = 2 is not 0 or 1"),
 }
@@ -264,6 +266,21 @@ BAD_INPUT = {
         "dataset", "generate", "--spec", spec_file(tmp, rooms=[["a", 8], ["b", 0]]), "--out", out]),
     "generate-missing-density": ("intra_room_density", lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, intra_room_density=None), "--out", out]),
+    "generate-negative-seed": ("rng_seed must be non-negative, got -1", lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp, rng_seed=-1), "--out", out]),
+    "generate-hub-string": ("inter_room_hub", lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp, inter_room_hub="false"), "--out", out]),
+    "generate-fractional-total": ("total_devices", lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp, total_devices=8.7), "--out", out]),
+    "generate-fractional-room": ("rooms[1] device count", lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp, rooms=[["a", 4], ["b", 4.5]]),
+        "--out", out]),
+    "optimize-fractional-susceptible": ("susceptible", optimize_args(
+        lambda c: c["initial_state"].update(susceptible=5.9))),
+    "optimize-fractional-time_steps": ("time_steps", optimize_args(
+        lambda c: c["solver"].update(time_steps=80.7))),
+    "optimize-fractional-max_iterations": ("max_iterations", optimize_args(
+        lambda c: c["solver"].update(max_iterations=2.5))),
 }
 
 

@@ -4,7 +4,8 @@ import pytest
 from malctrl.dynamics import (NonIndicatorInitialStateError, ctmc_simulate,
                               integrate_forward)
 from malctrl.graphs import validate_graph
-from malctrl.model import IH, S, ModelInstance, ModelParams
+from malctrl.model import (IH, S, ControlTrajectory, DimensionMismatchError,
+                           ModelInstance, ModelParams)
 
 # compartment columns in CtmcSummary.mean_counts
 C_S, C_IH, C_IL, C_RF, C_RC = range(5)
@@ -36,6 +37,19 @@ def test_non_indicator_initial_state_rejected():
     inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=10)
     with pytest.raises(NonIndicatorInitialStateError):
         ctmc_simulate(inst, inst.constant_control(0, 0, 0), rng_seed=1, num_runs=10)
+
+
+def test_control_shape_checked():
+    # a one-node control would broadcast to every node; a stack of controls
+    # is one strategy per member, which the jump process does not take
+    graph = validate_graph([[0, 1], [1, 0]])
+    initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
+    inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=10)
+    controls = inst.constant_control(0.5, 0.5, 0.5).controls
+    for bad in (controls[:, :1], np.stack([controls, controls])):
+        with pytest.raises(DimensionMismatchError, match="expected control shape"):
+            ctmc_simulate(inst, ControlTrajectory(inst.time_grid(), bad), rng_seed=1,
+                          num_runs=10)
 
 
 def test_isolated_node_exponential_holding_time():

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from malctrl.dynamics import (StepTooLargeError, _reduced_rhs, ctmc_simulate,
                               integrate_forward)
+from malctrl.experiments import build_case_instance
 from malctrl.graphs import canonical_graph, validate_graph
 from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S,
-                           ControlTrajectory, GridMismatchError, ModelInstance,
-                           ModelParams, TRAJECTORY_TOL, seed_initial_state,
+                           ControlTrajectory, DimensionMismatchError, GridMismatchError,
+                           ModelInstance, ModelParams, TRAJECTORY_TOL, seed_initial_state,
                            validate_states)
+from malctrl.objective import objective
 
 TWO_NODE = validate_graph([[0, 1], [1, 0]])
 
@@ -152,6 +154,15 @@ class TestIntegrateForward:
         with pytest.raises(GridMismatchError):
             ctmc_simulate(inst, control, rng_seed=0, num_runs=1)
 
+    def test_control_shape_checked(self):
+        # a one-node control would broadcast to all 60 nodes; a control on the
+        # wrong number of grid points or without its node axis is refused too
+        inst = build_case_instance(1, canonical_graph())
+        controls = inst.fixed_control_trajectory().controls
+        for bad in (controls[:, :1], controls[:-1], controls[:, 0]):
+            with pytest.raises(DimensionMismatchError, match="expected control shape"):
+                integrate_forward(inst, ControlTrajectory(inst.time_grid(), bad))
+
     def test_step_too_large_detected(self):
         # beta far beyond the stability limit at this step size
         initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
@@ -171,3 +182,42 @@ class TestIntegrateForward:
         controls = rng.random((121, n, 3))
         traj = integrate_forward(inst, ControlTrajectory(inst.time_grid(), controls))
         assert np.abs(traj.full_states().sum(axis=2) - 1.0).max() <= 1e-6
+
+
+def random_instance(rng, n, time_steps):
+    a = np.triu((rng.random((n, n)) < 0.6).astype(int), 1)
+    initial = rng.dirichlet(np.ones(5), size=n)[:, :4]
+    return make_instance(validate_graph(a + a.T), 0.4, 0.2, 2.0, initial=initial,
+                         time_steps=time_steps)
+
+
+class TestStackedForward:
+
+    def test_compartment_totals_on_a_stack(self):
+        rng = np.random.default_rng(5)
+        inst = random_instance(rng, 4, 20)
+        stack = ControlTrajectory(inst.time_grid(), rng.random((3, 21, 4, 3)))
+        traj = integrate_forward(inst, stack)
+        assert traj.states.shape == (3, 21, 4, 4)
+        assert traj.node_count == stack.node_count == 4
+        totals = traj.compartment_totals()
+        assert totals.shape == (3, 21, 5)
+        for b in range(3):
+            solo = integrate_forward(inst, ControlTrajectory(inst.time_grid(), stack.controls[b]))
+            np.testing.assert_array_equal(totals[b], solo.compartment_totals())
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=2, max_value=6),
+           batch=st.integers(min_value=1, max_value=5))
+    def test_every_member_equals_its_solo_call(self, seed, n, batch):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n, 30)
+        stack = ControlTrajectory(inst.time_grid(), rng.random((batch, 31, n, 3)))
+        states = integrate_forward(inst, stack)
+        costs = objective(states, stack)
+        for b in range(batch):
+            member = ControlTrajectory(inst.time_grid(), stack.controls[b])
+            solo = integrate_forward(inst, member)
+            np.testing.assert_array_equal(states.states[b], solo.states)
+            assert costs.total[b] == objective(solo, member).total

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malctrl.model import (ControlTrajectory, GridMismatchError, StateTrajectory,
-                           uniform_grid)
+from malctrl.model import (ControlTrajectory, DimensionMismatchError, GridMismatchError,
+                           StateTrajectory, uniform_grid)
 from malctrl.objective import objective, running_cost
 
 
@@ -27,7 +27,6 @@ class TestRunningCost:
         assert running_cost(state, np.zeros((1, 3))) == pytest.approx(-1.0)
 
     def test_dimension_mismatch(self):
-        from malctrl.model import DimensionMismatchError
         with pytest.raises(DimensionMismatchError):
             running_cost(np.zeros((2, 4)), np.zeros((3, 3)))
 
@@ -110,6 +109,32 @@ class TestObjective:
         _, ct_b = _constant_trajectories(np.zeros(4) + 0.25, np.zeros(3), 1.0, 20)
         with pytest.raises(GridMismatchError):
             objective(st_a, ct_b)
+
+    def test_states_and_controls_must_agree_on_all_but_the_last_axis(self):
+        st_traj, ct_traj = _constant_trajectories(np.zeros(4) + 0.25, np.zeros(3), 1.0, 10)
+        grid = st_traj.time_grid
+        for states, controls in ((st_traj.states, ct_traj.controls[:, :1]),
+                                 (st_traj.states[:, :1], ct_traj.controls),
+                                 (np.stack([st_traj.states] * 2), ct_traj.controls),
+                                 (np.stack([st_traj.states] * 2), np.stack([ct_traj.controls] * 3))):
+            with pytest.raises(DimensionMismatchError):
+                objective(StateTrajectory(grid, states), ControlTrajectory(grid, controls))
+
+    def test_single_trajectory_fields_are_floats(self):
+        got = objective(*_constant_trajectories(np.zeros(4) + 0.25, np.ones(3), 1.0, 10))
+        assert all(type(value) is float for value in got.as_dict().values())
+
+    def test_stack_equals_each_member_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        grid = uniform_grid(2.0, 25)
+        states = rng.dirichlet(np.ones(5), size=(4, 26, 3))[..., :4]
+        controls = rng.random((4, 26, 3, 3))
+        stacked = objective(StateTrajectory(grid, states), ControlTrajectory(grid, controls))
+        assert stacked.total.shape == (4,)
+        for b in range(4):
+            solo = objective(StateTrajectory(grid, states[b]), ControlTrajectory(grid, controls[b]))
+            for name, value in solo.as_dict().items():
+                assert stacked.as_dict()[name][b] == value, (b, name)
 
 
 @st.composite

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malctrl import rgcs
-from malctrl.dynamics import StepTooLargeError, _forward_totals, integrate_forward
+from malctrl.dynamics import StepTooLargeError, integrate_forward
 from malctrl.experiments import build_case_instance, population_comparison
 from malctrl.graphs import canonical_graph, validate_graph
-from malctrl.model import IH, ModelInstance, ModelParams, r_complete
+from malctrl.model import IH, ControlTrajectory, ModelInstance, ModelParams
 from malctrl.objective import objective
 from malctrl.rgcs import RgcsConfig, random_partition, rgcs_generate, rgcs_population
 
@@ -126,12 +126,12 @@ class TestBatchedPopulation:
         out = rgcs_population(inst, RgcsConfig(rng_seed=7, population_size=5))
         strategies = [rgcs_generate(inst, RgcsConfig(rng_seed=entry["seed"]))
                       for entry in out]
-        ih, rc = _forward_totals(inst, np.stack([s.controls for s in strategies]))
+        stacked = integrate_forward(inst, ControlTrajectory(
+            inst.time_grid(), np.stack([s.controls for s in strategies])))
         for b, (entry, strategy) in enumerate(zip(out, strategies)):
             states = integrate_forward(inst, strategy)
             assert entry["J"] == objective(states, strategy).total, entry["seed"]
-            np.testing.assert_array_equal(ih[b], states.states[:, :, IH].sum(axis=1))
-            np.testing.assert_array_equal(rc[b], r_complete(states.states).sum(axis=1))
+            np.testing.assert_array_equal(stacked.states[b], states.states)
 
     @pytest.mark.parametrize("stiff_member", [0, 1])
     def test_step_too_large_in_any_member_raises(self, stiff_member):
@@ -151,6 +151,7 @@ class TestBatchedPopulation:
         members = [calm.controls, calm.controls]
         members[stiff_member] = stiff.controls
         with pytest.raises(StepTooLargeError):
-            _forward_totals(inst, np.stack(members))
-        ih, _ = _forward_totals(inst, np.stack([calm.controls, calm.controls]))
+            integrate_forward(inst, ControlTrajectory(calm.time_grid, np.stack(members)))
+        calm_pair = ControlTrajectory(calm.time_grid, np.stack([calm.controls, calm.controls]))
+        ih = integrate_forward(inst, calm_pair).compartment_totals()[..., IH]
         assert (ih == 1.0).all()
