@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S, ControlTrajectory,
+from .model import (CONTROL_NAMES, DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S, ControlTrajectory,
                     DimensionMismatchError, ModelInstance, StateTrajectory,
                     TRAJECTORY_TOL, _check_same_grid, r_complete)
 
@@ -109,6 +109,9 @@ class CtmcSummary:
 
 _MAX_STEP_PROBABILITY = 0.05
 _BATCH = 4096
+# compartment codes match the CtmcSummary columns: 0 S, 1 IH, 2 IL, 3 RF, 4 RC;
+# _NEXT[c] is where a node in c goes when its control transition fires
+_NEXT = np.array([0, 3, 3, 4, 4], dtype=np.int8)
 
 
 def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
@@ -118,17 +121,39 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     Each control-grid cell is subdivided until every per-substep transition
     probability (rate times substep) is at most 0.05, then transitions are
     drawn as Bernoulli events from one uniform per node and substep; a
-    susceptible node checks the high-capability infection first.  Replicas
-    run in fixed-size batches of 4096, each batch on its own generator seeded
-    by (rng_seed, batch_index), so results do not depend on how batches are
+    susceptible node checks the high-capability infection first.  Every test
+    reads the state at the start of the substep.  Replicas run in fixed-size
+    batches of 4096, each batch on its own generator seeded by
+    (rng_seed, batch_index), so results do not depend on how batches are
     scheduled and are reproducible bit-for-bit for a given seed.
+
+    Few draws can fire, so each substep first screens the draws against an
+    upper bound of the probability of leaving the node's compartment: for a
+    susceptible node ``beta_high * degree * sdt + beta_low * degree * sdt``,
+    otherwise the largest of the three control probabilities.  Only draws
+    below their bound are evaluated, with the neighbour counts of their
+    replica.  The screen drops no transition: a neighbour count never exceeds
+    the degree, the betas and the control values are finite and
+    non-negative, and floating-point products and sums are monotone in each
+    operand, so the computed infection probabilities never exceed the
+    computed bound.  The draws, their order and every test are those of a
+    dense pass over all nodes, so the summary is bit-identical to it.
+    Occupancy counts per replica are updated from the moves, and their sums
+    are exact integers.
+
+    Raises ValueError for a control value that is NaN, infinite or negative.
     """
     grid = instance.time_grid()
     _check_same_grid(control.time_grid, grid)
     n = instance.node_count
-    if control.controls.shape != (grid.shape[0], n, 3):
+    controls = control.controls
+    if controls.shape != (grid.shape[0], n, 3):
         raise DimensionMismatchError(
-            f"expected control shape ({grid.shape[0]}, {n}, 3), got {control.controls.shape}")
+            f"expected control shape ({grid.shape[0]}, {n}, 3), got {controls.shape}")
+    bad = ~(np.isfinite(controls) & (controls >= 0.0))
+    if bad.any():
+        raise ValueError(f"control {CONTROL_NAMES[np.argwhere(bad)[0, 2]]} must be finite and"
+                         f" non-negative, got {controls[bad][0]}")
     init = instance.initial_state
     if not np.isin(init, (0.0, 1.0)).all():
         raise NonIndicatorInitialStateError(
@@ -140,18 +165,19 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     dt = grid[1] - grid[0]
     beta_high, beta_low = instance.params.beta_high, instance.params.beta_low
     adjacency = instance.graph.adjacency
-    max_degree = adjacency.sum(axis=1).max()
-    rate_max = max(beta_high * max_degree, beta_low * max_degree,
-                   float(control.controls.max(initial=0.0)))
+    degree = adjacency.sum(axis=1)
+    rate_max = max(beta_high * degree.max(), beta_low * degree.max(),
+                   float(controls.max(initial=0.0)))
     substeps = max(1, int(np.ceil(rate_max * dt / _MAX_STEP_PROBABILITY)))
     sdt = dt / substeps
+    s_cap = beta_high * degree * sdt + beta_low * degree * sdt
 
-    # compartment codes match the column order: 0 S, 1 IH, 2 IL, 3 RF, 4 RC
     init_code = np.zeros(n, dtype=np.int8)
     init_code[init[:, IH] == 1.0] = 1
     init_code[init[:, IL] == 1.0] = 2
     init_code[init[:, RF] == 1.0] = 3
     init_code[init.sum(axis=1) == 0.0] = 4
+    init_counts = np.bincount(init_code, minlength=5)
 
     count_sum = np.zeros((steps + 1, 5))
     count_sq = np.zeros((steps + 1, 5))
@@ -162,26 +188,20 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
         m = min(_BATCH, num_runs - done)
         rng = np.random.default_rng([rng_seed, batch_index])
         y = np.tile(init_code, (m, 1))
-        _accumulate(count_sum, count_sq, 0, y)
+        counts = np.repeat(init_counts[:, None], m, axis=1)  # (5, m) devices per compartment
+        _accumulate(count_sum, count_sq, 0, counts)
         for k in range(steps):
-            u = control.controls[k]
-            p_gh = u[:, GAMMA_H] * sdt
-            p_gl = u[:, GAMMA_L] * sdt
-            p_d = u[:, DELTA] * sdt
+            u = controls[k]
+            # per-node probability of a control transition out of IH, IL
+            # and RF; S leaves by infection only and RC never leaves
+            leave = np.zeros((5, n))
+            leave[1:4] = u[:, [GAMMA_H, GAMMA_L, DELTA]].T * sdt
+            cap = leave.max(axis=0)
             for _ in range(substeps):
                 draws = rng.random((m, n))
-                p_h = beta_high * ((y == 1) @ adjacency.T) * sdt
-                p_l = beta_low * ((y == 2) @ adjacency.T) * sdt
-                is_s = y == 0
-                to_high = is_s & (draws < p_h)
-                to_low = is_s & ~to_high & (draws < p_h + p_l)
-                to_rf = ((y == 1) & (draws < p_gh)) | ((y == 2) & (draws < p_gl))
-                to_rc = (y == 3) & (draws < p_d)
-                y[to_high] = 1
-                y[to_low] = 2
-                y[to_rf] = 3
-                y[to_rc] = 4
-            _accumulate(count_sum, count_sq, k + 1, y)
+                r, j = divmod(np.flatnonzero((draws < s_cap) | ((y != 0) & (draws < cap))), n)
+                _fire(y, counts, r, j, draws[r, j], leave, adjacency, beta_high, beta_low, sdt)
+            _accumulate(count_sum, count_sq, k + 1, counts)
         done += m
         batch_index += 1
 
@@ -195,7 +215,22 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
                        num_runs=num_runs)
 
 
-def _accumulate(count_sum: np.ndarray, count_sq: np.ndarray, k: int, y: np.ndarray) -> None:
-    counts = np.stack([(y == c).sum(axis=1) for c in range(5)], axis=1).astype(float)
-    count_sum[k] += counts.sum(axis=0)
-    count_sq[k] += (counts ** 2).sum(axis=0)
+def _fire(y, counts, r, j, draws, leave, adjacency, beta_high, beta_low, sdt) -> None:
+    """Apply the transitions of the screened draws of replicas ``r`` at nodes ``j``."""
+    old = y[r, j]
+    new = np.where(draws < leave[old, j], _NEXT[old], old)
+    sus = np.flatnonzero(old == 0)
+    near, links, d = y[r[sus]], adjacency[j[sus]], draws[sus]
+    # neighbour counts are small integers, exact in any summation order
+    p_h = beta_high * ((near == 1) * links).sum(axis=1) * sdt
+    p_l = beta_low * ((near == 2) * links).sum(axis=1) * sdt
+    new[sus] = np.where(d < p_h, 1, np.where(d < p_h + p_l, 2, 0))
+    y[r, j] = new
+    np.subtract.at(counts, (old, r), 1)
+    np.add.at(counts, (new, r), 1)
+
+
+def _accumulate(count_sum: np.ndarray, count_sq: np.ndarray, k: int, counts: np.ndarray) -> None:
+    # integer sums are exact, so they equal every float summation of the counts
+    count_sum[k] += counts.sum(axis=1)
+    count_sq[k] += (counts ** 2).sum(axis=1)

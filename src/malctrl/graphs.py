@@ -298,15 +298,28 @@ def integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def number(value, name: str) -> float:
+    """``value`` as a float; a boolean or a non-number raises a ValueError
+    that names ``name``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def spec_from_dict(data: dict) -> SmartHomeSpec:
     hub = required(data, "inter_room_hub", "spec")
     if not isinstance(hub, bool):
         raise ValueError(f"inter_room_hub must be true or false, got {hub!r}")
+    rooms = required(data, "rooms", "spec")
+    for i, room in enumerate(rooms):
+        if not (isinstance(room, list) and len(room) == 2):
+            raise ValueError(f"rooms[{i}] must be a [name, count] pair, got {room!r}")
     return SmartHomeSpec(
         total_devices=integer(required(data, "total_devices", "spec"), "total_devices"),
         rooms=tuple((str(name), integer(count, f"rooms[{i}] device count"))
-                    for i, (name, count) in enumerate(required(data, "rooms", "spec"))),
-        intra_room_density=float(required(data, "intra_room_density", "spec")),
+                    for i, (name, count) in enumerate(rooms)),
+        intra_room_density=number(required(data, "intra_room_density", "spec"),
+                                  "intra_room_density"),
         inter_room_hub=hub,
         rng_seed=integer(required(data, "rng_seed", "spec"), "rng_seed"),
     )

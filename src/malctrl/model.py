@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import NetworkGraph, graph_from_dict, integer, required, resolve_graph
+from .graphs import NetworkGraph, graph_from_dict, integer, number, required, resolve_graph
 
 # state columns
 S, IH, IL, RF = 0, 1, 2, 3
@@ -305,9 +305,10 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
 # ---------------------------------------------------------------------------
 # instance JSON config
 
-# key of the "solver" block -> its type; the defaults are ModelInstance's
-_SOLVER_KEYS = {"max_iterations": int, "convergence_epsilon": float,
-               "relaxation_weight": float, "adjoint_mode": str, "time_steps": int}
+# key of the "solver" block -> its parser (value, key); the defaults are ModelInstance's
+_SOLVER_KEYS = {"max_iterations": integer, "convergence_epsilon": number,
+               "relaxation_weight": number, "adjoint_mode": lambda value, _key: str(value),
+               "time_steps": integer}
 
 
 def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
@@ -321,7 +322,8 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
     bounds = required(data, "control_bounds", "instance")
     params = ModelParams.from_scalars(
         graph.node_count,
-        *(required(data, key, "instance") for key in ("beta_high", "beta_low", "horizon")),
+        *(number(required(data, key, "instance"), key)
+          for key in ("beta_high", "beta_low", "horizon")),
         *(required(bounds, name, "control_bounds") for name in CONTROL_NAMES))
 
     init = required(data, "initial_state", "instance")
@@ -338,14 +340,14 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
     rates = data.get("control_rates")
     control_rates = None
     if rates is not None:
-        control_rates = tuple(float(required(rates, name, "control_rates")) for name in CONTROL_NAMES)
+        control_rates = tuple(number(required(rates, name, "control_rates"), f"control_rates {name}")
+                              for name in CONTROL_NAMES)
 
     solver = data.get("solver", {})
     unknown = sorted(set(solver) - set(_SOLVER_KEYS))
     if unknown:
         raise ValueError(f"unknown solver keys {unknown}; expected keys among {sorted(_SOLVER_KEYS)}")
-    settings = {key: integer(value, key) if _SOLVER_KEYS[key] is int else _SOLVER_KEYS[key](value)
-                for key, value in solver.items()}
+    settings = {key: _SOLVER_KEYS[key](value, key) for key, value in solver.items()}
     return ModelInstance(graph=graph, params=params, initial_state=state,
                          control_rates=control_rates, **settings)
 

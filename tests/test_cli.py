@@ -281,6 +281,25 @@ BAD_INPUT = {
         lambda c: c["solver"].update(time_steps=80.7))),
     "optimize-fractional-max_iterations": ("max_iterations", optimize_args(
         lambda c: c["solver"].update(max_iterations=2.5))),
+    "optimize-beta_high-string": ("beta_high must be a number, got 'fast'", optimize_args(
+        lambda c: c.update(beta_high="fast"))),
+    "optimize-beta_low-list": ("beta_low must be a number", optimize_args(
+        lambda c: c.update(beta_low=[0.02]))),
+    "optimize-horizon-boolean": ("horizon must be a number, got True", optimize_args(
+        lambda c: c.update(horizon=True))),
+    "optimize-control_rates-string": ("control_rates gamma_low must be a number", optimize_args(
+        lambda c: c.update(control_rates={"delta": 0.9, "gamma_high": 0.6, "gamma_low": "x"}))),
+    "optimize-epsilon-string": ("convergence_epsilon must be a number", optimize_args(
+        lambda c: c["solver"].update(convergence_epsilon="1e-4"))),
+    "optimize-relaxation_weight-null": ("relaxation_weight must be a number", optimize_args(
+        lambda c: c["solver"].update(relaxation_weight=None))),
+    "generate-density-string": ("intra_room_density must be a number", lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp, intra_room_density="dense"),
+        "--out", out]),
+    "generate-room-without-count": ("rooms[0] must be a [name, count] pair, got ['a']",
+                                    lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp, rooms=[["a"], ["b", 4]]),
+        "--out", out]),
 }
 
 
