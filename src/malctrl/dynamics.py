@@ -79,22 +79,37 @@ def integrate_forward(instance: ModelInstance, control: ControlTrajectory) -> St
     if controls.shape[-3:] != (grid.shape[0], n, 3):
         raise DimensionMismatchError(
             f"expected control shape (..., {grid.shape[0]}, {n}, 3), got {controls.shape}")
+    states = np.empty(controls.shape[:-1] + (4,))
+    steps = _forward_steps(instance, lambda k: controls[..., k, :, :], controls.shape[:-3])
+    for k, x in enumerate(steps):
+        states[..., k, :, :] = x
+    return StateTrajectory(time_grid=grid, states=states)
+
+
+def _forward_steps(instance: ModelInstance, control_at, batch_shape: tuple):
+    """Yield the states x_0 ... x_K of a forward pass, each of shape batch_shape + (N, 4).
+
+    ``control_at(k)`` returns the controls held over step k, shape
+    batch_shape + (N, 3).  This is the one forward RK4 loop: callers store
+    what it yields or reduce it step by step.  Each yielded array is new, so
+    a caller may keep it.  Raises StepTooLargeError as integrate_forward
+    documents, checked on every member after every step.
+    """
+    grid = instance.time_grid()
     h = grid[1] - grid[0]
     beta_high, beta_low = instance.params.beta_high, instance.params.beta_low
     adjacency = instance.graph.adjacency
-    states = np.empty(controls.shape[:-1] + (4,))
-    x = np.broadcast_to(instance.initial_state, controls.shape[:-3] + (n, 4)).copy()
-    states[..., 0, :, :] = x
+    x = np.broadcast_to(instance.initial_state, batch_shape + (instance.node_count, 4)).copy()
+    yield x
     for k in range(grid.shape[0] - 1):
-        u = controls[..., k, :, :]
+        u = control_at(k)
         x = _rk4_step(lambda y, _stage: _reduced_rhs(y, u, beta_high, beta_low, adjacency), x, h)
         rc = r_complete(x)
         if (x.min() < -TRAJECTORY_TOL or x.max() > 1.0 + TRAJECTORY_TOL
                 or rc.min() < -TRAJECTORY_TOL or rc.max() > 1.0 + TRAJECTORY_TOL):
             raise StepTooLargeError(
                 f"state left [0, 1] at t={grid[k + 1]:.6g}; reduce dt below {h:.6g}")
-        states[..., k + 1, :, :] = x
-    return StateTrajectory(time_grid=grid, states=states)
+        yield x
 
 
 @dataclass

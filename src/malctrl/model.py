@@ -217,8 +217,9 @@ class ModelInstance:
             raise ValueError(f"control_rates must be finite and non-negative, got {rates}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.convergence_epsilon <= 0:
-            raise ValueError("convergence_epsilon must be positive")
+        if not (np.isfinite(self.convergence_epsilon) and self.convergence_epsilon > 0):
+            raise ValueError(
+                f"convergence_epsilon must be finite and positive, got {self.convergence_epsilon}")
         if not 0.0 <= self.relaxation_weight < 1.0:
             raise ValueError("relaxation_weight must lie in [0, 1)")
         if self.adjoint_mode not in ADJOINT_MODES:

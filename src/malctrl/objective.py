@@ -47,6 +47,17 @@ class ObjectiveBreakdown:
         }
 
 
+def _state_sums(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Infection and recovery node sums of (..., N, 4) states, shape (...)."""
+    return states[..., IH].sum(axis=-1), r_complete(states).sum(axis=-1)
+
+
+def _control_sums(controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Patch and restriction cost node sums of (..., N, 3) controls, shape (...)."""
+    return (0.5 * (controls[..., DELTA] ** 2).sum(axis=-1),
+            0.5 * (controls[..., GAMMA_H] ** 2 + controls[..., GAMMA_L] ** 2).sum(axis=-1))
+
+
 def running_cost(state: np.ndarray, control: np.ndarray) -> float:
     """Instantaneous cost of one (state, control) snapshot."""
     state = np.asarray(state, dtype=float)
@@ -54,11 +65,21 @@ def running_cost(state: np.ndarray, control: np.ndarray) -> float:
     if state.ndim != 2 or state.shape[1] != 4 or control.shape != (state.shape[0], 3):
         raise DimensionMismatchError(
             f"incompatible state {state.shape} and control {control.shape}")
-    infection = state[:, IH].sum()
-    patch = 0.5 * (control[:, DELTA] ** 2).sum()
-    restriction = 0.5 * (control[:, GAMMA_H] ** 2 + control[:, GAMMA_L] ** 2).sum()
-    recovery = r_complete(state).sum()
+    infection, recovery = _state_sums(state)
+    patch, restriction = _control_sums(control)
     return float(infection + patch + restriction - recovery)
+
+
+def _quadrature(infection, patch, restriction, recovery, dt: float) -> tuple:
+    """Trapezoid integrals of the four (..., K+1) per-step node sums.
+
+    Returns (total, infection, patch, restriction, recovery), each of shape
+    (...).  Each sum must be C-contiguous: the quadrature then adds along
+    the grid axis in the same order for any batch shape.
+    """
+    terms = tuple(np.trapezoid(y, dx=dt, axis=-1)
+                  for y in (infection, patch, restriction, recovery))
+    return (terms[0] + terms[1] + terms[2] - terms[3],) + terms
 
 
 def objective(state_traj: StateTrajectory, control_traj: ControlTrajectory) -> ObjectiveBreakdown:
@@ -74,14 +95,9 @@ def objective(state_traj: StateTrajectory, control_traj: ControlTrajectory) -> O
     if states.shape[:-1] != controls.shape[:-1]:
         raise DimensionMismatchError(
             f"incompatible states {states.shape} and controls {controls.shape}")
-    dt = state_traj.dt
-    infection = np.trapezoid(states[..., IH].sum(axis=-1), dx=dt, axis=-1)
-    patch = np.trapezoid(0.5 * (controls[..., DELTA] ** 2).sum(axis=-1), dx=dt, axis=-1)
-    restriction = np.trapezoid(
-        0.5 * (controls[..., GAMMA_H] ** 2 + controls[..., GAMMA_L] ** 2).sum(axis=-1),
-        dx=dt, axis=-1)
-    recovery = np.trapezoid(r_complete(states).sum(axis=-1), dx=dt, axis=-1)
-    terms = (infection + patch + restriction - recovery, infection, patch, restriction, recovery)
+    infection, recovery = _state_sums(states)
+    patch, restriction = _control_sums(controls)
+    terms = _quadrature(infection, patch, restriction, recovery, state_traj.dt)
     if states.ndim == 3:
         terms = (float(t) for t in terms)
     return ObjectiveBreakdown(*terms)

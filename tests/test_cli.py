@@ -291,6 +291,13 @@ BAD_INPUT = {
         lambda c: c.update(control_rates={"delta": 0.9, "gamma_high": 0.6, "gamma_low": "x"}))),
     "optimize-epsilon-string": ("convergence_epsilon must be a number", optimize_args(
         lambda c: c["solver"].update(convergence_epsilon="1e-4"))),
+    "optimize-epsilon-NaN": ("convergence_epsilon must be finite and positive, got nan",
+                             optimize_args(lambda c: c["solver"].update(
+                                 convergence_epsilon=float("nan")))),
+    "optimize-eps-flag-inf": ("convergence_epsilon must be finite and positive, got inf",
+                              lambda runner, tmp, out: [
+        "optimize", "--instance", str(write_instance(runner, tmp)), "--eps", "inf",
+        "--out-prefix", out]),
     "optimize-relaxation_weight-null": ("relaxation_weight must be a number", optimize_args(
         lambda c: c["solver"].update(relaxation_weight=None))),
     "generate-density-string": ("intra_room_density must be a number", lambda runner, tmp, out: [

@@ -1,3 +1,8 @@
+import hashlib
+import json
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,26 @@ def small_instance(bounds, horizon=5.0, steps=100):
                                       gamma_high=bounds[1], gamma_low=bounds[2])
     return ModelInstance(graph=graph, params=params, initial_state=initial,
                          time_steps=steps)
+
+
+def stiff_instance():
+    # no infection; gamma_high up to 40 is far beyond RK4's stability limit
+    # at the coarse step of 0.25
+    graph = validate_graph([[0, 1], [1, 0]])
+    params = ModelParams.from_scalars(2, 0.0, 0.0, 1.0, delta=(0.0, 1.0),
+                                      gamma_high=(0.0, 40.0), gamma_low=(0.0, 1.0))
+    initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
+    return ModelInstance(graph=graph, params=params, initial_state=initial, time_steps=4)
+
+
+def random_instance(rng, n, time_steps):
+    a = np.triu((rng.random((n, n)) < 0.6).astype(int), 1)
+    initial = rng.dirichlet(np.ones(5), size=n)[:, :4]
+    lo = rng.uniform(0.0, 0.5, 3)
+    hi = lo + rng.uniform(0.0, 1.0, 3)
+    params = ModelParams.from_scalars(n, 0.4, 0.2, 2.0, *zip(lo, hi))
+    return ModelInstance(graph=validate_graph(a + a.T), params=params, initial_state=initial,
+                         time_steps=time_steps)
 
 
 class TestRgcsGenerate:
@@ -66,6 +91,15 @@ class TestRgcsGenerate:
             controls = rgcs_generate(inst, RgcsConfig(rng_seed=seed)).controls
             assert (controls >= lo - 1e-12).all() and (controls <= hi + 1e-12).all()
 
+    @pytest.mark.parametrize("num_subintervals", [3, 100, 400])
+    def test_table_has_at_most_one_row_per_grid_point(self, num_subintervals):
+        inst = small_instance(bounds=((0.1, 0.8), (0.1, 1.0), (0.1, 0.6)))
+        config = RgcsConfig(num_subintervals=num_subintervals, rng_seed=2)
+        values, cell = rgcs._strategy(inst, config)
+        assert values.shape[0] <= min(num_subintervals, inst.time_steps) + 1
+        assert cell.shape == (inst.time_steps + 1,)
+        np.testing.assert_array_equal(values[cell], rgcs_generate(inst, config).controls)
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**63 - 1),
            n=st.integers(min_value=1, max_value=40))
@@ -107,7 +141,7 @@ class TestBatchedPopulation:
     def test_population_j_equals_serial_objective_bit_for_bit(self, monkeypatch,
                                                               population_size):
         # batches of 3: sizes 1, B and B + 1 (the last batch partial)
-        monkeypatch.setattr(rgcs, "_batch_size", lambda instance: 3)
+        monkeypatch.setattr(rgcs, "_batch_size", lambda instance, config: 3)
         inst = small_instance(bounds=((0.1, 0.8), (0.1, 1.0), (0.1, 0.6)))
         config = RgcsConfig(num_subintervals=7, rng_seed=40,
                             population_size=population_size)
@@ -120,10 +154,12 @@ class TestBatchedPopulation:
             assert entry["J"] == serial, entry["seed"]
 
     def test_canonical_population_matches_serial_objective_bit_for_bit(self):
-        # N=60, 300 steps: batches of 4, so 5 strategies end in a partial batch
+        # N=60, 300 steps, 100 subintervals: batches of 28, so 29 strategies
+        # end in a partial batch
         inst = build_case_instance(1, canonical_graph())
-        assert rgcs._batch_size(inst) == 4
-        out = rgcs_population(inst, RgcsConfig(rng_seed=7, population_size=5))
+        config = RgcsConfig(rng_seed=7, population_size=29)
+        assert rgcs._batch_size(inst, config) == 28
+        out = rgcs_population(inst, config)
         strategies = [rgcs_generate(inst, RgcsConfig(rng_seed=entry["seed"]))
                       for entry in out]
         stacked = integrate_forward(inst, ControlTrajectory(
@@ -138,12 +174,7 @@ class TestBatchedPopulation:
         # beta is shared by the batch, so the member that leaves [0, 1] is the
         # one whose restriction rate is far beyond RK4's stability limit at
         # this coarse step; the other member stays put
-        graph = validate_graph([[0, 1], [1, 0]])
-        params = ModelParams.from_scalars(2, 0.0, 0.0, 1.0, delta=(0.0, 1.0),
-                                          gamma_high=(0.0, 40.0), gamma_low=(0.0, 1.0))
-        initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
-        inst = ModelInstance(graph=graph, params=params, initial_state=initial,
-                             time_steps=4)
+        inst = stiff_instance()
         calm = inst.constant_control(0.0, 0.0, 0.0)
         stiff = inst.constant_control(0.0, 40.0, 0.0)
         with pytest.raises(StepTooLargeError):
@@ -155,3 +186,42 @@ class TestBatchedPopulation:
         calm_pair = ControlTrajectory(calm.time_grid, np.stack([calm.controls, calm.controls]))
         ih = integrate_forward(inst, calm_pair).compartment_totals()[..., IH]
         assert (ih == 1.0).all()
+
+    @pytest.mark.parametrize("rng_seed", [0, 1])
+    def test_stiff_strategy_raises_its_solo_error(self, rng_seed):
+        # seed 0 leaves [0, 1] after the first step, seed 1 after the last
+        inst = stiff_instance()
+        config = RgcsConfig(num_subintervals=3, rng_seed=rng_seed, population_size=1)
+        with pytest.raises(StepTooLargeError) as solo:
+            integrate_forward(inst, rgcs_generate(inst, config))
+        with pytest.raises(StepTooLargeError, match=re.escape(str(solo.value))):
+            rgcs_population(inst, config)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=2, max_value=6),
+           batch=st.integers(min_value=1, max_value=4),
+           num_subintervals=st.integers(min_value=1, max_value=30),
+           population_size=st.integers(min_value=1, max_value=6))
+    def test_every_j_equals_its_objective(self, seed, n, batch, num_subintervals,
+                                          population_size):
+        # 12 steps: num_subintervals falls both below and above time_steps
+        inst = random_instance(np.random.default_rng(seed), n, 12)
+        config = RgcsConfig(num_subintervals=num_subintervals, rng_seed=seed % 1000,
+                            population_size=population_size)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rgcs, "_batch_size", lambda instance, config: batch)
+            out = rgcs_population(inst, config)
+        assert len(out) == population_size
+        for entry in out:
+            strategy = rgcs_generate(inst, replace(config, rng_seed=entry["seed"]))
+            assert entry["J"] == objective(integrate_forward(inst, strategy), strategy).total
+
+
+def test_exp2_population_digest():
+    # sha256 of the exp2 population list, recorded before the population was
+    # streamed through compact strategy tables
+    inst = build_case_instance(1, canonical_graph())
+    out = rgcs_population(inst, RgcsConfig(rng_seed=7, population_size=100))
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "e79f2779e07ddc8cdf9f64d7eb4010c6b1d946eff051fb0bf9af25088d416bc3"
