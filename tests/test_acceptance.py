@@ -217,10 +217,10 @@ def test_criterion_08_restriction_rates_cut_peak_infection(tmp_path):
     _report(8, "restriction-reduces-peak", started)
 
 
-def test_criterion_09_infection_rate_sweep_orderings(tmp_path):
+def test_criterion_09_infection_rate_sweep_orderings(exp4_run):
     """Peak IH strictly increases and peak IL does not increase across stages."""
     started = time.perf_counter()
-    summary = run_experiment(ExperimentSpec("exp4", out_dir=tmp_path))
+    summary, _ = exp4_run
     peaks_ih = [s["peak_IH"] for s in summary["stages"]]
     peaks_il = [s["peak_IL"] for s in summary["stages"]]
     assert all(a < b for a, b in zip(peaks_ih, peaks_ih[1:])), peaks_ih
@@ -228,7 +228,7 @@ def test_criterion_09_infection_rate_sweep_orderings(tmp_path):
     _report(9, "rate-sweep-orderings", started)
 
 
-def test_criterion_10_seeded_pipelines_reproduce_bytes(tmp_path):
+def test_criterion_10_seeded_pipelines_reproduce_bytes(tmp_path, recorded_artifacts):
     """Dataset, random strategies, jump process, and experiments re-run identically."""
     started = time.perf_counter()
     # dataset
@@ -265,4 +265,5 @@ def test_criterion_10_seeded_pipelines_reproduce_bytes(tmp_path):
                [p.relative_to(dir_b) for p in files_b]
         for pa, pb in zip(files_a, files_b):
             assert pa.read_bytes() == pb.read_bytes(), f"{pa.name} differs"
+        recorded_artifacts(dir_a)
     _report(10, "seeded-byte-reproducibility", started)

@@ -104,7 +104,7 @@ def test_rgcs_compare_writes_sorted_population(runner, tmp_path):
     assert "optimal_J" in data
 
 
-def test_rgcs_compare_writes_the_exp2_population_block(runner, tmp_path):
+def test_rgcs_compare_writes_the_exp2_population_block(runner, tmp_path, recorded_artifacts):
     out_path = tmp_path / "rgcs.json"
     instance = Path(__file__).resolve().parents[1] / "configs" / "case1_instance.json"
     result = runner.invoke(main, ["rgcs-compare", "--instance", str(instance),
@@ -114,6 +114,7 @@ def test_rgcs_compare_writes_the_exp2_population_block(runner, tmp_path):
     summary = run_experiment(ExperimentSpec("exp2", tmp_path / "exp", rng_seed=7,
                                             population_size=5))
     assert out_path.read_text() == summary_json(summary["population"])
+    recorded_artifacts(tmp_path / "exp")
 
 
 def test_experiment_run_exp3(runner, tmp_path):

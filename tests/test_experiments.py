@@ -61,10 +61,9 @@ def exp3_run(tmp_path_factory):
     return run_experiment(ExperimentSpec("exp3", out_dir=out)), out
 
 
-@pytest.fixture(scope="module")
-def exp4_summary(tmp_path_factory):
-    out = tmp_path_factory.mktemp("exp4")
-    return run_experiment(ExperimentSpec("exp4", out_dir=out))
+@pytest.fixture
+def exp4_summary(exp4_run):
+    return exp4_run[0]
 
 
 class TestExp3:
@@ -128,6 +127,9 @@ class TestExp4:
         for stage in exp4_summary["stages"]:
             assert "peak_IH_optimal" in stage
             assert stage["sweep"]["iterations_used"] >= 1
+
+    def test_artifacts_match_recorded_digests(self, exp4_run, recorded_artifacts):
+        recorded_artifacts(exp4_run[1])
 
 
 class TestExp1Case:
