@@ -28,7 +28,8 @@ from .graphs import NetworkGraph
 from .model import (ADJOINT_MODES, DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F,
                     LAM_H, LAM_L, LAM_S, RF, S, AdjointTrajectory,
                     ControlTrajectory, DimensionMismatchError, ModelInstance,
-                    ModelParams, StateTrajectory, _check_same_grid)
+                    ModelParams, StateTrajectory, TRAJECTORY_TOL, _check_same_grid,
+                    validate_control, validate_states)
 from .dynamics import _reduced_rhs, _rk4_step
 from .objective import running_cost
 
@@ -36,7 +37,7 @@ _DIVERGENCE_LIMIT = 1e12
 
 
 class DivergenceError(RuntimeError):
-    """Backward integration blew up (costate magnitude above 1e12)."""
+    """Backward integration blew up (costate magnitude above 1e12, or NaN)."""
 
 
 def hamiltonian(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
@@ -92,11 +93,21 @@ def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTraject
     cell reuses the piecewise-constant control of its left grid point, the
     same value the forward pass used there.  The costate convention is
     ``instance.adjoint_mode``.
-    """
-    mode = instance.adjoint_mode
-    grid = state_traj.time_grid
-    _check_same_grid(grid, control_traj.time_grid)
 
+    The control is checked as integrate_forward checks it.  Both arguments
+    are single trajectories, not stacks (DimensionMismatchError).  Every
+    state compartment, derived RC included, must lie within 1e-6 of [0, 1];
+    a state outside, or NaN, raises ValueError.  Raises DivergenceError when
+    a costate magnitude exceeds 1e12 or turns NaN.
+    """
+    grid = instance.time_grid()
+    controls = validate_control(instance, control_traj)
+    _check_same_grid(state_traj.time_grid, grid)
+    if controls.ndim != 3 or state_traj.states.shape != controls.shape[:-1] + (4,):
+        raise DimensionMismatchError(f"expected one state trajectory and one control schedule,"
+                                     f" got shapes {state_traj.states.shape}, {controls.shape}")
+    validate_states(state_traj.states, instance.node_count, tol=TRAJECTORY_TOL)
+    mode = instance.adjoint_mode
     steps = grid.shape[0] - 1
     h = -(grid[1] - grid[0])
     params, graph = instance.params, instance.graph
@@ -106,10 +117,11 @@ def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTraject
         e_right = state_traj.states[k + 1]
         e_left = state_traj.states[k]
         stage_states = (e_right, 0.5 * (e_left + e_right), e_left)
-        u = control_traj.controls[k]
+        u = controls[k]
         lam = _rk4_step(lambda y, stage: adjoint_rhs(stage_states[stage], u, y, params,
                                                      graph, mode), lam, h)
-        if np.abs(lam).max() > _DIVERGENCE_LIMIT:
-            raise DivergenceError(f"costate magnitude exceeded {_DIVERGENCE_LIMIT:g} at t={grid[k]:.6g}")
+        if not np.abs(lam).max() <= _DIVERGENCE_LIMIT:  # also true for NaN
+            raise DivergenceError(f"costate magnitude exceeded {_DIVERGENCE_LIMIT:g} or turned NaN"
+                                  f" at t={grid[k]:.6g}")
         costates[k] = lam
     return AdjointTrajectory(time_grid=grid, costates=costates)

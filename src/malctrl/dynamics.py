@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (CONTROL_NAMES, DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S, ControlTrajectory,
+from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S, ControlTrajectory,
                     DimensionMismatchError, ModelInstance, StateTrajectory,
-                    TRAJECTORY_TOL, _check_same_grid, r_complete)
+                    TRAJECTORY_TOL, r_complete, states_in_range, validate_control)
 
 
 class StepTooLargeError(RuntimeError):
@@ -68,22 +68,21 @@ def integrate_forward(instance: ModelInstance, control: ControlTrajectory) -> St
     axes, so a stack of B strategies gives states of shape (B, K+1, N, 4) in
     one pass, each member bit-identical to its own pass.  The control is
     piecewise constant: the grid value at index k is held for the whole step
-    to t_{k+1}, including the half-step stages.  Raises StepTooLargeError
-    when any compartment of any member leaves [-1e-6, 1 + 1e-6], which
-    signals that the step size is too coarse for the configured rates.
+    to t_{k+1}, including the half-step stages.
+
+    Raises GridMismatchError for a control off the instance grid,
+    DimensionMismatchError for a control of another shape, and ValueError
+    for a control value that is NaN, infinite or negative (the control box
+    is not checked).  Raises StepTooLargeError when any compartment of any
+    member leaves [-1e-6, 1 + 1e-6] or turns NaN, which signals that the
+    step size is too coarse for the configured rates.
     """
-    grid = instance.time_grid()
-    _check_same_grid(control.time_grid, grid)
-    controls = control.controls
-    n = instance.node_count
-    if controls.shape[-3:] != (grid.shape[0], n, 3):
-        raise DimensionMismatchError(
-            f"expected control shape (..., {grid.shape[0]}, {n}, 3), got {controls.shape}")
+    controls = validate_control(instance, control)
     states = np.empty(controls.shape[:-1] + (4,))
     steps = _forward_steps(instance, lambda k: controls[..., k, :, :], controls.shape[:-3])
     for k, x in enumerate(steps):
         states[..., k, :, :] = x
-    return StateTrajectory(time_grid=grid, states=states)
+    return StateTrajectory(time_grid=instance.time_grid(), states=states)
 
 
 def _forward_steps(instance: ModelInstance, control_at, batch_shape: tuple):
@@ -104,9 +103,7 @@ def _forward_steps(instance: ModelInstance, control_at, batch_shape: tuple):
     for k in range(grid.shape[0] - 1):
         u = control_at(k)
         x = _rk4_step(lambda y, _stage: _reduced_rhs(y, u, beta_high, beta_low, adjacency), x, h)
-        rc = r_complete(x)
-        if (x.min() < -TRAJECTORY_TOL or x.max() > 1.0 + TRAJECTORY_TOL
-                or rc.min() < -TRAJECTORY_TOL or rc.max() > 1.0 + TRAJECTORY_TOL):
+        if not states_in_range(x, TRAJECTORY_TOL):
             raise StepTooLargeError(
                 f"state left [0, 1] at t={grid[k + 1]:.6g}; reduce dt below {h:.6g}")
         yield x
@@ -156,26 +153,25 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     Occupancy counts per replica are updated from the moves, and their sums
     are exact integers.
 
-    Raises ValueError for a control value that is NaN, infinite or negative.
+    Checks the control as integrate_forward does, and takes one schedule,
+    not a stack.  Raises ValueError for a negative ``rng_seed`` or a
+    ``num_runs`` below 1.
     """
-    grid = instance.time_grid()
-    _check_same_grid(control.time_grid, grid)
-    n = instance.node_count
-    controls = control.controls
-    if controls.shape != (grid.shape[0], n, 3):
+    controls = validate_control(instance, control)
+    if controls.ndim != 3:
         raise DimensionMismatchError(
-            f"expected control shape ({grid.shape[0]}, {n}, 3), got {controls.shape}")
-    bad = ~(np.isfinite(controls) & (controls >= 0.0))
-    if bad.any():
-        raise ValueError(f"control {CONTROL_NAMES[np.argwhere(bad)[0, 2]]} must be finite and"
-                         f" non-negative, got {controls[bad][0]}")
+            f"expected control shape {controls.shape[-3:]}, got {controls.shape}")
     init = instance.initial_state
     if not np.isin(init, (0.0, 1.0)).all():
         raise NonIndicatorInitialStateError(
             "jump-process simulation needs indicator (0/1) initial states")
     if num_runs < 1:
         raise ValueError("num_runs must be positive")
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
 
+    grid = instance.time_grid()
+    n = instance.node_count
     steps = grid.shape[0] - 1
     dt = grid[1] - grid[0]
     beta_high, beta_low = instance.params.beta_high, instance.params.beta_low
@@ -187,11 +183,7 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     sdt = dt / substeps
     s_cap = beta_high * degree * sdt + beta_low * degree * sdt
 
-    init_code = np.zeros(n, dtype=np.int8)
-    init_code[init[:, IH] == 1.0] = 1
-    init_code[init[:, IL] == 1.0] = 2
-    init_code[init[:, RF] == 1.0] = 3
-    init_code[init.sum(axis=1) == 0.0] = 4
+    init_code = np.argmax(np.column_stack([init, r_complete(init)]), axis=1).astype(np.int8)
     init_counts = np.bincount(init_code, minlength=5)
 
     count_sum = np.zeros((steps + 1, 5))

@@ -39,12 +39,6 @@ from .rgcs import RgcsConfig, rgcs_population
 from .serialize import sampled_nodes_csv, totals_csv, write_summary
 from .sweep import fbsm_solve
 
-EXPERIMENT_IDS = (
-    "exp1", "exp1_case1", "exp1_case2", "exp1_case3", "exp1_case4",
-    "exp2", "exp3",
-    "exp4", "exp4_stage1", "exp4_stage2", "exp4_stage3", "exp4_stage4",
-)
-
 # initial device counts shared by all sixty-device experiments
 INITIAL_COUNTS = {"susceptible": 57, "infected_high": 2, "infected_low": 1,
                   "recover_first": 0, "recover_complete": 0}
@@ -75,6 +69,12 @@ CASES = {
     **{f"exp4_stage{stage}": dict(EXP4_SHARED, beta_high=beta_high)
        for stage, beta_high in enumerate(EXP4_BETA_HIGH, start=1)},
 }
+
+# every solved case, its family (exp1, exp4), and the single runs exp2 and exp3
+EXPERIMENT_IDS = tuple(sorted({"exp2", "exp3", *CASES, *(case.split("_")[0] for case in CASES)}))
+
+# nodes whose trajectories exp1 emits
+SAMPLE_NODE_COUNT = 4
 
 
 @dataclass
@@ -121,44 +121,24 @@ def snapshot(state_traj: StateTrajectory) -> SnapshotReport:
                           node_classes=classes, counts=counts)
 
 
-def select_sample_nodes(graph: NetworkGraph, initial_state: np.ndarray,
-                        count: int = 4) -> list[int]:
-    """Deterministic choice of nodes whose trajectories get emitted.
+def select_sample_nodes(graph: NetworkGraph, initial_state: np.ndarray) -> list[int]:
+    """Deterministic choice of the SAMPLE_NODE_COUNT nodes whose trajectories get emitted.
 
     Order: the first infected-high device, its highest-degree neighbor, then
-    the highest-degree untaken node of each room not yet represented (rooms
-    in first-appearance order), topped up by global degree rank.  Degree
-    ties always break toward the lower index.
+    the highest-degree node of each room not yet represented (rooms in
+    first-appearance order), topped up by global degree rank.  Degree ties
+    always break toward the lower index.
     """
-    deg = graph.degrees()
+    by_degree = np.argsort(-graph.degrees(), kind="stable").tolist()
     seeds = np.flatnonzero(initial_state[:, IH] == 1.0)
     if seeds.size == 0:
         seeds = np.flatnonzero(initial_state[:, IL] == 1.0)
     first = int(seeds[0]) if seeds.size else 0
-    chosen = [first]
-
-    neighbors = sorted(graph.neighbors(first), key=lambda i: (-deg[i], i))
-    for i in neighbors:
-        if i not in chosen:
-            chosen.append(int(i))
-            break
-
-    for room in graph.rooms():
-        if len(chosen) >= count:
-            break
-        if any(graph.room_assignment[i] == room for i in chosen):
-            continue
-        members = [i for i in range(graph.node_count)
-                   if graph.room_assignment[i] == room and i not in chosen]
-        if members:
-            chosen.append(min(members, key=lambda i: (-deg[i], i)))
-
-    for i in sorted(range(graph.node_count), key=lambda i: (-deg[i], i)):
-        if len(chosen) >= count:
-            break
-        if i not in chosen:
-            chosen.append(i)
-    return chosen[:count]
+    neighbors = set(graph.neighbors(first).tolist())
+    chosen = [first] + [i for i in by_degree if i in neighbors][:1]
+    chosen += [room[0] for room in graph.ranked_rooms() if set(room).isdisjoint(chosen)]
+    chosen += [i for i in by_degree if i not in chosen]
+    return chosen[:SAMPLE_NODE_COUNT]
 
 
 def _instance(graph: NetworkGraph, beta_high: float, beta_low: float, horizon: float,
@@ -185,6 +165,24 @@ def _peak(states: StateTrajectory, column: int) -> float:
     return float(states.states[:, :, column].sum(axis=1).max())
 
 
+def _fixed_rate_run(graph: NetworkGraph, beta_high: float, beta_low: float, horizon: float,
+                    rates) -> StateTrajectory:
+    """Forward run of an INITIAL_COUNTS instance under its constant control rates."""
+    instance = _instance(graph, beta_high, beta_low, horizon, rates)
+    return integrate_forward(instance, instance.fixed_control_trajectory())
+
+
+def _write(spec: ExperimentSpec, run_id: str, summary: dict, csvs: dict | None = None) -> dict:
+    """Write ``summary.json`` and the ``csvs`` (file name -> text) into
+    ``spec.out_dir / run_id``, and return the summary."""
+    out = spec.out_dir / run_id
+    out.mkdir(parents=True, exist_ok=True)
+    write_summary(out / "summary.json", summary)
+    for name, text in (csvs or {}).items():
+        (out / name).write_text(text)
+    return summary
+
+
 def _run_exp1_case(case_id: str, graph: NetworkGraph, spec: ExperimentSpec) -> dict:
     case = CASES[case_id]
     instance = _instance(graph, **case)
@@ -205,12 +203,8 @@ def _run_exp1_case(case_id: str, graph: NetworkGraph, spec: ExperimentSpec) -> d
         "sweep": report.as_dict(),
         "peak_IH": _peak(states, IH),
     }
-    out = spec.out_dir / case_id
-    out.mkdir(parents=True, exist_ok=True)
-    write_summary(out / "summary.json", summary)
-    (out / "samples.csv").write_text(sampled_nodes_csv(states, control, nodes))
-    (out / "totals.csv").write_text(totals_csv(states))
-    return summary
+    return _write(spec, case_id, summary, {"samples.csv": sampled_nodes_csv(states, control, nodes),
+                                           "totals.csv": totals_csv(states)})
 
 
 def population_comparison(instance: ModelInstance, config: RgcsConfig) -> dict:
@@ -244,10 +238,7 @@ def _run_exp2(graph: NetworkGraph, spec: ExperimentSpec) -> dict:
         "population_min_J": population_min,
         "optimal_beats_population": bool(comparison["optimal_J"] < population_min),
     }
-    out = spec.out_dir / "exp2"
-    out.mkdir(parents=True, exist_ok=True)
-    write_summary(out / "summary.json", summary)
-    return summary
+    return _write(spec, "exp2", summary)
 
 
 def _run_exp3(graph: NetworkGraph, spec: ExperimentSpec) -> dict:
@@ -258,12 +249,10 @@ def _run_exp3(graph: NetworkGraph, spec: ExperimentSpec) -> dict:
     never fires because nothing reaches the recover-first compartment).
     """
     p = EXP3_PARAMS
-    runs = {}
-    for name, restriction in (("uncontrolled", (0.0, 0.0)),
-                              ("controlled", (p["gamma_high_rate"], p["gamma_low_rate"]))):
-        instance = _instance(graph, p["beta_high"], p["beta_low"], p["horizon"],
-                             (p["delta_rate"], *restriction))
-        runs[name] = integrate_forward(instance, instance.fixed_control_trajectory())
+    runs = {name: _fixed_rate_run(graph, p["beta_high"], p["beta_low"], p["horizon"],
+                                  (p["delta_rate"], *restriction))
+            for name, restriction in (("uncontrolled", (0.0, 0.0)),
+                                      ("controlled", (p["gamma_high_rate"], p["gamma_low_rate"])))}
     peak_ih = {name: _peak(tr, IH) for name, tr in runs.items()}
     peak_il = {name: _peak(tr, IL) for name, tr in runs.items()}
     reduction = 100.0 * (peak_ih["uncontrolled"] - peak_ih["controlled"]) / peak_ih["uncontrolled"]
@@ -279,12 +268,8 @@ def _run_exp3(graph: NetworkGraph, spec: ExperimentSpec) -> dict:
         "snapshot_controlled": snapshot(runs["controlled"]).as_dict(),
         "reference_values": dict(EXP3_REFERENCE),
     }
-    out = spec.out_dir / "exp3"
-    out.mkdir(parents=True, exist_ok=True)
-    write_summary(out / "summary.json", summary)
-    (out / "uncontrolled_totals.csv").write_text(totals_csv(runs["uncontrolled"]))
-    (out / "controlled_totals.csv").write_text(totals_csv(runs["controlled"]))
-    return summary
+    return _write(spec, "exp3", summary, {f"{name}_totals.csv": totals_csv(states)
+                                          for name, states in runs.items()})
 
 
 def _run_exp4_stage(case_id: str, graph: NetworkGraph, spec: ExperimentSpec) -> dict:
@@ -298,9 +283,8 @@ def _run_exp4_stage(case_id: str, graph: NetworkGraph, spec: ExperimentSpec) -> 
     """
     case = CASES[case_id]
     control, opt_states, _, report = fbsm_solve(_instance(graph, **case))
-    propagation = _instance(graph, case["beta_high"], case["beta_low"], case["horizon"],
-                            (case["rates"][0], 0.0, 0.0))
-    prop_states = integrate_forward(propagation, propagation.fixed_control_trajectory())
+    prop_states = _fixed_rate_run(graph, case["beta_high"], case["beta_low"], case["horizon"],
+                                  (case["rates"][0], 0.0, 0.0))
     summary = {
         "experiment": case_id,
         "beta_high": case["beta_high"],
@@ -312,12 +296,8 @@ def _run_exp4_stage(case_id: str, graph: NetworkGraph, spec: ExperimentSpec) -> 
         "peak_IL_optimal": _peak(opt_states, IL),
         "sweep": report.as_dict(),
     }
-    out = spec.out_dir / case_id
-    out.mkdir(parents=True, exist_ok=True)
-    write_summary(out / "summary.json", summary)
-    (out / "propagation_totals.csv").write_text(totals_csv(prop_states))
-    (out / "optimal_totals.csv").write_text(totals_csv(opt_states))
-    return summary
+    return _write(spec, case_id, summary, {"propagation_totals.csv": totals_csv(prop_states),
+                                           "optimal_totals.csv": totals_csv(opt_states)})
 
 
 def _exp4_orderings(stages: list[dict]) -> dict:

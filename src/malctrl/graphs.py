@@ -40,13 +40,13 @@ class NetworkGraph:
     def neighbors(self, i: int) -> np.ndarray:
         return np.flatnonzero(self.adjacency[i])
 
-    def rooms(self) -> list[str]:
-        """Room names in order of first appearance."""
-        seen: list[str] = []
-        for r in self.room_assignment:
-            if r not in seen:
-                seen.append(r)
-        return seen
+    def ranked_rooms(self) -> list[list[int]]:
+        """Each room's nodes, highest degree first with ties to the lower index;
+        rooms in order of first appearance."""
+        rooms: dict[str, list[int]] = {room: [] for room in self.room_assignment}
+        for i in np.argsort(-self.degrees(), kind="stable").tolist():
+            rooms[self.room_assignment[i]].append(i)
+        return list(rooms.values())
 
 
 def validate_graph(adjacency, node_labels=None, room_assignment=None) -> NetworkGraph:

@@ -52,16 +52,23 @@ def r_complete(states: np.ndarray) -> np.ndarray:
     return 1.0 - states.sum(axis=-1)
 
 
+def states_in_range(states: np.ndarray, tol: float) -> bool:
+    """Whether every stored compartment and the derived RC lie in [-tol, 1 + tol].
+
+    False when any entry is NaN: every comparison with NaN is false.
+    """
+    rc = r_complete(states)
+    return bool(-tol <= states.min() <= states.max() <= 1.0 + tol
+                and -tol <= rc.min() <= rc.max() <= 1.0 + tol)
+
+
 def validate_states(states: np.ndarray, n: int, tol: float = STATE_TOL) -> None:
     states = np.asarray(states)
     if states.shape[-2:] != (n, 4):
         raise DimensionMismatchError(f"expected state shape (..., {n}, 4), got {states.shape}")
-    lo, hi = states.min(), states.max()
-    if not -tol <= lo <= hi <= 1.0 + tol:  # also false for NaN
-        raise ValueError(f"state entries outside [0, 1] (min {lo}, max {hi}, tol {tol})")
-    rc = r_complete(states)
-    if not -tol <= rc.min() <= rc.max() <= 1.0 + tol:
-        raise ValueError("derived recover-complete compartment outside [0, 1]")
+    if not states_in_range(states, tol):
+        raise ValueError(f"state entries or derived recover-complete compartment outside [0, 1]"
+                         f" (stored min {states.min()}, max {states.max()}, tol {tol})")
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,26 @@ def uniform_grid(horizon: float, steps: int) -> np.ndarray:
 def _check_same_grid(grid_a: np.ndarray, grid_b: np.ndarray) -> None:
     if grid_a.shape != grid_b.shape or not np.array_equal(grid_a, grid_b):
         raise GridMismatchError("trajectories must share an identical time grid")
+
+
+def validate_control(instance: ModelInstance, control: ControlTrajectory) -> np.ndarray:
+    """The controls of ``control``, checked against ``instance``.
+
+    They must lie on the instance grid, have shape (..., K+1, N, 3), and be
+    finite and non-negative; the control box is not checked.  Raises
+    GridMismatchError, DimensionMismatchError or ValueError naming the control.
+    """
+    grid = instance.time_grid()
+    _check_same_grid(control.time_grid, grid)
+    controls = control.controls
+    if controls.shape[-3:] != (grid.shape[0], instance.node_count, 3):
+        raise DimensionMismatchError(f"expected control shape (..., {grid.shape[0]},"
+                                     f" {instance.node_count}, 3), got {controls.shape}")
+    bad = ~(np.isfinite(controls) & (controls >= 0.0))
+    if bad.any():
+        raise ValueError(f"control {CONTROL_NAMES[np.argwhere(bad)[0, -1]]} must be finite and"
+                         f" non-negative, got {controls[bad][0]}")
+    return controls
 
 
 @dataclass
@@ -274,33 +301,13 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
     total = sum(counts)
     if total != n:
         raise ValueError(f"compartment counts sum to {total}, expected {n}")
-    deg = graph.degrees()
-    by_room: dict[str, list[int]] = {}
-    for room in graph.rooms():
-        members = [i for i in range(n) if graph.room_assignment[i] == room]
-        members.sort(key=lambda i: (-deg[i], i))
-        by_room[room] = members
-    candidates: list[int] = []
-    rank = 0
-    while len(candidates) < n:
-        for room in graph.rooms():
-            members = by_room[room]
-            if rank < len(members):
-                candidates.append(members[rank])
-        rank += 1
-
-    state = np.zeros((n, 4))
-    state[:, S] = 1.0
-    picked = candidates[:infected_high + infected_low + recover_first + recover_complete]
-    cursor = 0
-    for column, count in ((IH, infected_high), (IL, infected_low), (RF, recover_first)):
-        for i in picked[cursor:cursor + count]:
-            state[i, S] = 0.0
-            state[i, column] = 1.0
-        cursor += count
-    for i in picked[cursor:cursor + recover_complete]:
-        state[i, S] = 0.0  # all four stored compartments zero: derived RC = 1
-    return state
+    ranked = graph.ranked_rooms()
+    candidates = [room[rank] for rank in range(max(map(len, ranked), default=0))
+                  for room in ranked if rank < len(room)]
+    # compartment code per node, 0 S .. 4 RC; RC leaves all four stored columns zero
+    code = np.zeros(n, dtype=np.intp)
+    code[candidates[:n - susceptible]] = np.repeat(np.arange(1, 5), counts[1:])
+    return np.eye(5)[code, :4]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ from malctrl.adjoint import (DivergenceError, adjoint_rhs, hamiltonian,
                              integrate_backward)
 from malctrl.dynamics import integrate_forward
 from malctrl.graphs import validate_graph
-from malctrl.model import (IH, IL, LAM_F, LAM_H, LAM_L, LAM_S, RF, S,
-                           ControlTrajectory, ModelInstance, ModelParams)
+from malctrl.model import (GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, LAM_S, RF, S,
+                           ControlTrajectory, DimensionMismatchError, ModelInstance,
+                           ModelParams)
 from malctrl.objective import running_cost
 from malctrl.sweep import control_update
 
@@ -183,6 +184,34 @@ class TestIntegrateBackward:
         adj_coarse = integrate_backward(st_coarse, c_coarse, coarse_inst)
         diff = np.abs(adj_coarse.costates - adj_fine.costates[::10]).max()
         assert diff <= 1e-4
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
+    def test_bad_control_rate_rejected(self, rate):
+        inst = small_instance()
+        control = inst.constant_control(0.5, 0.5, 0.5)
+        states = integrate_forward(inst, control)
+        control.controls[5, 3, GAMMA_L] = rate
+        with pytest.raises(ValueError, match="control gamma_low must be finite and non-negative"):
+            integrate_backward(states, control, inst)
+
+    def test_stacks_rejected(self):
+        inst = small_instance()
+        control = inst.constant_control(0.5, 0.5, 0.5)
+        states = integrate_forward(inst, control)
+        stacked_control = ControlTrajectory(control.time_grid, np.stack([control.controls] * 2))
+        stacked_states = integrate_forward(inst, stacked_control)
+        for args in ((stacked_states, control), (states, stacked_control),
+                     (stacked_states, stacked_control)):
+            with pytest.raises(DimensionMismatchError, match="one state trajectory"):
+                integrate_backward(*args, inst)
+
+    def test_nan_state_rejected(self):
+        inst = small_instance()
+        control = inst.constant_control(0.5, 0.5, 0.5)
+        states = integrate_forward(inst, control)
+        states.states[5, 3, IH] = np.nan
+        with pytest.raises(ValueError, match="outside"):
+            integrate_backward(states, control, inst)
 
     def test_divergence_guard(self):
         # disease-free forward state is constant, but the costate coupling

@@ -71,6 +71,14 @@ def test_bad_control_rate_rejected(rate):
         ctmc_simulate(inst, control, rng_seed=1, num_runs=10)
 
 
+def test_negative_seed_named():
+    graph = validate_graph([[0, 1], [1, 0]])
+    initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
+    inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=10)
+    with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
+        ctmc_simulate(inst, inst.constant_control(0.5, 0.5, 0.5), rng_seed=-1, num_runs=10)
+
+
 def test_isolated_node_exponential_holding_time():
     # single device starting infected-high with containment rate 1.0: the
     # holding time is exponential with mean 1.0; the occupancy integral over

@@ -163,6 +163,20 @@ class TestIntegrateForward:
             with pytest.raises(DimensionMismatchError, match="expected control shape"):
                 integrate_forward(inst, ControlTrajectory(inst.time_grid(), bad))
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
+    def test_bad_control_rate_rejected_alone_and_stacked(self, rate):
+        # one bad entry on case 1 (grid point 5, node 3): NaN would give NaN
+        # states, which no range check compares false on
+        inst = build_case_instance(1, canonical_graph())
+        good = inst.fixed_control_trajectory()
+        bad = inst.fixed_control_trajectory()
+        bad.controls[5, 3, GAMMA_H] = rate
+        stack = ControlTrajectory(good.time_grid, np.stack([good.controls, bad.controls]))
+        for control in (bad, stack):
+            with pytest.raises(ValueError,
+                               match="control gamma_high must be finite and non-negative"):
+                integrate_forward(inst, control)
+
     def test_step_too_large_detected(self):
         # beta far beyond the stability limit at this step size
         initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
