@@ -104,10 +104,44 @@ def test_rgcs_compare_writes_sorted_population(runner, tmp_path):
     assert "optimal_J" in data
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CASE1 = CONFIGS / "case1_instance.json"
+
+
+# output directory -> (flags, exit code); --max-iter 3 pins the non-converged branch
+OPTIMIZE_RUNS = {
+    "optimize_paper": ([], 0),
+    "optimize_consistent": (["--adjoint-mode", "consistent"], 0),
+    "optimize_max_iter_3": (["--max-iter", "3"], 2),
+}
+
+
+@pytest.mark.parametrize("run", OPTIMIZE_RUNS)
+def test_optimize_case1_artifacts_match_recorded_digests(runner, tmp_path, recorded_artifacts, run):
+    flags, exit_code = OPTIMIZE_RUNS[run]
+    result = optimize(runner, CASE1, tmp_path / run, *flags)
+    assert result.exit_code == exit_code, result.output
+    recorded_artifacts(tmp_path)
+
+
+def test_rgcs_compare_population_20_matches_recorded_digest(runner, tmp_path, recorded_artifacts):
+    result = runner.invoke(main, ["rgcs-compare", "--instance", str(CASE1),
+                                  "--population", "20", "--out", str(tmp_path / "rgcs_compare_20.json")])
+    assert result.exit_code == 0, result.output
+    recorded_artifacts(tmp_path)
+
+
+def test_dataset_generate_canonical_matches_recorded_digest(runner, tmp_path, recorded_artifacts):
+    result = runner.invoke(main, ["dataset", "generate", "--spec",
+                                  str(CONFIGS / "canonical_spec.json"),
+                                  "--out", str(tmp_path / "canonical_graph.json")])
+    assert result.exit_code == 0, result.output
+    recorded_artifacts(tmp_path)
+
+
 def test_rgcs_compare_writes_the_exp2_population_block(runner, tmp_path, recorded_artifacts):
     out_path = tmp_path / "rgcs.json"
-    instance = Path(__file__).resolve().parents[1] / "configs" / "case1_instance.json"
-    result = runner.invoke(main, ["rgcs-compare", "--instance", str(instance),
+    result = runner.invoke(main, ["rgcs-compare", "--instance", str(CASE1),
                                   "--n", "100", "--population", "5", "--seed", "7",
                                   "--out", str(out_path)])
     assert result.exit_code == 0, result.output

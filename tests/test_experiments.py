@@ -134,17 +134,20 @@ class TestExp4:
 
 class TestExp1Case:
 
-    def test_case1_parameters_round_trip(self, tmp_path):
-        summary = run_experiment(ExperimentSpec("exp1_case1", out_dir=tmp_path))
+    def test_case1_parameters_round_trip(self, exp1_run):
+        summary, out = exp1_run[0]["cases"][0], exp1_run[1]
         assert summary["case"]["beta_high"] == 0.0004
         assert summary["case"]["beta_low"] == 0.0002
         assert summary["case"]["control_bounds"]["gamma_high"] == [0.1, 1.0]
         assert summary["sweep"]["converged"]
         assert len(summary["sample_nodes"]) == 4
-        samples = (tmp_path / "exp1_case1" / "samples.csv").read_text().splitlines()
+        samples = (out / "exp1_case1" / "samples.csv").read_text().splitlines()
         assert samples[0] == "t,node,S,IH,IL,RF,RC,delta,gamma_h,gamma_l"
         # 4 nodes per grid point
         assert len(samples) == 1 + 4 * 301
+
+    def test_artifacts_match_recorded_digests(self, exp1_run, recorded_artifacts):
+        recorded_artifacts(exp1_run[1])
 
 
 class TestInstanceBuilders:
