@@ -13,7 +13,6 @@ from . import graphs
 from .adjoint import ADJOINT_MODES
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, population_comparison, run_experiment
 from .model import COMPARTMENTS, CONTROL_COLUMNS, COSTATE_COLUMNS, load_instance
-from .objective import objective
 from .rgcs import RgcsConfig
 from .serialize import node_csv, summary_json, write_summary
 from .sweep import fbsm_solve
@@ -94,7 +93,7 @@ def optimize(instance_path: Path, adjoint_mode, omega, eps, max_iter, out_dir: P
     (out_dir / "adjoint.csv").write_text(
         node_csv(COSTATE_COLUMNS, adjoints.time_grid, adjoints.costates))
     write_summary(out_dir / "sweep_report.json", report.as_dict())
-    write_summary(out_dir / "objective.json", objective(states, control).as_dict())
+    write_summary(out_dir / "objective.json", report.objective.as_dict())
     status = "converged" if report.converged else "did not converge"
     click.echo(f"{status} after {report.iterations_used} iterations"
                f" (residual {report.final_residual:.3e}); artifacts in {out_dir}")

@@ -34,7 +34,6 @@ from .graphs import NetworkGraph, resolve_graph
 from .model import (COMPARTMENTS, CONTROL_NAMES, IH, IL, ModelInstance, ModelParams,
                     StateTrajectory, seed_initial_state)
 from .dynamics import integrate_forward
-from .objective import objective
 from .rgcs import RgcsConfig, rgcs_population
 from .serialize import sampled_nodes_csv, totals_csv, write_summary
 from .sweep import fbsm_solve
@@ -187,7 +186,6 @@ def _run_exp1_case(case_id: str, graph: NetworkGraph, spec: ExperimentSpec) -> d
     case = CASES[case_id]
     instance = _instance(graph, **case)
     control, states, _, report = fbsm_solve(instance)
-    breakdown = objective(states, control)
     nodes = select_sample_nodes(graph, instance.initial_state)
     summary = {
         "experiment": case_id,
@@ -199,7 +197,7 @@ def _run_exp1_case(case_id: str, graph: NetworkGraph, spec: ExperimentSpec) -> d
         },
         "adjoint_mode": instance.adjoint_mode,
         "sample_nodes": nodes,
-        "objective": breakdown.as_dict(),
+        "objective": report.objective.as_dict(),
         "sweep": report.as_dict(),
         "peak_IH": _peak(states, IH),
     }
@@ -215,9 +213,9 @@ def population_comparison(instance: ModelInstance, config: RgcsConfig) -> dict:
     set by 4.7 MB and the solve by 5.0 MB.
     """
     strategies = rgcs_population(instance, config)
-    control, states, _, report = fbsm_solve(instance)
+    report = fbsm_solve(instance)[3]
     return {"strategies": strategies,
-            "optimal_J": objective(states, control).total,
+            "optimal_J": report.objective.total,
             "optimal_converged": report.converged}
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,17 +11,22 @@ from .dynamics import integrate_forward
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, RF,
                     AdjointTrajectory, ControlTrajectory, ModelInstance,
                     ModelParams, StateTrajectory, _check_same_grid)
-from .objective import objective
+from .objective import ObjectiveBreakdown, objective
 
 
 @dataclass
 class SweepReport:
-    """Iteration record of one sweep solve."""
+    """Iteration record of one sweep solve.
+
+    ``objective`` is the breakdown of the returned state and control; its J
+    is the last of ``objective_history``.  ``as_dict()`` leaves it out.
+    """
 
     iterations_used: int
     converged: bool
     final_residual: float
-    objective_history: list[float] = field(default_factory=list)
+    objective_history: list[float]
+    objective: ObjectiveBreakdown
 
     def as_dict(self) -> dict:
         return {
@@ -57,50 +62,44 @@ def _l2(arr: np.ndarray, dt: float) -> float:
 def fbsm_solve(instance: ModelInstance):
     """Iterate forward state and backward costate passes to a fixed point.
 
-    Each iteration integrates the state under the previous control, the
-    costates backward along it, forms the clamped pointwise update, and blends
-    it with the previous control as (1 - omega) * new + omega * old, where
-    omega is ``instance.relaxation_weight``.  omega=0 recovers the undamped
-    literal update; the default weight damps the oscillation that undamped
-    sweeps develop.  Stops when the combined discrete-L2 change of state and control
-    trajectories drops below ``instance.convergence_epsilon``, or after
-    ``instance.max_iterations`` (the report then carries converged=False
-    rather than raising).  The literal zero initial control lies below the lower
-    bounds, so the first pass starts from the clamped lower-bound schedule.
+    Each pass integrates the state under the current control, evaluates the
+    objective along it and integrates the costates backward.  Unless the
+    solve stops there, the clamped pointwise update is blended with the
+    control as (1 - omega) * new + omega * old, where omega is
+    ``instance.relaxation_weight``.  omega=0 recovers the undamped literal
+    update; the default weight damps the oscillation that undamped sweeps
+    develop.  The solve stops once an update changes the state and control
+    trajectories by less than ``instance.convergence_epsilon`` in combined
+    discrete L2, or after ``instance.max_iterations`` updates (the report
+    then carries converged=False rather than raising).  The literal zero
+    initial control lies below the lower bounds, so the first pass starts
+    from the clamped lower-bound schedule.
 
-    Returns (control, state, adjoint, report) with the state and adjoint
-    recomputed once under the final control so the returned triple is
-    self-consistent.
+    Returns (control, state, adjoint, report) of the last pass, so the triple
+    is self-consistent and ``report.objective`` is its objective breakdown.
     """
     w = instance.relaxation_weight
+    eps = instance.convergence_epsilon
     control = instance.lower_bound_control()
     dt = instance.dt
     prev_states = np.zeros((instance.time_steps + 1, instance.node_count, 4))
     history: list[float] = []
     residual = np.inf
-    converged = False
     iteration = 0
-    while iteration < instance.max_iterations:
-        iteration += 1
+    while True:
         state_traj = integrate_forward(instance, control)
-        history.append(objective(state_traj, control).total)
+        breakdown = objective(state_traj, control)
+        history.append(breakdown.total)
         adjoint_traj = integrate_backward(state_traj, control, instance)
-        updated = control_update(state_traj, adjoint_traj, instance.params)
-        blended = ControlTrajectory(
-            time_grid=control.time_grid,
-            controls=(1.0 - w) * updated.controls + w * control.controls,
-        )
-        residual = (_l2(state_traj.states - prev_states, dt)
-                    + _l2(blended.controls - control.controls, dt))
-        prev_states = state_traj.states
-        control = blended
-        if residual < instance.convergence_epsilon:
-            converged = True
+        if residual < eps or iteration == instance.max_iterations:
             break
-
-    state_traj = integrate_forward(instance, control)
-    adjoint_traj = integrate_backward(state_traj, control, instance)
-    history.append(objective(state_traj, control).total)
-    report = SweepReport(iterations_used=iteration, converged=converged,
-                         final_residual=residual, objective_history=history)
+        iteration += 1
+        updated = control_update(state_traj, adjoint_traj, instance.params)
+        blended = (1.0 - w) * updated.controls + w * control.controls
+        residual = _l2(state_traj.states - prev_states, dt) + _l2(blended - control.controls, dt)
+        prev_states = state_traj.states
+        control = ControlTrajectory(time_grid=control.time_grid, controls=blended)
+    report = SweepReport(iterations_used=iteration, converged=residual < eps,
+                         final_residual=residual, objective_history=history,
+                         objective=breakdown)
     return control, state_traj, adjoint_traj, report

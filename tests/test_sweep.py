@@ -97,6 +97,18 @@ class TestFbsmSolve:
         np.testing.assert_array_equal(a_states.states, b_states.states)
         assert a_report.as_dict() == b_report.as_dict()
 
+    @pytest.mark.parametrize("mode", ["paper", "consistent"])
+    @pytest.mark.parametrize("max_iterations", [3, 100])
+    def test_report_objective_is_that_of_the_returned_pair(self, mode, max_iterations):
+        inst = replace(build_case_instance(1, canonical_graph()), adjoint_mode=mode,
+                       max_iterations=max_iterations)
+        control, states, _, report = fbsm_solve(inst)
+        assert report.converged == (max_iterations == 100)
+        assert report.objective == objective(states, control)
+        assert report.objective.total == report.objective_history[-1]
+        assert len(report.objective_history) == report.iterations_used + 1
+        assert "objective" not in report.as_dict()
+
     def test_not_converged_reported_not_raised(self):
         inst = replace(build_case_instance(1, canonical_graph()), max_iterations=2)
         _, _, _, report = fbsm_solve(inst)
