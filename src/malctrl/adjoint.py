@@ -109,7 +109,7 @@ def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTraject
     validate_states(state_traj.states, instance.node_count, tol=TRAJECTORY_TOL)
     mode = instance.adjoint_mode
     steps = grid.shape[0] - 1
-    h = -(grid[1] - grid[0])
+    h = -instance.dt
     params, graph = instance.params, instance.graph
     costates = np.zeros((steps + 1, instance.node_count, 4))
     lam = np.zeros((instance.node_count, 4))

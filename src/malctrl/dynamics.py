@@ -95,7 +95,7 @@ def _forward_steps(instance: ModelInstance, control_at, batch_shape: tuple):
     documents, checked on every member after every step.
     """
     grid = instance.time_grid()
-    h = grid[1] - grid[0]
+    h = instance.dt
     beta_high, beta_low = instance.params.beta_high, instance.params.beta_low
     adjacency = instance.graph.adjacency
     x = np.broadcast_to(instance.initial_state, batch_shape + (instance.node_count, 4)).copy()
@@ -173,7 +173,7 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     grid = instance.time_grid()
     n = instance.node_count
     steps = grid.shape[0] - 1
-    dt = grid[1] - grid[0]
+    dt = instance.dt
     beta_high, beta_low = instance.params.beta_high, instance.params.beta_low
     adjacency = instance.graph.adjacency
     degree = adjacency.sum(axis=1)

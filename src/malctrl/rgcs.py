@@ -108,8 +108,7 @@ def _score(instance: ModelInstance, config: RgcsConfig, seeds: list[int]) -> np.
         patch[b], restriction[b] = (cost[cell] for cost in _control_sums(table[start:end]))
     for k, x in enumerate(_forward_steps(instance, lambda k: table[rows[:, k]], (batch,))):
         infection[:, k], recovery[:, k] = _state_sums(x)
-    grid = instance.time_grid()
-    return _quadrature(infection, patch, restriction, recovery, grid[1] - grid[0])[0]
+    return _quadrature(infection, patch, restriction, recovery, instance.dt)[0]
 
 
 def rgcs_population(instance: ModelInstance, config: RgcsConfig) -> list[dict]:
