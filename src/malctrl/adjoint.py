@@ -29,7 +29,7 @@ from .model import (ADJOINT_MODES, DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F,
                     LAM_H, LAM_L, LAM_S, RF, S, AdjointTrajectory,
                     ControlTrajectory, DimensionMismatchError, ModelInstance,
                     ModelParams, StateTrajectory, TRAJECTORY_TOL, _check_same_grid,
-                    validate_control, validate_states)
+                    require_finite, validate_control, validate_states)
 from .dynamics import _reduced_rhs, _rk4_step
 from .objective import running_cost
 
@@ -42,12 +42,16 @@ class DivergenceError(RuntimeError):
 
 def hamiltonian(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
                 params: ModelParams, graph: NetworkGraph) -> float:
-    """Running cost plus costate-weighted drift of the four stored compartments."""
+    """Running cost plus costate-weighted drift of the four stored compartments.
+
+    A NaN or infinite state, control or costate raises ValueError naming it.
+    """
     state = np.asarray(state, dtype=float)
     costate = np.asarray(costate, dtype=float)
     if costate.shape != state.shape:
         raise DimensionMismatchError(
             f"costate shape {costate.shape} does not match state shape {state.shape}")
+    require_finite(state=state, control=control, costate=costate)
     drift = _reduced_rhs(state, np.asarray(control, dtype=float),
                          params.beta_high, params.beta_low, graph.adjacency)
     return running_cost(state, control) + float((costate * drift).sum())

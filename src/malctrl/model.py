@@ -62,6 +62,15 @@ def states_in_range(states: np.ndarray, tol: float) -> bool:
                 and -tol <= rc.min() <= rc.max() <= 1.0 + tol)
 
 
+def require_finite(**arrays) -> None:
+    """Raise ValueError naming the first keyword whose array holds a NaN or infinite entry."""
+    for name, values in arrays.items():
+        values = np.asarray(values, dtype=float)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ValueError(f"{name} must be finite, got {values[bad][0]}")
+
+
 def validate_states(states: np.ndarray, n: int, tol: float = STATE_TOL) -> None:
     states = np.asarray(states)
     if states.shape[-2:] != (n, 4):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, ControlTrajectory,
                     DimensionMismatchError, StateTrajectory, _check_same_grid,
-                    r_complete)
+                    r_complete, require_finite)
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,16 @@ def _control_sums(controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def running_cost(state: np.ndarray, control: np.ndarray) -> float:
-    """Instantaneous cost of one (state, control) snapshot."""
+    """Instantaneous cost of one (state, control) snapshot.
+
+    A NaN or infinite state or control raises ValueError naming it.
+    """
     state = np.asarray(state, dtype=float)
     control = np.asarray(control, dtype=float)
     if state.ndim != 2 or state.shape[1] != 4 or control.shape != (state.shape[0], 3):
         raise DimensionMismatchError(
             f"incompatible state {state.shape} and control {control.shape}")
+    require_finite(state=state, control=control)
     infection, recovery = _state_sums(state)
     patch, restriction = _control_sums(control)
     return float(infection + patch + restriction - recovery)
@@ -88,13 +92,15 @@ def objective(state_traj: StateTrajectory, control_traj: ControlTrajectory) -> O
     States (..., K+1, N, 4) and controls (..., K+1, N, 3) must agree on every
     axis but the last; leading axes are batch axes, integrated member by
     member.  Each field is a Python float for one trajectory and a
-    (...)-shaped array for a stack.
+    (...)-shaped array for a stack.  A NaN or infinite state or control
+    raises ValueError naming it.
     """
     _check_same_grid(state_traj.time_grid, control_traj.time_grid)
     states, controls = state_traj.states, control_traj.controls
     if states.shape[:-1] != controls.shape[:-1]:
         raise DimensionMismatchError(
             f"incompatible states {states.shape} and controls {controls.shape}")
+    require_finite(state_traj=states, control_traj=controls)
     infection, recovery = _state_sums(states)
     patch, restriction = _control_sums(controls)
     terms = _quadrature(infection, patch, restriction, recovery, state_traj.dt)

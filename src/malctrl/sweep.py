@@ -10,7 +10,7 @@ from .adjoint import integrate_backward
 from .dynamics import integrate_forward
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, RF,
                     AdjointTrajectory, ControlTrajectory, ModelInstance,
-                    ModelParams, StateTrajectory, _check_same_grid)
+                    ModelParams, StateTrajectory, _check_same_grid, require_finite)
 from .objective import ObjectiveBreakdown, objective
 
 
@@ -44,9 +44,11 @@ def control_update(state_traj: StateTrajectory, adjoint_traj: AdjointTrajectory,
     Stationary values are lam_f * RF for the patch rate and
     (lam_h - lam_f) * IH, (lam_l - lam_f) * IL for the two restriction
     rates; the quadratic control cost makes the clamp the exact box minimum.
+    A NaN or infinite state or costate raises ValueError naming it.
     """
     _check_same_grid(state_traj.time_grid, adjoint_traj.time_grid)
     states, lams = state_traj.states, adjoint_traj.costates
+    require_finite(state_traj=states, adjoint_traj=lams)
     raw = np.empty(states.shape[:2] + (3,))
     raw[:, :, DELTA] = lams[:, :, LAM_F] * states[:, :, RF]
     raw[:, :, GAMMA_H] = (lams[:, :, LAM_H] - lams[:, :, LAM_F]) * states[:, :, IH]

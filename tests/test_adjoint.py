@@ -56,6 +56,16 @@ class TestHamiltonian:
         params = ModelParams.from_scalars(2, 0.5, 0.2, 1.0)
         assert hamiltonian(state, np.zeros((2, 3)), costate, params, TWO_NODE) == -2.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["state", "control", "costate"])
+    def test_non_finite_input_named(self, arg, value):
+        args = {"state": np.full((2, 4), 0.2), "control": np.full((2, 3), 0.2),
+                "costate": np.ones((2, 4))}
+        args[arg][1, 1] = value
+        params = ModelParams.from_scalars(2, 0.5, 0.2, 1.0)
+        with pytest.raises(ValueError, match=f"{arg} must be finite, got {value}"):
+            hamiltonian(**args, params=params, graph=TWO_NODE)
+
 
 class TestPointwiseMinimality:
 

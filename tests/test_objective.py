@@ -30,6 +30,14 @@ class TestRunningCost:
         with pytest.raises(DimensionMismatchError):
             running_cost(np.zeros((2, 4)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["state", "control"])
+    def test_non_finite_input_named(self, arg, value):
+        args = {"state": np.full((2, 4), 0.2), "control": np.full((2, 3), 0.2)}
+        args[arg][1, 1] = value
+        with pytest.raises(ValueError, match=f"{arg} must be finite, got {value}"):
+            running_cost(**args)
+
 
 def _constant_trajectories(value_state, value_control, horizon, steps, n=3):
     grid = uniform_grid(horizon, steps)
@@ -119,6 +127,17 @@ class TestObjective:
                                  (np.stack([st_traj.states] * 2), np.stack([ct_traj.controls] * 3))):
             with pytest.raises(DimensionMismatchError):
                 objective(StateTrajectory(grid, states), ControlTrajectory(grid, controls))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["state_traj", "control_traj"])
+    def test_non_finite_input_named(self, arg, value):
+        # a NaN state or control would otherwise come back as J = nan
+        grid = uniform_grid(1.0, 4)
+        arrays = {"state_traj": np.full((5, 3, 4), 0.2), "control_traj": np.full((5, 3, 3), 0.2)}
+        arrays[arg][2, 1, 1] = value
+        with pytest.raises(ValueError, match=f"{arg} must be finite, got {value}"):
+            objective(StateTrajectory(grid, arrays["state_traj"]),
+                      ControlTrajectory(grid, arrays["control_traj"]))
 
     def test_single_trajectory_fields_are_floats(self):
         got = objective(*_constant_trajectories(np.zeros(4) + 0.25, np.ones(3), 1.0, 10))

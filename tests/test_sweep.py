@@ -50,6 +50,18 @@ class TestControlUpdate:
         assert got.controls[0, 0, GAMMA_H] == 1.0
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["state_traj", "adjoint_traj"])
+    def test_non_finite_input_named(self, arg, value):
+        # np.clip keeps NaN, so a NaN costate would otherwise become a NaN control
+        st, ad = two_point_trajs(np.array([0.5, 0.1, 0.1, 0.3]), np.ones(4))
+        (st.states if arg == "state_traj" else ad.costates)[0, 0, 1] = value
+        params = ModelParams.from_scalars(1, 0.1, 0.05, 1.0, delta=(0.1, 0.8),
+                                          gamma_high=(0.1, 1.0), gamma_low=(0.1, 0.6))
+        with pytest.raises(ValueError, match=f"{arg} must be finite, got {value}"):
+            control_update(st, ad, params)
+
+
 class TestFbsmSolve:
 
     def test_disease_free_pins_lower_bounds(self):
