@@ -6,8 +6,11 @@ plus quadratic control effort, and credits completed recoveries:
     sum_i [ IH_i + delta_i^2 / 2 + (gamma_h_i^2 + gamma_l_i^2) / 2 - RC_i ]
 
 The cumulative objective integrates it with composite trapezoid quadrature
-on the trajectory grid, which matches the second-order accuracy of the
-stored RK4 trajectories.  The recovery credit can push the objective
+on the trajectory grid.  Under a control constant in time, J is second
+order in the step, like the stored RK4 trajectories.  Under a time-varying
+control it is first order: the forward pass holds u_k over each step, while
+the trapezoid rule averages u_k and u_{k+1} and charges half the cost of
+u_K, which never acts.  The recovery credit can push the objective
 negative; no normalization is applied.
 """
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from malctrl.dynamics import integrate_forward
+from malctrl.graphs import validate_graph
 from malctrl.model import (ControlTrajectory, DimensionMismatchError, GridMismatchError,
-                           StateTrajectory, uniform_grid)
+                           ModelInstance, ModelParams, StateTrajectory, uniform_grid)
 from malctrl.objective import objective, running_cost
 
 
@@ -74,9 +76,6 @@ class TestObjective:
     def test_quadrature_refinement(self):
         # evaluating the same smooth trajectory on a 10x finer grid moves the
         # quadrature by less than 1e-5 relative
-        from malctrl.dynamics import integrate_forward
-        from malctrl.graphs import validate_graph
-        from malctrl.model import ModelInstance, ModelParams
         rng = np.random.default_rng(8)
         a = np.triu((rng.random((5, 5)) < 0.7).astype(int), 1)
         graph = validate_graph(a + a.T)
@@ -154,6 +153,36 @@ class TestObjective:
             solo = objective(StateTrajectory(grid, states[b]), ControlTrajectory(grid, controls[b]))
             for name, value in solo.as_dict().items():
                 assert stacked.as_dict()[name][b] == value, (b, name)
+
+
+class TestOrderOfJ:
+    """J of the forward pass at K = 20, 40, ..., 320 steps.  The control is
+    held over each step while the trapezoid rule averages its two ends, so J
+    is first order under a time-varying control and second order under a
+    constant one: successive differences of J shrink by 2 and by 4."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind, ratio", [("smooth", 2.0), ("constant", 4.0)])
+    def test_ratio_of_successive_differences(self, seed, kind, ratio):
+        rng = np.random.default_rng(seed)
+        a = np.triu((rng.random((6, 6)) < 0.6).astype(int), 1)
+        initial = np.zeros((6, 4))
+        initial[:, 0] = 1.0
+        initial[0] = (0, 1, 0, 0)
+        initial[1] = (0, 0, 1, 0)
+        params = ModelParams.from_scalars(6, 0.4, 0.2, 4.0, delta=(0.1, 0.8),
+                                          gamma_high=(0.1, 1.0), gamma_low=(0.1, 0.6))
+        lo, hi = params.lower, params.upper
+        js = []
+        for steps in (20, 40, 80, 160, 320):
+            inst = ModelInstance(graph=validate_graph(a + a.T), params=params,
+                                 initial_state=initial, time_steps=steps)
+            t = inst.time_grid()[:, None, None]
+            share = 0.5 + 0.5 * np.sin(0.7 * t + 2.0) if kind == "smooth" else np.full_like(t, 0.5)
+            control = ControlTrajectory(inst.time_grid(), lo + (hi - lo) * share)
+            js.append(objective(integrate_forward(inst, control), control).total)
+        d = np.diff(js)
+        np.testing.assert_allclose(d[:-1] / d[1:], ratio, atol=0.1)
 
 
 @st.composite
