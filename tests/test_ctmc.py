@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malctrl.dynamics import (NonIndicatorInitialStateError, ctmc_simulate,
-                              integrate_forward)
+from malctrl.dynamics import NonIndicatorInitialStateError, _reduced_rhs, ctmc_simulate
 from malctrl.experiments import build_case_instance
 from malctrl.graphs import canonical_graph, validate_graph
-from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, IH, S, ControlTrajectory,
+from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, ControlTrajectory,
                            DimensionMismatchError, ModelInstance, ModelParams,
-                           r_complete)
+                           StateTrajectory, r_complete)
 
 # compartment columns in CtmcSummary.mean_counts
 C_S, C_IH, C_IL, C_RF, C_RC = range(5)
@@ -120,19 +119,44 @@ def test_deterministic_given_seed():
     np.testing.assert_array_equal(a.std_error, b.std_error)
 
 
-def test_mean_field_consistency_on_path():
-    # moderate-rate three-node path: expected infected-high counts from the
-    # jump process and the deterministic system agree within 10% at mid-horizon
-    graph = validate_graph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    initial = np.array([[0.0, 1.0, 0, 0], [1.0, 0, 0, 0], [1.0, 0, 0, 0]])
-    inst = make_instance(graph, 0.2, 0.1, 6.0, initial, time_steps=300)
-    control = inst.constant_control(0.4, 0.3, 0.2)
-    ode = integrate_forward(inst, control)
-    mc = ctmc_simulate(inst, control, rng_seed=17, num_runs=20_000)
-    mid = inst.time_steps // 2
-    ode_ih = ode.states[mid, :, IH].sum()
-    mc_ih = mc.mean_counts[mid, C_IH]
-    assert abs(mc_ih - ode_ih) / ode_ih <= 0.10
+def euler_mean(instance, control):
+    """Exact mean compartment counts (K+1, 5) of the jump process when both
+    betas are zero.  Each node is then an independent chain IH -> RF -> RC,
+    IL -> RF whose substep moves fire with probability rate * sdt, so its
+    mean follows forward Euler on the reduced system at the simulator's
+    substep.  At zero betas the largest control bounds every rate, which
+    sets the substep count by the simulator's 0.05 rule."""
+    substeps = max(1, int(np.ceil(control.controls.max() * instance.dt / 0.05)))
+    sdt = instance.dt / substeps
+    x = instance.initial_state
+    means = [x]
+    for u in control.controls[:-1]:
+        for _ in range(substeps):
+            x = x + sdt * _reduced_rhs(x, u, 0.0, 0.0, instance.graph.adjacency)
+        means.append(x)
+    return StateTrajectory(instance.time_grid(), np.stack(means)).compartment_totals()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_zero_infection_mean_is_the_euler_recurrence(seed):
+    # a random 12-node graph with every compartment seeded and a time-varying
+    # control: the Monte-Carlo mean lies within 4.5 standard errors of the
+    # exact mean, and equals it where every replica agrees (S, and t = 0).
+    # The RK4 mean-field ODE misses the mean by 4.3 to 6.6 standard errors
+    # on these seeds: it lacks the O(sdt) bias of the substep chain
+    rng = np.random.default_rng(seed)
+    n = 12
+    a = np.triu((rng.random((n, n)) < 0.5).astype(int), 1)
+    codes = np.concatenate([np.arange(5), rng.integers(0, 5, n - 5)])
+    initial = np.eye(5)[rng.permutation(codes)][:, :4]
+    inst = make_instance(validate_graph(a + a.T), 0.0, 0.0, 3.0, initial, time_steps=30)
+    control = ControlTrajectory(inst.time_grid(), rng.uniform(0.1, 2.0, (31, n, 3)))
+    out = ctmc_simulate(inst, control, rng_seed=seed, num_runs=20_000)
+    mean = euler_mean(inst, control)
+    spread = out.std_error > 0
+    z = (out.mean_counts - mean)[spread] / out.std_error[spread]
+    assert np.abs(z).max() <= 4.5
+    np.testing.assert_array_equal(out.mean_counts[~spread], mean[~spread])
 
 
 # ---------------------------------------------------------------------------
