@@ -49,7 +49,6 @@ class TestControlUpdate:
         got = control_update(st, ad, params)
         assert got.controls[0, 0, GAMMA_H] == 1.0
 
-
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("arg", ["state_traj", "adjoint_traj"])
     def test_non_finite_input_named(self, arg, value):
