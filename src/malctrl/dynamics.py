@@ -16,10 +16,6 @@ class StepTooLargeError(RuntimeError):
     """The forward integrator left the valid state region; shrink dt."""
 
 
-class NonIndicatorInitialStateError(ValueError):
-    """The jump-process simulator needs pure 0/1 initial states."""
-
-
 def _reduced_rhs(states: np.ndarray, controls: np.ndarray, beta_high: float,
                  beta_low: float, adjacency: np.ndarray) -> np.ndarray:
     """Derivatives of the four stored compartments, shape (..., N, 4).
@@ -154,8 +150,8 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     are exact integers.
 
     Checks the control as integrate_forward does, and takes one schedule,
-    not a stack.  Raises ValueError for a negative ``rng_seed`` or a
-    ``num_runs`` below 1.
+    not a stack.  Raises ValueError for an initial state that is not 0/1
+    indicators, a negative ``rng_seed`` or a ``num_runs`` below 1.
     """
     controls = validate_control(instance, control)
     if controls.ndim != 3:
@@ -163,8 +159,7 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
             f"expected control shape {controls.shape[-3:]}, got {controls.shape}")
     init = instance.initial_state
     if not np.isin(init, (0.0, 1.0)).all():
-        raise NonIndicatorInitialStateError(
-            "jump-process simulation needs indicator (0/1) initial states")
+        raise ValueError("jump-process simulation needs indicator (0/1) initial states")
     if num_runs < 1:
         raise ValueError("num_runs must be positive")
     if rng_seed < 0:

@@ -91,23 +91,12 @@ class ExperimentSpec:
         self.out_dir = Path(self.out_dir)
 
 
-@dataclass
-class SnapshotReport:
-    """Per-node classification at the time of peak expected high infection."""
-
-    snapshot_time: float
-    node_classes: list[str]
-    counts: dict[str, int]
-
-    def as_dict(self) -> dict:
-        return {"snapshot_time": self.snapshot_time,
-                "node_classes": list(self.node_classes),
-                "counts": dict(self.counts)}
-
-
-def snapshot(state_traj: StateTrajectory) -> SnapshotReport:
+def snapshot(state_traj: StateTrajectory) -> dict:
     """Classify nodes by dominant compartment at the earliest peak of total IH.
 
+    Returns ``{"snapshot_time": t, "node_classes": [...], "counts": {...}}``:
+    the grid time of the peak, each node's dominant compartment name, and
+    the number of nodes in each compartment (all five keys, zeros included).
     Ties in the per-node argmax resolve in compartment order S, IH, IL, RF,
     RC (numpy argmax keeps the first maximum).
     """
@@ -116,8 +105,8 @@ def snapshot(state_traj: StateTrajectory) -> SnapshotReport:
     full = state_traj.full_states()[k]
     classes = [COMPARTMENTS[c] for c in np.argmax(full, axis=1)]
     counts = {name: int(classes.count(name)) for name in COMPARTMENTS}
-    return SnapshotReport(snapshot_time=float(state_traj.time_grid[k]),
-                          node_classes=classes, counts=counts)
+    return {"snapshot_time": float(state_traj.time_grid[k]),
+            "node_classes": classes, "counts": counts}
 
 
 def select_sample_nodes(graph: NetworkGraph, initial_state: np.ndarray) -> list[int]:
@@ -262,8 +251,8 @@ def _run_exp3(graph: NetworkGraph, spec: ExperimentSpec) -> dict:
         "peak_IL_uncontrolled": peak_il["uncontrolled"],
         "peak_IL_controlled": peak_il["controlled"],
         "reduction_pct": reduction,
-        "snapshot_uncontrolled": snapshot(runs["uncontrolled"]).as_dict(),
-        "snapshot_controlled": snapshot(runs["controlled"]).as_dict(),
+        "snapshot_uncontrolled": snapshot(runs["uncontrolled"]),
+        "snapshot_controlled": snapshot(runs["controlled"]),
         "reference_values": dict(EXP3_REFERENCE),
     }
     return _write(spec, "exp3", summary, {f"{name}_totals.csv": totals_csv(states)

@@ -26,13 +26,17 @@ class NetworkGraph:
     JSON still writes integer entries.  Immutable after construction (the
     adjacency array is marked read-only); safe to share across concurrent
     workers.  Storage is dense, so memory and matrix-vector cost are O(N^2);
-    intended for up to a few hundred nodes.
+    intended for up to a few hundred nodes.  ``node_count`` is the size of
+    the adjacency, so a graph cannot claim more or fewer nodes than it has.
     """
 
-    node_count: int
     adjacency: np.ndarray
     node_labels: tuple[str, ...]
     room_assignment: tuple[str, ...]
+
+    @property
+    def node_count(self) -> int:
+        return self.adjacency.shape[0]
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(np.int64)
@@ -88,8 +92,7 @@ def validate_graph(adjacency, node_labels=None, room_assignment=None) -> Network
         raise GraphValidationError(f"expected {n} room assignments, got {len(room_assignment)}")
 
     a.flags.writeable = False
-    return NetworkGraph(node_count=n, adjacency=a, node_labels=node_labels,
-                        room_assignment=room_assignment)
+    return NetworkGraph(adjacency=a, node_labels=node_labels, room_assignment=room_assignment)
 
 
 @dataclass(frozen=True)
@@ -210,10 +213,6 @@ def _component_labels(a: np.ndarray) -> np.ndarray:
         if np.array_equal(reached, labels):
             return labels
         labels = reached
-
-
-def is_connected(graph: NetworkGraph) -> bool:
-    return not _component_labels(graph.adjacency).any()
 
 
 def canonical_graph() -> NetworkGraph:

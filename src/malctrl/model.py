@@ -179,16 +179,9 @@ class StateTrajectory:
     def dt(self) -> float:
         return float(self.time_grid[1] - self.time_grid[0])
 
-    @property
-    def node_count(self) -> int:
-        return self.states.shape[-2]
-
-    def r_complete(self) -> np.ndarray:
-        return r_complete(self.states)
-
     def full_states(self) -> np.ndarray:
         """(..., K+1, N, 5) array including the derived RC column."""
-        return np.concatenate([self.states, self.r_complete()[..., None]], axis=-1)
+        return np.concatenate([self.states, r_complete(self.states)[..., None]], axis=-1)
 
     def compartment_totals(self) -> np.ndarray:
         """Expected device counts per compartment, shape (..., K+1, 5)."""
@@ -206,10 +199,6 @@ class ControlTrajectory:
 
     time_grid: np.ndarray
     controls: np.ndarray
-
-    @property
-    def node_count(self) -> int:
-        return self.controls.shape[-2]
 
 
 @dataclass

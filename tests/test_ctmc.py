@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malctrl.dynamics import NonIndicatorInitialStateError, _reduced_rhs, ctmc_simulate
+from malctrl.dynamics import _reduced_rhs, ctmc_simulate
 from malctrl.experiments import build_case_instance
 from malctrl.graphs import canonical_graph, validate_graph
 from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, ControlTrajectory,
@@ -40,7 +40,7 @@ def test_non_indicator_initial_state_rejected():
     graph = validate_graph([[0, 1], [1, 0]])
     initial = np.array([[0.5, 0.5, 0, 0], [1.0, 0, 0, 0]])
     inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=10)
-    with pytest.raises(NonIndicatorInitialStateError):
+    with pytest.raises(ValueError, match=r"needs indicator \(0/1\) initial states"):
         ctmc_simulate(inst, inst.constant_control(0, 0, 0), rng_seed=1, num_runs=10)
 
 

@@ -9,8 +9,8 @@ from malctrl.experiments import build_case_instance
 from malctrl.graphs import canonical_graph, validate_graph
 from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S,
                            ControlTrajectory, DimensionMismatchError, GridMismatchError,
-                           ModelInstance, ModelParams, TRAJECTORY_TOL, seed_initial_state,
-                           validate_states)
+                           ModelInstance, ModelParams, TRAJECTORY_TOL, r_complete,
+                           seed_initial_state, validate_states)
 from malctrl.objective import objective
 
 TWO_NODE = validate_graph([[0, 1], [1, 0]])
@@ -137,7 +137,7 @@ class TestIntegrateForward:
         totals = traj.full_states().sum(axis=2)
         assert np.abs(totals - 1.0).max() <= 1e-6
         s = traj.states[:, :, S]
-        rc = traj.r_complete()
+        rc = r_complete(traj.states)
         assert (np.diff(s, axis=0) <= 1e-12).all()
         assert (np.diff(rc, axis=0) >= -1e-12).all()
 
@@ -213,7 +213,6 @@ class TestStackedForward:
         stack = ControlTrajectory(inst.time_grid(), rng.random((3, 21, 4, 3)))
         traj = integrate_forward(inst, stack)
         assert traj.states.shape == (3, 21, 4, 4)
-        assert traj.node_count == stack.node_count == 4
         totals = traj.compartment_totals()
         assert totals.shape == (3, 21, 5)
         for b in range(3):

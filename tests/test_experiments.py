@@ -17,9 +17,9 @@ class TestSnapshot:
         states = np.zeros((11, 3, 4))
         states[:, :, 0] = 1.0
         report = snapshot(StateTrajectory(grid, states))
-        assert report.snapshot_time == 0.0
-        assert report.node_classes == ["S", "S", "S"]
-        assert report.counts == {"S": 3, "IH": 0, "IL": 0, "RF": 0, "RC": 0}
+        assert report["snapshot_time"] == 0.0
+        assert report["node_classes"] == ["S", "S", "S"]
+        assert report["counts"] == {"S": 3, "IH": 0, "IL": 0, "RF": 0, "RC": 0}
 
     def test_dominant_compartment_wins(self):
         grid = uniform_grid(1.0, 2)
@@ -27,21 +27,21 @@ class TestSnapshot:
         states[:, 0] = (0.05, 0.9, 0.05, 0.0)
         states[:, 1] = (0.6, 0.1, 0.1, 0.1)
         report = snapshot(StateTrajectory(grid, states))
-        assert report.node_classes == ["IH", "S"]
+        assert report["node_classes"] == ["IH", "S"]
 
     def test_counts_sum_to_node_count(self):
         rng = np.random.default_rng(2)
         grid = uniform_grid(3.0, 30)
         states = rng.dirichlet(np.ones(5), size=(31, 8))[:, :, :4]
         report = snapshot(StateTrajectory(grid, states))
-        assert sum(report.counts.values()) == 8
+        assert sum(report["counts"].values()) == 8
 
     def test_earliest_peak_wins_ties(self):
         grid = uniform_grid(1.0, 3)
         states = np.zeros((4, 1, 4))
         states[:, 0, 1] = (0.5, 0.2, 0.5, 0.1)  # peak value 0.5 at k=0 and k=2
         report = snapshot(StateTrajectory(grid, states))
-        assert report.snapshot_time == 0.0
+        assert report["snapshot_time"] == 0.0
 
 
 class TestSampleNodes:
