@@ -9,8 +9,9 @@ import numpy as np
 from .adjoint import integrate_backward
 from .dynamics import integrate_forward
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, RF,
-                    AdjointTrajectory, ControlTrajectory, ModelInstance,
-                    ModelParams, StateTrajectory, _check_same_grid, require_finite)
+                    AdjointTrajectory, ControlTrajectory, DimensionMismatchError,
+                    ModelInstance, ModelParams, StateTrajectory, _check_same_grid,
+                    require_finite)
 from .objective import ObjectiveBreakdown, objective
 
 
@@ -44,10 +45,21 @@ def control_update(state_traj: StateTrajectory, adjoint_traj: AdjointTrajectory,
     Stationary values are lam_f * RF for the patch rate and
     (lam_h - lam_f) * IH, (lam_l - lam_f) * IL for the two restriction
     rates; the quadratic control cost makes the clamp the exact box minimum.
-    A NaN or infinite state or costate raises ValueError naming it.
+    Takes one trajectory, not a stack; a costate or a box sized for other
+    nodes raises DimensionMismatchError naming ``adjoint_traj`` or
+    ``params``.  A NaN or infinite state or costate raises ValueError naming it.
     """
     _check_same_grid(state_traj.time_grid, adjoint_traj.time_grid)
     states, lams = state_traj.states, adjoint_traj.costates
+    if states.ndim != 3:
+        raise DimensionMismatchError(f"control_update takes one trajectory, not a stack;"
+                                     f" state_traj has shape {states.shape}")
+    if lams.shape != states.shape:
+        raise DimensionMismatchError(f"adjoint_traj has shape {lams.shape},"
+                                     f" state_traj {states.shape}")
+    if params.node_count != states.shape[1]:
+        raise DimensionMismatchError(f"params sized for {params.node_count} nodes,"
+                                     f" state_traj for {states.shape[1]}")
     require_finite(state_traj=states, adjoint_traj=lams)
     raw = np.empty(states.shape[:2] + (3,))
     raw[:, :, DELTA] = lams[:, :, LAM_F] * states[:, :, RF]
@@ -68,9 +80,9 @@ def fbsm_solve(instance: ModelInstance):
     objective along it and integrates the costates backward.  Unless the
     solve stops there, the clamped pointwise update is blended with the
     control as (1 - omega) * new + omega * old, where omega is
-    ``instance.relaxation_weight``.  omega=0 recovers the undamped literal
-    update; the default weight damps the oscillation that undamped sweeps
-    develop.  The solve stops once an update changes the state and control
+    ``instance.relaxation_weight``, and the blend is clipped to the box.
+    omega=0 recovers the undamped literal update; the default weight damps
+    the oscillation that undamped sweeps develop.  The solve stops once an update changes the state and control
     trajectories by less than ``instance.convergence_epsilon`` in combined
     discrete L2, or after ``instance.max_iterations`` updates (the report
     then carries converged=False rather than raising).  The literal zero
@@ -97,7 +109,9 @@ def fbsm_solve(instance: ModelInstance):
             break
         iteration += 1
         updated = control_update(state_traj, adjoint_traj, instance.params)
-        blended = (1.0 - w) * updated.controls + w * control.controls
+        # rounding can carry a blend of two in-box values just outside the box
+        blended = np.clip((1.0 - w) * updated.controls + w * control.controls,
+                          instance.params.lower, instance.params.upper)
         residual = _l2(state_traj.states - prev_states, dt) + _l2(blended - control.controls, dt)
         prev_states = state_traj.states
         control = ControlTrajectory(time_grid=control.time_grid, controls=blended)

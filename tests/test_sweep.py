@@ -2,12 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from malctrl.adjoint import integrate_backward
 from malctrl.dynamics import integrate_forward
-from malctrl.graphs import canonical_graph
-from malctrl.model import (DELTA, GAMMA_H, AdjointTrajectory, ModelInstance,
-                           ModelParams, StateTrajectory, uniform_grid)
+from malctrl.graphs import canonical_graph, validate_graph
+from malctrl.model import (ADJOINT_MODES, DELTA, GAMMA_H, AdjointTrajectory,
+                           DimensionMismatchError, ModelInstance, ModelParams,
+                           StateTrajectory, uniform_grid)
 from malctrl.objective import objective
 from malctrl.experiments import build_case_instance
 from malctrl.sweep import control_update, fbsm_solve
@@ -59,6 +62,29 @@ class TestControlUpdate:
                                           gamma_high=(0.1, 1.0), gamma_low=(0.1, 0.6))
         with pytest.raises(ValueError, match=f"{arg} must be finite, got {value}"):
             control_update(st, ad, params)
+
+    def test_params_for_other_nodes_rejected(self):
+        # a one-node box would otherwise broadcast over all three nodes
+        states, costates = two_point_trajs(np.array([0.5, 0.1, 0.1, 0.3]), np.ones(4), n=3)
+        params = ModelParams.from_scalars(1, 0.1, 0.05, 1.0, delta=(0.1, 0.8))
+        with pytest.raises(DimensionMismatchError, match="params sized for 1 nodes"):
+            control_update(states, costates, params)
+
+    def test_costate_for_other_nodes_rejected(self):
+        # a one-node costate would otherwise broadcast over all three nodes
+        states, _ = two_point_trajs(np.array([0.5, 0.1, 0.1, 0.3]), np.ones(4), n=3)
+        _, costates = two_point_trajs(np.array([0.5, 0.1, 0.1, 0.3]), np.ones(4), n=1)
+        params = ModelParams.from_scalars(3, 0.1, 0.05, 1.0, delta=(0.1, 0.8))
+        with pytest.raises(DimensionMismatchError, match="adjoint_traj has shape"):
+            control_update(states, costates, params)
+
+    def test_stacked_trajectories_rejected(self):
+        states, costates = two_point_trajs(np.array([0.5, 0.1, 0.1, 0.3]), np.ones(4), n=2)
+        states = StateTrajectory(states.time_grid, np.stack([states.states] * 2))
+        costates = AdjointTrajectory(costates.time_grid, np.stack([costates.costates] * 2))
+        params = ModelParams.from_scalars(2, 0.1, 0.05, 1.0, delta=(0.1, 0.8))
+        with pytest.raises(DimensionMismatchError, match="one trajectory, not a stack"):
+            control_update(states, costates, params)
 
 
 class TestFbsmSolve:
@@ -150,3 +176,29 @@ class TestFbsmSolve:
         for w in (0.0, 0.3, 0.9):
             blend = (1 - w) * u1 + w * u2
             assert (blend >= lo - 1e-12).all() and (blend <= hi + 1e-12).all()
+
+
+bounds = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       boxes=st.tuples(bounds, bounds, bounds), beta_high=st.floats(0.0, 0.5),
+       beta_ratio=st.floats(0.0, 1.0), horizon=st.floats(0.5, 2.0),
+       steps=st.integers(2, 20), omega=st.floats(0.0, 1.0, exclude_max=True),
+       mode=st.sampled_from(ADJOINT_MODES), max_iterations=st.integers(1, 10))
+# without the clip, 0.7 * 0.1 + 0.3 * 0.1 < 0.1 puts the pinned patch rate below its bound
+@example(n=3, seed=0, boxes=((0.1, 0.8), (0.1, 1.0), (0.1, 0.6)), beta_high=0.4,
+         beta_ratio=0.5, horizon=1.0, steps=20, omega=0.3, mode="paper", max_iterations=10)
+def test_solver_output_stays_in_the_box(n, seed, boxes, beta_high, beta_ratio, horizon,
+                                        steps, omega, mode, max_iterations):
+    rng = np.random.default_rng(seed)
+    a = np.triu((rng.random((n, n)) < 0.6).astype(int), 1)
+    params = ModelParams.from_scalars(n, beta_high, beta_ratio * beta_high, horizon,
+                                      *((lo, lo + width) for lo, width in boxes))
+    inst = ModelInstance(graph=validate_graph(a + a.T), params=params,
+                         initial_state=rng.dirichlet(np.ones(5), size=n)[:, :4],
+                         relaxation_weight=omega, adjoint_mode=mode,
+                         max_iterations=max_iterations, time_steps=steps)
+    controls = fbsm_solve(inst)[0].controls
+    assert (params.lower <= controls).all() and (controls <= params.upper).all()
