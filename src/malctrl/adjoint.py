@@ -10,9 +10,12 @@ Two costate conventions are supported, selected by ``mode`` in
   is then pinned at its lower bound.
 * ``"consistent"``: the recovery credit is expanded through
   RC = 1 - S - IH - IL - RF before differentiating, which adds a constant
-  -1 to each costate equation.  In this mode the costates are the exact
-  sensitivities of the computed objective, and finite-difference gradient
-  checks pass.
+  -1 to each costate equation.  In this mode the costates are the
+  sensitivities of the computed objective to second order: they solve the
+  continuous costate equations, not the adjoint of the discrete scheme, so
+  the gradient they give is off the discrete one by O(dt^2) (the relative
+  error falls fourfold per halving of dt).  The exact discrete adjoint
+  (Hager, Numer. Math. 87, 2000) is ROADMAP item 3.
 
 In the published S-compartment equation the low-capability sum pairs
 lam_s_i with a j-indexed lam_l inside the neighbor sum; the implementation

@@ -113,6 +113,22 @@ class TestAdjointRhs:
         d = adjoint_rhs(state, control, costate, params, SINGLE)
         assert d[0, LAM_H] == pytest.approx(-0.5, abs=1e-15)
 
+    def test_unknown_mode_rejected(self):
+        state = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
+        params = ModelParams.from_scalars(2, 0.5, 0.2, 1.0)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            adjoint_rhs(state, np.zeros((2, 3)), np.zeros((2, 4)), params, TWO_NODE,
+                        mode="exact")
+
+    @pytest.mark.parametrize("wrong", ["state", "control", "costate"])
+    def test_argument_for_another_graph_rejected(self, wrong):
+        args = {"state": np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]),
+                "control": np.zeros((2, 3)), "costate": np.zeros((2, 4))}
+        args[wrong] = args[wrong][:1]
+        params = ModelParams.from_scalars(2, 0.5, 0.2, 1.0)
+        with pytest.raises(DimensionMismatchError, match="sizes disagree"):
+            adjoint_rhs(args["state"], args["control"], args["costate"], params, TWO_NODE)
+
     def test_consistent_mode_shifts_each_equation(self):
         rng = np.random.default_rng(9)
         state = rng.dirichlet(np.ones(5), size=2)[:, :4]
@@ -281,3 +297,41 @@ class TestGradientCheck:
             g_fd.append((j_up - j_dn) / (2 * h))
         g_an, g_fd = np.array(g_an), np.array(g_fd)
         assert np.linalg.norm(g_an - g_fd) / np.linalg.norm(g_fd) <= 1e-3
+
+    def test_consistent_mode_gradient_error_is_second_order(self):
+        # the costates solve the continuous equations, not the adjoint of the
+        # discrete scheme: under a smooth control their gradient misses
+        # central differences of J by O(dt^2), a fourfold drop per halving
+        from malctrl.objective import objective
+        phase = np.random.default_rng(0).uniform(0.0, 2 * np.pi, (5, 3))
+        windows = [(0, 0, 0.5, 1.0), (0, 1, 1.0, 1.8), (1, 2, 2.0, 3.0), (2, 1, 0.4, 1.4),
+                   (4, 2, 1.2, 2.2), (3, 0, 3.0, 4.0), (3, 1, 3.2, 4.2), (2, 2, 0.6, 1.6)]
+        errors = []
+        for steps in (50, 100, 200):
+            inst = small_instance(seed=13, horizon=5.0, steps=steps, mode="consistent")
+            grid, dt = inst.time_grid(), inst.dt
+            u = 0.4 + 0.2 * (0.5 + 0.5 * np.sin(0.9 * grid[:, None, None] + phase))
+            control = ControlTrajectory(grid, u)
+            states = integrate_forward(inst, control)
+            lam, x = integrate_backward(states, control, inst).costates, states.states
+            phi = -np.stack([lam[..., LAM_F] * x[..., RF],
+                             (lam[..., LAM_H] - lam[..., LAM_F]) * x[..., IH],
+                             (lam[..., LAM_L] - lam[..., LAM_F]) * x[..., IL]], axis=-1)
+            w = np.full(steps + 1, dt)
+            w[0] = w[-1] = 0.5 * dt
+            g_an, g_fd = [], []
+            for i, c, t_a, t_b in windows:
+                m = np.arange(round(t_a / dt), round(t_b / dt))
+                g_an.append((w[m] * u[m, i, c]
+                             + 0.5 * dt * (phi[m, i, c] + phi[m + 1, i, c])).sum())
+                j = []
+                for h in (1e-5, -1e-5):
+                    v = u.copy()
+                    v[m, i, c] += h
+                    perturbed = ControlTrajectory(grid, v)
+                    j.append(objective(integrate_forward(inst, perturbed), perturbed).total)
+                g_fd.append((j[0] - j[1]) / 2e-5)
+            g_an, g_fd = np.array(g_an), np.array(g_fd)
+            errors.append(np.linalg.norm(g_an - g_fd) / np.linalg.norm(g_fd))
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.abs(ratios - 4.0).max() <= 0.1, f"errors {errors}, ratios {ratios}"
