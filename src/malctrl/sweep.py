@@ -82,12 +82,13 @@ def fbsm_solve(instance: ModelInstance):
     control as (1 - omega) * new + omega * old, where omega is
     ``instance.relaxation_weight``, and the blend is clipped to the box.
     omega=0 recovers the undamped literal update; the default weight damps
-    the oscillation that undamped sweeps develop.  The solve stops once an update changes the state and control
-    trajectories by less than ``instance.convergence_epsilon`` in combined
-    discrete L2, or after ``instance.max_iterations`` updates (the report
-    then carries converged=False rather than raising).  The literal zero
-    initial control lies below the lower bounds, so the first pass starts
-    from the clamped lower-bound schedule.
+    the oscillation that undamped sweeps develop.  The solve stops once an
+    update changes the state and control trajectories by less than
+    ``instance.convergence_epsilon`` in combined discrete L2, or after
+    ``instance.max_iterations`` updates (the report then carries
+    converged=False rather than raising).  The literal zero initial control
+    lies below the lower bounds, so the first pass starts from the clamped
+    lower-bound schedule.
 
     Returns (control, state, adjoint, report) of the last pass, so the triple
     is self-consistent and ``report.objective`` is its objective breakdown.

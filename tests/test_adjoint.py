@@ -8,7 +8,7 @@ from malctrl.graphs import validate_graph
 from malctrl.model import (GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, LAM_S, RF, S,
                            ControlTrajectory, DimensionMismatchError, ModelInstance,
                            ModelParams)
-from malctrl.objective import running_cost
+from malctrl.objective import objective, running_cost
 from malctrl.sweep import control_update
 
 TWO_NODE = validate_graph([[0, 1], [1, 0]])
@@ -253,85 +253,62 @@ class TestIntegrateBackward:
             integrate_backward(states, control, inst)
 
 
+def gradient_error(inst, u, windows):
+    """Relative error of the costate gradient of J against central differences.
+
+    Each window ``(node, control, t_start, t_end)`` perturbs one control of
+    one node on the grid points of [t_start, t_end).
+    """
+    grid, dt = inst.time_grid(), inst.dt
+    control = ControlTrajectory(grid, u)
+    states = integrate_forward(inst, control)
+    lam, x = integrate_backward(states, control, inst).costates, states.states
+    drift_sensitivity = -np.stack([lam[..., LAM_F] * x[..., RF],
+                                   (lam[..., LAM_H] - lam[..., LAM_F]) * x[..., IH],
+                                   (lam[..., LAM_L] - lam[..., LAM_F]) * x[..., IL]], axis=-1)
+    w = np.full(inst.time_steps + 1, dt)
+    w[0] = w[-1] = 0.5 * dt
+    h = 1e-5
+    g_an, g_fd = [], []
+    for i, c, t_start, t_end in windows:
+        m = np.arange(round(t_start / dt), round(t_end / dt))
+        phi = drift_sensitivity[:, i, c]
+        g_an.append((w[m] * u[m, i, c] + 0.5 * dt * (phi[m] + phi[m + 1])).sum())
+        j = []
+        for step in (h, -h):
+            v = u.copy()
+            v[m, i, c] += step
+            perturbed = ControlTrajectory(grid, v)
+            j.append(objective(integrate_forward(inst, perturbed), perturbed).total)
+        g_fd.append((j[0] - j[1]) / (2 * h))
+    g_an, g_fd = np.array(g_an), np.array(g_fd)
+    return np.linalg.norm(g_an - g_fd) / np.linalg.norm(g_fd)
+
+
 class TestGradientCheck:
 
     def test_consistent_mode_gradient_matches_finite_differences(self):
         # piecewise-constant control perturbations: the costate-based gradient
         # matches central differences of the objective within 1e-3 relative
-        from malctrl.objective import objective
         inst = small_instance(seed=3, horizon=5.0, steps=500, mode="consistent")
         rng = np.random.default_rng(31)
-        grid = inst.time_grid()
         u = 0.4 + 0.2 * rng.random((inst.time_steps + 1, inst.node_count, 3))
-        control = ControlTrajectory(grid, u)
-        states = integrate_forward(inst, control)
-        adj = integrate_backward(states, control, inst)
-
-        def drift_sensitivity(c):
-            lam, st_arr = adj.costates, states.states
-            if c == 0:
-                return -lam[:, :, LAM_F] * st_arr[:, :, RF]
-            if c == 1:
-                return -(lam[:, :, LAM_H] - lam[:, :, LAM_F]) * st_arr[:, :, IH]
-            return -(lam[:, :, LAM_L] - lam[:, :, LAM_F]) * st_arr[:, :, IL]
-
-        dt = inst.dt
-        w = np.full(inst.time_steps + 1, dt)
-        w[0] = w[-1] = 0.5 * dt
-        h = 1e-5
-        windows = [(0, 0, 50, 100), (0, 1, 100, 180), (1, 2, 200, 300),
-                   (2, 1, 40, 140), (4, 2, 120, 220), (3, 1, 300, 420)]
-        g_an, g_fd = [], []
-        for (i, c, a, b) in windows:
-            phi = drift_sensitivity(c)[:, i]
-            grad = sum(w[m] * u[m, i, c] + dt * 0.5 * (phi[m] + phi[m + 1])
-                       for m in range(a, b))
-            up, dn = u.copy(), u.copy()
-            up[a:b, i, c] += h
-            dn[a:b, i, c] -= h
-            j_up = objective(integrate_forward(inst, ControlTrajectory(grid, up)),
-                             ControlTrajectory(grid, up)).total
-            j_dn = objective(integrate_forward(inst, ControlTrajectory(grid, dn)),
-                             ControlTrajectory(grid, dn)).total
-            g_an.append(grad)
-            g_fd.append((j_up - j_dn) / (2 * h))
-        g_an, g_fd = np.array(g_an), np.array(g_fd)
-        assert np.linalg.norm(g_an - g_fd) / np.linalg.norm(g_fd) <= 1e-3
+        windows = [(0, 0, 0.5, 1.0), (0, 1, 1.0, 1.8), (1, 2, 2.0, 3.0),
+                   (2, 1, 0.4, 1.4), (4, 2, 1.2, 2.2), (3, 1, 3.0, 4.2)]
+        assert gradient_error(inst, u, windows) <= 1e-3
 
     def test_consistent_mode_gradient_error_is_second_order(self):
         # the costates solve the continuous equations, not the adjoint of the
         # discrete scheme: under a smooth control their gradient misses
         # central differences of J by O(dt^2), a fourfold drop per halving
-        from malctrl.objective import objective
         phase = np.random.default_rng(0).uniform(0.0, 2 * np.pi, (5, 3))
         windows = [(0, 0, 0.5, 1.0), (0, 1, 1.0, 1.8), (1, 2, 2.0, 3.0), (2, 1, 0.4, 1.4),
                    (4, 2, 1.2, 2.2), (3, 0, 3.0, 4.0), (3, 1, 3.2, 4.2), (2, 2, 0.6, 1.6)]
         errors = []
         for steps in (50, 100, 200):
             inst = small_instance(seed=13, horizon=5.0, steps=steps, mode="consistent")
-            grid, dt = inst.time_grid(), inst.dt
-            u = 0.4 + 0.2 * (0.5 + 0.5 * np.sin(0.9 * grid[:, None, None] + phase))
-            control = ControlTrajectory(grid, u)
-            states = integrate_forward(inst, control)
-            lam, x = integrate_backward(states, control, inst).costates, states.states
-            phi = -np.stack([lam[..., LAM_F] * x[..., RF],
-                             (lam[..., LAM_H] - lam[..., LAM_F]) * x[..., IH],
-                             (lam[..., LAM_L] - lam[..., LAM_F]) * x[..., IL]], axis=-1)
-            w = np.full(steps + 1, dt)
-            w[0] = w[-1] = 0.5 * dt
-            g_an, g_fd = [], []
-            for i, c, t_a, t_b in windows:
-                m = np.arange(round(t_a / dt), round(t_b / dt))
-                g_an.append((w[m] * u[m, i, c]
-                             + 0.5 * dt * (phi[m, i, c] + phi[m + 1, i, c])).sum())
-                j = []
-                for h in (1e-5, -1e-5):
-                    v = u.copy()
-                    v[m, i, c] += h
-                    perturbed = ControlTrajectory(grid, v)
-                    j.append(objective(integrate_forward(inst, perturbed), perturbed).total)
-                g_fd.append((j[0] - j[1]) / 2e-5)
-            g_an, g_fd = np.array(g_an), np.array(g_fd)
-            errors.append(np.linalg.norm(g_an - g_fd) / np.linalg.norm(g_fd))
+            t = inst.time_grid()[:, None, None]
+            errors.append(gradient_error(inst, 0.4 + 0.2 * (0.5 + 0.5 * np.sin(0.9 * t + phase)),
+                                         windows))
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.abs(ratios - 4.0).max() <= 0.1, f"errors {errors}, ratios {ratios}"

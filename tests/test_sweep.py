@@ -178,13 +178,14 @@ class TestFbsmSolve:
             assert (blend >= lo - 1e-12).all() and (blend <= hi + 1e-12).all()
 
 
-bounds = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+lower_and_width = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
-       boxes=st.tuples(bounds, bounds, bounds), beta_high=st.floats(0.0, 0.5),
-       beta_ratio=st.floats(0.0, 1.0), horizon=st.floats(0.5, 2.0),
+       boxes=st.tuples(lower_and_width, lower_and_width, lower_and_width),
+       beta_high=st.floats(0.0, 0.5), beta_ratio=st.floats(0.0, 1.0),
+       horizon=st.floats(0.5, 2.0),
        steps=st.integers(2, 20), omega=st.floats(0.0, 1.0, exclude_max=True),
        mode=st.sampled_from(ADJOINT_MODES), max_iterations=st.integers(1, 10))
 # without the clip, 0.7 * 0.1 + 0.3 * 0.1 < 0.1 puts the pinned patch rate below its bound
