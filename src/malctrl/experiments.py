@@ -130,19 +130,16 @@ def select_sample_nodes(graph: NetworkGraph, initial_state: np.ndarray) -> list[
 
 
 def _instance(graph: NetworkGraph, beta_high: float, beta_low: float, horizon: float,
-              rates, bounds=None) -> ModelInstance:
+              rates=None, bounds=()) -> ModelInstance:
     """A sixty-device instance seeded with INITIAL_COUNTS.
 
     ``rates`` are the constant control rates (delta, gamma_high, gamma_low);
-    ``bounds`` their (lo, hi) boxes in the same order.  With no bounds, each
-    box is pinned at its rate, so the fixed schedule is the only admissible one.
+    ``bounds`` their (lo, hi) boxes in the same order.  With no bounds, every
+    box is [0, 0]; a fixed-rate run never reads it.
     """
-    if bounds is None:
-        bounds = tuple((rate, rate) for rate in rates)
     params = ModelParams.from_scalars(graph.node_count, beta_high, beta_low, horizon, *bounds)
     initial = seed_initial_state(graph, **INITIAL_COUNTS)
-    return ModelInstance(graph=graph, params=params, initial_state=initial,
-                         control_rates=tuple(rates))
+    return ModelInstance(graph=graph, params=params, initial_state=initial, control_rates=rates)
 
 
 def build_case_instance(case_id: int, graph: NetworkGraph) -> ModelInstance:
@@ -151,13 +148,6 @@ def build_case_instance(case_id: int, graph: NetworkGraph) -> ModelInstance:
 
 def _peak(states: StateTrajectory, column: int) -> float:
     return float(states.states[:, :, column].sum(axis=1).max())
-
-
-def _fixed_rate_run(graph: NetworkGraph, beta_high: float, beta_low: float, horizon: float,
-                    rates) -> StateTrajectory:
-    """Forward run of an INITIAL_COUNTS instance under its constant control rates."""
-    instance = _instance(graph, beta_high, beta_low, horizon, rates)
-    return integrate_forward(instance, instance.fixed_control_trajectory())
 
 
 def _write(spec: ExperimentSpec, run_id: str, summary: dict, csvs: dict | None = None) -> dict:
@@ -236,8 +226,9 @@ def _run_exp3(graph: NetworkGraph, spec: ExperimentSpec) -> dict:
     never fires because nothing reaches the recover-first compartment).
     """
     p = EXP3_PARAMS
-    runs = {name: _fixed_rate_run(graph, p["beta_high"], p["beta_low"], p["horizon"],
-                                  (p["delta_rate"], *restriction))
+    instance = _instance(graph, p["beta_high"], p["beta_low"], p["horizon"])
+    delta = p["delta_rate"]
+    runs = {name: integrate_forward(instance, instance.constant_control(delta, *restriction))
             for name, restriction in (("uncontrolled", (0.0, 0.0)),
                                       ("controlled", (p["gamma_high_rate"], p["gamma_low_rate"])))}
     peak_ih = {name: _peak(tr, IH) for name, tr in runs.items()}
@@ -262,16 +253,18 @@ def _run_exp3(graph: NetworkGraph, spec: ExperimentSpec) -> dict:
 def _run_exp4_stage(case_id: str, graph: NetworkGraph, spec: ExperimentSpec) -> dict:
     """The optimally controlled run of one infection-rate stage, and its propagation run.
 
-    The propagation run pins the restriction rates to zero (the same
-    unrestrained convention exp3 uses) so the infection-rate sensitivity the
-    stage sweep measures is visible: any admissible restriction schedule on a
+    The propagation run, on the same instance, holds the restriction rates
+    at zero (the same unrestrained convention exp3 uses) so the
+    infection-rate sensitivity the stage sweep measures is visible: any
+    admissible restriction schedule on a
     sixty-node topology outweighs the largest possible growth rate of this
     stage family, leaving every controlled peak at the initial condition.
     """
     case = CASES[case_id]
-    control, opt_states, _, report = fbsm_solve(_instance(graph, **case))
-    prop_states = _fixed_rate_run(graph, case["beta_high"], case["beta_low"], case["horizon"],
-                                  (case["rates"][0], 0.0, 0.0))
+    instance = _instance(graph, **case)
+    control, opt_states, _, report = fbsm_solve(instance)
+    prop_states = integrate_forward(instance,
+                                    instance.constant_control(case["rates"][0], 0.0, 0.0))
     summary = {
         "experiment": case_id,
         "beta_high": case["beta_high"],

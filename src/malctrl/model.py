@@ -263,16 +263,19 @@ class ModelInstance:
     def time_grid(self) -> np.ndarray:
         return uniform_grid(self.params.horizon, self.time_steps)
 
-    def lower_bound_control(self) -> ControlTrajectory:
-        grid = self.time_grid()
-        controls = np.broadcast_to(self.params.lower, (grid.shape[0], self.node_count, 3)).copy()
-        return ControlTrajectory(time_grid=grid, controls=controls)
-
-    def constant_control(self, delta: float, gamma_high: float, gamma_low: float) -> ControlTrajectory:
-        grid = self.time_grid()
-        row = np.array([delta, gamma_high, gamma_low], dtype=float)
-        controls = np.broadcast_to(row, (grid.shape[0], self.node_count, 3)).copy()
-        return ControlTrajectory(time_grid=grid, controls=controls)
+    def constant_control(self, delta, gamma_high, gamma_low) -> ControlTrajectory:
+        """The float64 schedule that holds each rate over the whole grid; each
+        rate is a scalar or one value per node."""
+        grid, n = self.time_grid(), self.node_count
+        rows = np.empty((n, 3))
+        for column, (name, rate) in enumerate(zip(CONTROL_NAMES, (delta, gamma_high, gamma_low))):
+            rate = np.asarray(rate, dtype=np.float64)
+            if rate.shape not in ((), (n,)):
+                raise DimensionMismatchError(f"{name} must be a scalar or length {n},"
+                                             f" got shape {rate.shape}")
+            rows[:, column] = rate
+        return ControlTrajectory(time_grid=grid,
+                                 controls=np.broadcast_to(rows, (grid.shape[0], n, 3)).copy())
 
     def fixed_control_trajectory(self) -> ControlTrajectory:
         if self.control_rates is None:

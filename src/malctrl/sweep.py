@@ -95,7 +95,7 @@ def fbsm_solve(instance: ModelInstance):
     """
     w = instance.relaxation_weight
     eps = instance.convergence_epsilon
-    control = instance.lower_bound_control()
+    control = instance.constant_control(*instance.params.lower.T)
     dt = instance.dt
     prev_states = np.zeros((instance.time_steps + 1, instance.node_count, 4))
     history: list[float] = []

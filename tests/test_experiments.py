@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from malctrl.experiments import (CASES, EXP3_PARAMS, EXP4_BETA_HIGH, ExperimentSpec,
+from malctrl.dynamics import integrate_forward
+from malctrl.experiments import (CASES, EXP4_BETA_HIGH, ExperimentSpec,
                                  _instance, run_experiment, select_sample_nodes,
                                  snapshot)
 from malctrl.graphs import canonical_graph
 from malctrl.model import GAMMA_H, StateTrajectory, seed_initial_state, uniform_grid
+from malctrl.serialize import totals_csv
 
 
 class TestSnapshot:
@@ -152,18 +154,16 @@ class TestExp1Case:
 
 class TestInstanceBuilders:
 
-    def test_exp3_uncontrolled_pins_restrictions_to_zero(self):
-        # with no bounds, every control box is pinned at its rate
-        p = EXP3_PARAMS
-        unc = _instance(canonical_graph(), p["beta_high"], p["beta_low"], p["horizon"],
-                        (0.5, 0.0, 0.0))
-        ctl = _instance(canonical_graph(), p["beta_high"], p["beta_low"], p["horizon"],
-                        (0.5, 0.4, 0.2))
-        assert unc.control_rates == (0.5, 0.0, 0.0)
-        assert ctl.control_rates == (0.5, 0.4, 0.2)
-        assert (unc.params.upper[:, GAMMA_H] == 0.0).all()
-        assert (ctl.params.lower[:, GAMMA_H] == 0.4).all()
-        np.testing.assert_array_equal(ctl.params.lower_bounds(), ctl.params.upper_bounds())
+    def test_exp4_propagation_runs_on_the_stage_instance(self, exp4_run):
+        # patching at the stage's rate, both restriction rates at zero, on
+        # the instance the stage solves
+        for case_id in (f"exp4_stage{stage}" for stage in range(1, 5)):
+            case = CASES[case_id]
+            instance = _instance(canonical_graph(), **case)
+            control = instance.constant_control(case["rates"][0], 0.0, 0.0)
+            expected = totals_csv(integrate_forward(instance, control))
+            written = exp4_run[1] / case_id / "propagation_totals.csv"
+            assert written.read_bytes() == expected.encode()
 
     def test_exp4_stage_instances(self):
         solve_inst = _instance(canonical_graph(), **CASES["exp4_stage2"])

@@ -101,7 +101,7 @@ class TestFbsmSolve:
         assert report.converged
         assert report.iterations_used <= 3
         np.testing.assert_array_equal(control.controls,
-                                      inst.lower_bound_control().controls)
+                                      inst.constant_control(*inst.params.lower.T).controls)
 
     def test_case1_converges_and_is_admissible(self):
         # a solve returns its last iterate, so solves capped at one and two
@@ -158,7 +158,7 @@ class TestFbsmSolve:
         # converging on the canonical cases, which is why damping exists)
         inst = build_case_instance(1, canonical_graph())
         first = fbsm_solve(replace(inst, relaxation_weight=0.0, max_iterations=1))[0]
-        start = inst.lower_bound_control()
+        start = inst.constant_control(*inst.params.lower.T)
         states = integrate_forward(inst, start)
         expected = control_update(states, integrate_backward(states, start, inst),
                                   inst.params)
