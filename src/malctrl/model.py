@@ -216,6 +216,8 @@ class ModelInstance:
 
     The solver settings are set, defaulted and checked here only; change them
     with ``dataclasses.replace(instance, adjoint_mode="consistent")``.
+    ``max_iterations`` and ``time_steps`` must be whole numbers and are stored
+    as int; ``convergence_epsilon`` and ``relaxation_weight`` are stored as float.
     """
 
     graph: NetworkGraph
@@ -240,6 +242,9 @@ class ModelInstance:
         rates = self.control_rates
         if rates is not None and not (np.isfinite(rates).all() and min(rates) >= 0):
             raise ValueError(f"control_rates must be finite and non-negative, got {rates}")
+        for name, parse in (("max_iterations", integer), ("time_steps", integer),
+                            ("convergence_epsilon", number), ("relaxation_weight", number)):
+            object.__setattr__(self, name, parse(getattr(self, name), name))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not (np.isfinite(self.convergence_epsilon) and self.convergence_epsilon > 0):
@@ -314,10 +319,9 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
 # ---------------------------------------------------------------------------
 # instance JSON config
 
-# key of the "solver" block -> its parser (value, key); the defaults are ModelInstance's
-_SOLVER_KEYS = {"max_iterations": integer, "convergence_epsilon": number,
-               "relaxation_weight": number, "adjoint_mode": lambda value, _key: str(value),
-               "time_steps": integer}
+# keys of the "solver" block: ModelInstance fields, which it defaults and checks
+_SOLVER_KEYS = ("max_iterations", "convergence_epsilon", "relaxation_weight", "adjoint_mode",
+                "time_steps")
 
 
 def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
@@ -356,9 +360,8 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
     unknown = sorted(set(solver) - set(_SOLVER_KEYS))
     if unknown:
         raise ValueError(f"unknown solver keys {unknown}; expected keys among {sorted(_SOLVER_KEYS)}")
-    settings = {key: _SOLVER_KEYS[key](value, key) for key, value in solver.items()}
     return ModelInstance(graph=graph, params=params, initial_state=state,
-                         control_rates=control_rates, **settings)
+                         control_rates=control_rates, **solver)
 
 
 def load_instance(path) -> ModelInstance:

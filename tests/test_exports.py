@@ -26,3 +26,22 @@ def test_public_surface_is_pinned():
         "seed_initial_state", "select_sample_nodes", "snapshot", "uniform_grid",
         "validate_graph",
     ]
+
+
+def public_methods(cls) -> list[str]:
+    """The public methods and properties of ``cls``, dataclass fields left out."""
+    return sorted(name for name in dir(cls) if not name.startswith("_")
+                  and (callable(getattr(cls, name)) or isinstance(getattr(cls, name), property)))
+
+
+def test_model_type_methods_are_pinned():
+    # a change that adds or drops a method or property edits these lists in the same diff
+    assert {cls.__name__: public_methods(cls) for cls in (
+        malctrl.ModelInstance, malctrl.ModelParams, malctrl.StateTrajectory,
+        malctrl.NetworkGraph)} == {
+        "ModelInstance": ["constant_control", "dt", "fixed_control_trajectory", "node_count",
+                          "time_grid"],
+        "ModelParams": ["from_scalars", "lower_bounds", "node_count", "upper_bounds"],
+        "StateTrajectory": ["compartment_totals", "dt", "full_states"],
+        "NetworkGraph": ["degrees", "neighbors", "node_count", "ranked_rooms"],
+    }

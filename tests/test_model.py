@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -177,6 +177,27 @@ class TestModelInstance:
         with pytest.raises(ValueError, match="outside"):
             ModelInstance(graph=graph, params=params, initial_state=state)
 
+    @pytest.mark.parametrize("field", ["max_iterations", "time_steps"])
+    @pytest.mark.parametrize("value", [3.5, True, "3"])
+    def test_counts_must_be_integers(self, field, value):
+        # a fractional cap is never met by the sweep's integer iteration count
+        graph = canonical_graph()
+        params = ModelParams.from_scalars(60, 0.001, 0.0005, 6.0)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ModelInstance(graph=graph, params=params,
+                          initial_state=seed_initial_state(graph, 57, 2, 1), **{field: value})
+
+    def test_whole_float_counts_stored_as_int(self):
+        graph = canonical_graph()
+        params = ModelParams.from_scalars(60, 0.001, 0.0005, 6.0)
+        inst = ModelInstance(graph=graph, params=params,
+                             initial_state=seed_initial_state(graph, 57, 2, 1),
+                             max_iterations=7.0, time_steps=np.int64(40))
+        for changed in (inst, replace(inst, relaxation_weight=0)):
+            assert changed.max_iterations == 7 and type(changed.max_iterations) is int
+            assert changed.time_steps == 40 and type(changed.time_steps) is int
+        assert type(replace(inst, relaxation_weight=0).relaxation_weight) is float
+
     def test_adjoint_mode_validated(self):
         graph = canonical_graph()
         params = ModelParams.from_scalars(60, 0.001, 0.0005, 6.0)
@@ -184,6 +205,45 @@ class TestModelInstance:
             ModelInstance(graph=graph, params=params,
                           initial_state=seed_initial_state(graph, 57, 2, 1),
                           adjoint_mode="exact")
+
+
+
+class TestConstantControl:
+
+    @staticmethod
+    def instance(n=3, steps=4):
+        a = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
+        params = ModelParams.from_scalars(n, 0.2, 0.1, 1.0, delta=([0.1, 0.2, 0.3], 0.8),
+                                          gamma_high=(0.2, 0.9), gamma_low=(0.0, [0.4, 0.5, 0.6]))
+        initial = np.zeros((n, 4))
+        initial[:, 0] = 1.0
+        return ModelInstance(graph=validate_graph(a), params=params, initial_state=initial,
+                             time_steps=steps)
+
+    def test_per_node_columns_broadcast_over_the_grid(self):
+        inst = self.instance()
+        control = inst.constant_control([0.1, 0.2, 0.3], 0.5, np.array([0.0, 0.4, 0.8]))
+        np.testing.assert_array_equal(control.time_grid, inst.time_grid())
+        assert control.controls.shape == (5, 3, 3)
+        for row in control.controls:
+            np.testing.assert_array_equal(row, [[0.1, 0.5, 0.0], [0.2, 0.5, 0.4], [0.3, 0.5, 0.8]])
+
+    def test_lower_box_schedule_is_the_broadcast_box(self):
+        # the sweep's first schedule: the (N, 3) lower box repeated at every grid point
+        inst = self.instance()
+        controls = inst.constant_control(*inst.params.lower.T).controls
+        expected = np.broadcast_to(inst.params.lower, (5, 3, 3))
+        assert controls.dtype == np.float64 and controls.flags.c_contiguous
+        assert controls.tobytes() == expected.tobytes()
+
+    def test_integer_rates_give_float64(self):
+        controls = self.instance().constant_control(0, 0, 0).controls
+        assert controls.dtype == np.float64 and not controls.any()
+        assert controls.flags.writeable
+
+    def test_rates_sized_for_another_graph_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="gamma_high must be a scalar or length 3"):
+            self.instance().constant_control(0.1, [0.2, 0.3], 0.0)
 
 
 CASE1_CONFIG = {

@@ -164,19 +164,6 @@ class TestFbsmSolve:
                                   inst.params)
         np.testing.assert_array_equal(first.controls, expected.controls)
 
-    def test_relaxation_keeps_iterates_in_box(self):
-        # convexity of the box: blending two admissible schedules stays inside
-        rng = np.random.default_rng(0)
-        inst = build_case_instance(3, canonical_graph())
-        lo = inst.params.lower_bounds()
-        hi = inst.params.upper_bounds()
-        shape = (inst.time_steps + 1,) + lo.shape
-        u1 = lo + (hi - lo) * rng.random(shape)
-        u2 = lo + (hi - lo) * rng.random(shape)
-        for w in (0.0, 0.3, 0.9):
-            blend = (1 - w) * u1 + w * u2
-            assert (blend >= lo - 1e-12).all() and (blend <= hi + 1e-12).all()
-
 
 lower_and_width = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 
