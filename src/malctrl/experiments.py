@@ -256,9 +256,9 @@ def _run_exp4_stage(case_id: str, graph: NetworkGraph, spec: ExperimentSpec) -> 
     The propagation run, on the same instance, holds the restriction rates
     at zero (the same unrestrained convention exp3 uses) so the
     infection-rate sensitivity the stage sweep measures is visible: any
-    admissible restriction schedule on a
-    sixty-node topology outweighs the largest possible growth rate of this
-    stage family, leaving every controlled peak at the initial condition.
+    admissible restriction schedule on a sixty-node topology outweighs the
+    largest possible growth rate of this stage family, leaving every
+    controlled peak at the initial condition.
     """
     case = CASES[case_id]
     instance = _instance(graph, **case)

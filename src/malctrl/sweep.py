@@ -86,13 +86,12 @@ def fbsm_solve(instance: ModelInstance):
     (residual 4.17).  The iteration count is not monotone in omega there:
     0.3 needs 293 iterations, past the default cap of 100, while the default
     0.5 (the fixed weight of Lenhart & Workman, 2007) converges in 15 and 0.7
-    in 26.  The solve stops once an
-    update changes the state and control trajectories by less than
-    ``instance.convergence_epsilon`` in combined discrete L2, or after
-    ``instance.max_iterations`` updates (the report then carries
-    converged=False rather than raising).  The literal zero initial control
-    lies below the lower bounds, so the first pass starts from the
-    lower-bound schedule ``instance.constant_control(*params.lower.T)``.
+    in 26.  The solve stops once an update changes the state and control
+    trajectories by less than ``instance.convergence_epsilon`` in combined
+    discrete L2, or after ``instance.max_iterations`` updates (the report
+    then carries converged=False rather than raising).  The literal zero
+    initial control lies below the lower bounds, so the first pass starts
+    from the lower-bound schedule ``instance.constant_control(*params.lower.T)``.
 
     Returns (control, state, adjoint, report) of the last pass, so the triple
     is self-consistent and ``report.objective`` is its objective breakdown.

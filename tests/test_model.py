@@ -193,10 +193,11 @@ class TestModelInstance:
         inst = ModelInstance(graph=graph, params=params,
                              initial_state=seed_initial_state(graph, 57, 2, 1),
                              max_iterations=7.0, time_steps=np.int64(40))
-        for changed in (inst, replace(inst, relaxation_weight=0)):
-            assert changed.max_iterations == 7 and type(changed.max_iterations) is int
-            assert changed.time_steps == 40 and type(changed.time_steps) is int
-        assert type(replace(inst, relaxation_weight=0).relaxation_weight) is float
+        replaced = replace(inst, relaxation_weight=0)
+        for each in (inst, replaced):
+            assert each.max_iterations == 7 and type(each.max_iterations) is int
+            assert each.time_steps == 40 and type(each.time_steps) is int
+        assert type(replaced.relaxation_weight) is float
 
     def test_adjoint_mode_validated(self):
         graph = canonical_graph()
@@ -205,7 +206,6 @@ class TestModelInstance:
             ModelInstance(graph=graph, params=params,
                           initial_state=seed_initial_state(graph, 57, 2, 1),
                           adjoint_mode="exact")
-
 
 
 class TestConstantControl:
