@@ -32,7 +32,7 @@ from .model import (ADJOINT_MODES, DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F,
                     LAM_H, LAM_L, LAM_S, RF, S, AdjointTrajectory,
                     ControlTrajectory, DimensionMismatchError, ModelInstance,
                     ModelParams, StateTrajectory, TRAJECTORY_TOL, _check_same_grid,
-                    require_finite, validate_control, validate_states)
+                    require_finite, validate_control, validate_snapshot, validate_states)
 from .dynamics import _reduced_rhs, _rk4_step
 from .objective import running_cost
 
@@ -49,14 +49,9 @@ def hamiltonian(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
 
     A NaN or infinite state, control or costate raises ValueError naming it.
     """
-    state = np.asarray(state, dtype=float)
-    costate = np.asarray(costate, dtype=float)
-    if costate.shape != state.shape:
-        raise DimensionMismatchError(
-            f"costate shape {costate.shape} does not match state shape {state.shape}")
+    state, control, costate = validate_snapshot(graph.node_count, state, control, costate)
     require_finite(state=state, control=control, costate=costate)
-    drift = _reduced_rhs(state, np.asarray(control, dtype=float),
-                         params.beta_high, params.beta_low, graph.adjacency)
+    drift = _reduced_rhs(state, control, params.beta_high, params.beta_low, graph.adjacency)
     return running_cost(state, control) + float((costate * drift).sum())
 
 
@@ -66,12 +61,7 @@ def adjoint_rhs(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
     """Costate time derivatives, shape (N, 4)."""
     if mode not in ADJOINT_MODES:
         raise ValueError(f"mode must be one of {ADJOINT_MODES}")
-    state = np.asarray(state, dtype=float)
-    control = np.asarray(control, dtype=float)
-    costate = np.asarray(costate, dtype=float)
-    n = graph.node_count
-    if state.shape != (n, 4) or costate.shape != (n, 4) or control.shape != (n, 3):
-        raise DimensionMismatchError("state, control, costate, and graph sizes disagree")
+    state, control, costate = validate_snapshot(graph.node_count, state, control, costate)
     a = graph.adjacency
     beta_high, beta_low = params.beta_high, params.beta_low
 

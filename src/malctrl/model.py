@@ -71,6 +71,17 @@ def require_finite(**arrays) -> None:
             raise ValueError(f"{name} must be finite, got {values[bad][0]}")
 
 
+def validate_snapshot(n: int, *arrays) -> tuple:
+    """A state, a control and a costate, or the first one or two of them, as float64 arrays;
+    raises DimensionMismatchError naming the first whose shape is not (n, 4), (n, 3) or (n, 4)."""
+    checked = tuple(np.asarray(values, dtype=np.float64) for values in arrays)
+    for name, width, values in zip(("state", "control", "costate"), (4, 3, 4), checked):
+        if values.shape != (n, width):
+            raise DimensionMismatchError(f"sizes disagree: {name} has shape {values.shape},"
+                                         f" expected ({n}, {width})")
+    return checked
+
+
 def validate_states(states: np.ndarray, n: int, tol: float = STATE_TOL) -> None:
     states = np.asarray(states)
     if states.shape[-2:] != (n, 4):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, ControlTrajectory,
                     DimensionMismatchError, StateTrajectory, _check_same_grid,
-                    r_complete, require_finite)
+                    r_complete, require_finite, validate_snapshot)
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,8 @@ def running_cost(state: np.ndarray, control: np.ndarray) -> float:
 
     A NaN or infinite state or control raises ValueError naming it.
     """
-    state = np.asarray(state, dtype=float)
-    control = np.asarray(control, dtype=float)
-    if state.ndim != 2 or state.shape[1] != 4 or control.shape != (state.shape[0], 3):
-        raise DimensionMismatchError(
-            f"incompatible state {state.shape} and control {control.shape}")
+    n = np.shape(state)[0] if np.ndim(state) else 0
+    state, control = validate_snapshot(n, state, control)
     require_finite(state=state, control=control)
     infection, recovery = _state_sums(state)
     patch, restriction = _control_sums(control)

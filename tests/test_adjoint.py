@@ -67,6 +67,32 @@ class TestHamiltonian:
             hamiltonian(**args, params=params, graph=TWO_NODE)
 
 
+# (function, argument, wrong shape) on the two-node graph; running_cost takes
+# N from its state, so there a state with another row count names the control
+WRONG_SHAPES = ([(function, arg, shape) for function in ("adjoint_rhs", "hamiltonian")
+                 for arg, shape in (("state", (3, 4)), ("state", (2, 3)), ("control", (2, 2)),
+                                    ("control", (3, 3)), ("costate", (1, 4)), ("costate", (2, 5)))]
+                + [("running_cost", "state", (2, 3)), ("running_cost", "state", (1, 2, 4)),
+                   ("running_cost", "control", (3, 3)), ("running_cost", "control", (2, 2))])
+
+
+class TestSnapshotShapes:
+
+    @pytest.mark.parametrize("function, arg, shape", WRONG_SHAPES,
+                             ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_wrong_shape_named(self, function, arg, shape):
+        args = {"state": np.full((2, 4), 0.2), "control": np.full((2, 3), 0.2),
+                "costate": np.ones((2, 4))}
+        args[arg] = np.full(shape, 0.2)
+        params = ModelParams.from_scalars(2, 0.5, 0.2, 1.0)
+        calls = {"adjoint_rhs": lambda: adjoint_rhs(**args, params=params, graph=TWO_NODE),
+                 "hamiltonian": lambda: hamiltonian(**args, params=params, graph=TWO_NODE),
+                 "running_cost": lambda: running_cost(args["state"], args["control"])}
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^sizes disagree: {arg} has shape \({shape[0]}, "):
+            calls[function]()
+
+
 class TestPointwiseMinimality:
 
     def test_clamped_update_minimizes_hamiltonian(self):

@@ -3,12 +3,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from malctrl.graphs import canonical_graph, validate_graph
 from malctrl.model import (DELTA, GAMMA_L, IH, IL, DimensionMismatchError, ModelInstance,
                            ModelParams, StateTrajectory,
                            instance_from_dict, r_complete, seed_initial_state,
-                           uniform_grid, validate_states)
+                           uniform_grid, validate_snapshot, validate_states)
 
 
 class TestNodeState:
@@ -30,6 +32,27 @@ class TestNodeState:
         validate_states(states, 1)
         full = StateTrajectory(np.zeros(1), states).full_states()
         np.testing.assert_array_equal(full[0, 0], [0.5, 0.25, 0.125, 0.0625, 0.0625])
+
+
+class TestValidateSnapshot:
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 3), count=st.integers(1, 3),
+           shapes=st.lists(st.none() | st.tuples(st.integers(0, 4), st.integers(0, 5)),
+                           min_size=3, max_size=3))
+    def test_accepts_exactly_matching_shapes(self, n, count, shapes):
+        # None draws the matching shape, so both outcomes come up often
+        names, expected = ("state", "control", "costate")[:count], [(n, 4), (n, 3), (n, 4)][:count]
+        drawn = [shape or want for shape, want in zip(shapes, expected)]
+        arrays = [np.zeros(shape, dtype=int) for shape in drawn]
+        mismatched = [name for name, shape, want in zip(names, drawn, expected) if shape != want]
+        if mismatched:
+            with pytest.raises(DimensionMismatchError,
+                               match=f"^sizes disagree: {mismatched[0]} has shape"):
+                validate_snapshot(n, *arrays)
+        else:
+            checked = validate_snapshot(n, *arrays)
+            assert [(a.shape, a.dtype) for a in checked] == [(e, np.float64) for e in expected]
 
 
 class TestModelParams:
