@@ -47,7 +47,9 @@ def hamiltonian(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
                 params: ModelParams, graph: NetworkGraph) -> float:
     """Running cost plus costate-weighted drift of the four stored compartments.
 
-    A NaN or infinite state, control or costate raises ValueError naming it.
+    A state, control or costate whose shape is not (N, 4), (N, 3) or (N, 4)
+    for the graph's N raises DimensionMismatchError naming it; a NaN or
+    infinite one raises ValueError naming it.
     """
     state, control, costate = validate_snapshot(graph.node_count, state, control, costate)
     require_finite(state=state, control=control, costate=costate)
@@ -58,7 +60,10 @@ def hamiltonian(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
 def adjoint_rhs(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
                 params: ModelParams, graph: NetworkGraph,
                 mode: str = "paper") -> np.ndarray:
-    """Costate time derivatives, shape (N, 4)."""
+    """Costate time derivatives, shape (N, 4).
+
+    Argument shapes are checked as in hamiltonian; values are not.
+    """
     if mode not in ADJOINT_MODES:
         raise ValueError(f"mode must be one of {ADJOINT_MODES}")
     state, control, costate = validate_snapshot(graph.node_count, state, control, costate)

@@ -64,7 +64,9 @@ def _control_sums(controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def running_cost(state: np.ndarray, control: np.ndarray) -> float:
     """Instantaneous cost of one (state, control) snapshot.
 
-    A NaN or infinite state or control raises ValueError naming it.
+    A state that is not (N, 4) for some N, or a control that is not (N, 3),
+    raises DimensionMismatchError naming it; a NaN or infinite one raises
+    ValueError naming it.
     """
     n = np.shape(state)[0] if np.ndim(state) else 0
     state, control = validate_snapshot(n, state, control)
