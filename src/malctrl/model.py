@@ -229,6 +229,8 @@ class ModelInstance:
     with ``dataclasses.replace(instance, adjoint_mode="consistent")``.
     ``max_iterations`` and ``time_steps`` must be whole numbers and are stored
     as int; ``convergence_epsilon`` and ``relaxation_weight`` are stored as float.
+    ``control_rates``, when given, are three finite non-negative rates, stored
+    as a tuple of floats.
     """
 
     graph: NetworkGraph
@@ -250,9 +252,15 @@ class ModelInstance:
             raise DimensionMismatchError(f"initial_state must have shape ({n}, 4)")
         validate_states(state, n, tol=STATE_TOL)
         object.__setattr__(self, "initial_state", state)
-        rates = self.control_rates
-        if rates is not None and not (np.isfinite(rates).all() and min(rates) >= 0):
-            raise ValueError(f"control_rates must be finite and non-negative, got {rates}")
+        if self.control_rates is not None:
+            rates = np.asarray(self.control_rates, dtype=np.float64)
+            if rates.shape != (3,):
+                raise ValueError(f"control_rates must be three rates (delta, gamma_high,"
+                                 f" gamma_low), got {self.control_rates!r}")
+            if not (np.isfinite(rates).all() and rates.min() >= 0):
+                raise ValueError(f"control_rates must be finite and non-negative,"
+                                 f" got {self.control_rates}")
+            object.__setattr__(self, "control_rates", tuple(map(float, rates)))
         for name, parse in (("max_iterations", integer), ("time_steps", integer),
                             ("convergence_epsilon", number), ("relaxation_weight", number)):
             object.__setattr__(self, name, parse(getattr(self, name), name))

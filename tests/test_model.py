@@ -192,6 +192,24 @@ class TestModelInstance:
             ModelInstance(graph=graph, params=params,
                           initial_state=seed_initial_state(graph, 57, 2, 1), control_rates=rates)
 
+    @pytest.mark.parametrize("rates", [(), (0.5, 0.4), (0.5, 0.4, 0.2, 0.1)])
+    def test_control_rates_must_be_three(self, rates):
+        graph = canonical_graph()
+        params = ModelParams.from_scalars(60, 0.001, 0.0005, 6.0)
+        with pytest.raises(ValueError, match=r"^control_rates must be three rates"):
+            ModelInstance(graph=graph, params=params,
+                          initial_state=seed_initial_state(graph, 57, 2, 1), control_rates=rates)
+
+    def test_control_rates_stored_as_float_tuple(self):
+        graph = canonical_graph()
+        params = ModelParams.from_scalars(60, 0.001, 0.0005, 6.0)
+        inst = ModelInstance(graph=graph, params=params,
+                             initial_state=seed_initial_state(graph, 57, 2, 1),
+                             control_rates=np.array([1, 0, 2]))
+        assert inst.control_rates == (1.0, 0.0, 2.0)
+        assert type(inst.control_rates) is tuple
+        assert all(type(rate) is float for rate in inst.control_rates)
+
     def test_nan_initial_state_rejected(self):
         graph = canonical_graph()
         params = ModelParams.from_scalars(60, 0.001, 0.0005, 6.0)
