@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import integer
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S, ControlTrajectory,
                     DimensionMismatchError, ModelInstance, StateTrajectory,
                     TRAJECTORY_TOL, r_complete, states_in_range, validate_control)
@@ -151,7 +152,8 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
 
     Checks the control as integrate_forward does, and takes one schedule,
     not a stack.  Raises ValueError for an initial state that is not 0/1
-    indicators, a negative ``rng_seed`` or a ``num_runs`` below 1.
+    indicators, a ``rng_seed`` or ``num_runs`` that is not a whole number, a
+    negative ``rng_seed`` or a ``num_runs`` below 1.
     """
     controls = validate_control(instance, control)
     if controls.ndim != 3:
@@ -160,6 +162,7 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     init = instance.initial_state
     if not np.isin(init, (0.0, 1.0)).all():
         raise ValueError("jump-process simulation needs indicator (0/1) initial states")
+    num_runs, rng_seed = integer(num_runs, "num_runs"), integer(rng_seed, "rng_seed")
     if num_runs < 1:
         raise ValueError("num_runs must be positive")
     if rng_seed < 0:

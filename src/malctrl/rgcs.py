@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import _forward_steps
+from .graphs import integer
 from .model import ControlTrajectory, ModelInstance
 from .objective import _control_sums, _quadrature, _state_sums
 
@@ -21,11 +22,15 @@ _BATCH_BYTES = 4 * 2**20
 
 @dataclass(frozen=True)
 class RgcsConfig:
+    """Random-strategy settings; each field must be a whole number and is stored as int."""
+
     num_subintervals: int = 100
     rng_seed: int = 0
     population_size: int = 100
 
     def __post_init__(self):
+        for name in ("num_subintervals", "rng_seed", "population_size"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.num_subintervals < 1:
             raise ValueError("num_subintervals must be at least 1")
         if self.population_size < 1:

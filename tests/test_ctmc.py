@@ -78,6 +78,28 @@ def test_negative_seed_named():
         ctmc_simulate(inst, inst.constant_control(0.5, 0.5, 0.5), rng_seed=-1, num_runs=10)
 
 
+@pytest.mark.parametrize("field", ["num_runs", "rng_seed"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_fractional_or_boolean_counts_named(field, value):
+    graph = validate_graph([[0, 1], [1, 0]])
+    initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
+    inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=10)
+    args = {"rng_seed": 1, "num_runs": 10, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        ctmc_simulate(inst, inst.constant_control(0.5, 0.5, 0.5), **args)
+
+
+def test_whole_float_counts_give_an_int_num_runs():
+    graph = validate_graph([[0, 1], [1, 0]])
+    initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
+    inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=10)
+    control = inst.constant_control(0.5, 0.5, 0.5)
+    out = ctmc_simulate(inst, control, rng_seed=3.0, num_runs=np.int64(20))
+    assert out.num_runs == 20 and type(out.num_runs) is int
+    same = ctmc_simulate(inst, control, rng_seed=3, num_runs=20)
+    assert out.mean_counts.tobytes() == same.mean_counts.tobytes()
+
+
 def test_isolated_node_exponential_holding_time():
     # single device starting infected-high with containment rate 1.0: the
     # holding time is exponential with mean 1.0; the occupancy integral over

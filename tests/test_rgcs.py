@@ -46,6 +46,20 @@ def random_instance(rng, n, time_steps):
                          time_steps=time_steps)
 
 
+class TestRgcsConfig:
+
+    @pytest.mark.parametrize("field", ["num_subintervals", "rng_seed", "population_size"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            RgcsConfig(**{field: value})
+
+    def test_whole_floats_stored_as_int(self):
+        config = RgcsConfig(num_subintervals=4.0, rng_seed=np.int64(2), population_size=3.0)
+        assert config == RgcsConfig(num_subintervals=4, rng_seed=2, population_size=3)
+        assert all(type(v) is int for v in vars(config).values())
+
+
 class TestRgcsGenerate:
 
     def test_degenerate_bounds_force_constant(self):
