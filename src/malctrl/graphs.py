@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -97,15 +97,26 @@ def validate_graph(adjacency, node_labels=None, room_assignment=None) -> Network
 
 @dataclass(frozen=True)
 class SmartHomeSpec:
-    """Parameters for the seeded smart-home topology generator."""
+    """Parameters for the seeded smart-home topology generator; every field is parsed here."""
 
-    total_devices: int = 60
-    rooms: tuple[tuple[str, int], ...] = ()
-    intra_room_density: float = 0.5
-    inter_room_hub: bool = True
-    rng_seed: int = 0
+    total_devices: int
+    rooms: tuple[tuple[str, int], ...]
+    intra_room_density: float
+    inter_room_hub: bool
+    rng_seed: int
 
     def __post_init__(self):
+        if not isinstance(self.inter_room_hub, bool):
+            raise ValueError(f"inter_room_hub must be true or false, got {self.inter_room_hub!r}")
+        for i, room in enumerate(self.rooms):
+            if not (isinstance(room, (list, tuple)) and len(room) == 2):
+                raise ValueError(f"rooms[{i}] must be a [name, count] pair, got {room!r}")
+        rooms = tuple((str(name), integer(count, f"rooms[{i}] device count"))
+                      for i, (name, count) in enumerate(self.rooms))
+        object.__setattr__(self, "rooms", rooms)
+        for name, parse in (("total_devices", integer), ("intra_room_density", number),
+                            ("rng_seed", integer)):
+            object.__setattr__(self, name, parse(getattr(self, name), name))
         if self.total_devices < 1:
             raise ValueError("total_devices must be positive")
         if not self.rooms:
@@ -306,22 +317,8 @@ def number(value, name: str) -> float:
 
 
 def spec_from_dict(data: dict) -> SmartHomeSpec:
-    hub = required(data, "inter_room_hub", "spec")
-    if not isinstance(hub, bool):
-        raise ValueError(f"inter_room_hub must be true or false, got {hub!r}")
-    rooms = required(data, "rooms", "spec")
-    for i, room in enumerate(rooms):
-        if not (isinstance(room, list) and len(room) == 2):
-            raise ValueError(f"rooms[{i}] must be a [name, count] pair, got {room!r}")
-    return SmartHomeSpec(
-        total_devices=integer(required(data, "total_devices", "spec"), "total_devices"),
-        rooms=tuple((str(name), integer(count, f"rooms[{i}] device count"))
-                    for i, (name, count) in enumerate(rooms)),
-        intra_room_density=number(required(data, "intra_room_density", "spec"),
-                                  "intra_room_density"),
-        inter_room_hub=hub,
-        rng_seed=integer(required(data, "rng_seed", "spec"), "rng_seed"),
-    )
+    return SmartHomeSpec(**{field.name: required(data, field.name, "spec")
+                            for field in fields(SmartHomeSpec)})
 
 
 def load_spec(path) -> SmartHomeSpec:

@@ -103,6 +103,8 @@ class ModelParams:
     upper: np.ndarray
 
     def __post_init__(self):
+        for name in ("beta_high", "beta_low", "horizon"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
         if not 0.0 <= self.beta_low <= self.beta_high < np.inf:
             raise ValueError(f"need finite 0 <= beta_low <= beta_high,"
                              f" got {self.beta_low}, {self.beta_high}")
@@ -137,7 +139,7 @@ class ModelParams:
                 if bound.shape not in ((), (node_count,)):
                     raise DimensionMismatchError(f"{name} bounds must be scalars or length {node_count}")
                 box[side, :, column] = bound
-        return cls(float(beta_high), float(beta_low), float(horizon), *box)
+        return cls(beta_high, beta_low, horizon, *box)
 
     def lower_bounds(self) -> np.ndarray:
         """The (N, 3) lower control box, columns [delta, gamma_h, gamma_l]."""
@@ -253,14 +255,15 @@ class ModelInstance:
         validate_states(state, n, tol=STATE_TOL)
         object.__setattr__(self, "initial_state", state)
         if self.control_rates is not None:
-            rates = np.asarray(self.control_rates, dtype=np.float64)
+            rates = np.asarray(self.control_rates, dtype=object)
             if rates.shape != (3,):
                 raise ValueError(f"control_rates must be three rates (delta, gamma_high,"
                                  f" gamma_low), got {self.control_rates!r}")
-            if not (np.isfinite(rates).all() and rates.min() >= 0):
+            rates = tuple(map(number, rates, [f"control_rates {name}" for name in CONTROL_NAMES]))
+            if not all(0.0 <= rate < np.inf for rate in rates):
                 raise ValueError(f"control_rates must be finite and non-negative,"
                                  f" got {self.control_rates}")
-            object.__setattr__(self, "control_rates", tuple(map(float, rates)))
+            object.__setattr__(self, "control_rates", rates)
         for name, parse in (("max_iterations", integer), ("time_steps", integer),
                             ("convergence_epsilon", number), ("relaxation_weight", number)):
             object.__setattr__(self, name, parse(getattr(self, name), name))
@@ -320,7 +323,9 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
     everything else starts susceptible.
     """
     n = graph.node_count
-    counts = (susceptible, infected_high, infected_low, recover_first, recover_complete)
+    counts = tuple(integer(count, name) for name, count in zip(
+        ("susceptible", "infected_high", "infected_low", "recover_first", "recover_complete"),
+        (susceptible, infected_high, infected_low, recover_first, recover_complete)))
     if min(counts) < 0:
         raise ValueError(f"compartment counts must be non-negative, got {counts}")
     total = sum(counts)
@@ -331,7 +336,7 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
                   for room in ranked if rank < len(room)]
     # compartment code per node, 0 S .. 4 RC; RC leaves all four stored columns zero
     code = np.zeros(n, dtype=np.intp)
-    code[candidates[:n - susceptible]] = np.repeat(np.arange(1, 5), counts[1:])
+    code[candidates[:n - counts[0]]] = np.repeat(np.arange(1, 5), counts[1:])
     return np.eye(5)[code, :4]
 
 
@@ -354,8 +359,7 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
     bounds = required(data, "control_bounds", "instance")
     params = ModelParams.from_scalars(
         graph.node_count,
-        *(number(required(data, key, "instance"), key)
-          for key in ("beta_high", "beta_low", "horizon")),
+        *(required(data, key, "instance") for key in ("beta_high", "beta_low", "horizon")),
         *(required(bounds, name, "control_bounds") for name in CONTROL_NAMES))
 
     init = required(data, "initial_state", "instance")
@@ -363,17 +367,16 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
         state = np.asarray(init["per_node"], dtype=float)
     else:
         state = seed_initial_state(
-            graph, *(integer(required(init, key, "initial_state"), key)
+            graph, *(required(init, key, "initial_state")
                      for key in ("susceptible", "infected_high", "infected_low")),
-            recover_first=integer(init.get("recover_first", 0), "recover_first"),
-            recover_complete=integer(init.get("recover_complete", 0), "recover_complete"),
+            recover_first=init.get("recover_first", 0),
+            recover_complete=init.get("recover_complete", 0),
         )
 
     rates = data.get("control_rates")
     control_rates = None
     if rates is not None:
-        control_rates = tuple(number(required(rates, name, "control_rates"), f"control_rates {name}")
-                              for name in CONTROL_NAMES)
+        control_rates = tuple(required(rates, name, "control_rates") for name in CONTROL_NAMES)
 
     solver = data.get("solver", {})
     unknown = sorted(set(solver) - set(_SOLVER_KEYS))
