@@ -299,6 +299,17 @@ def required(data: dict, key: str, where: str):
     return data[key]
 
 
+def json_object(value, name: str, keys=None) -> dict:
+    """``value`` if it is a JSON object with, when ``keys`` is given, no key
+    outside them; otherwise a ValueError that names ``name``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(value if keys is None else keys))
+    if unknown:
+        raise ValueError(f"unknown {name} keys {unknown}; expected keys among {sorted(keys)}")
+    return value
+
+
 def integer(value, name: str) -> int:
     """``value`` as an int; a fraction, a boolean or a non-number raises a
     ValueError that names ``name``."""
@@ -317,8 +328,9 @@ def number(value, name: str) -> float:
 
 
 def spec_from_dict(data: dict) -> SmartHomeSpec:
-    return SmartHomeSpec(**{field.name: required(data, field.name, "spec")
-                            for field in fields(SmartHomeSpec)})
+    names = [field.name for field in fields(SmartHomeSpec)]
+    data = json_object(data, "spec", names)
+    return SmartHomeSpec(**{name: required(data, name, "spec") for name in names})
 
 
 def load_spec(path) -> SmartHomeSpec:

@@ -13,12 +13,14 @@ Array layout conventions used across the package:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import NetworkGraph, graph_from_dict, integer, number, required, resolve_graph
+from .graphs import (NetworkGraph, graph_from_dict, integer, json_object, number, required,
+                     resolve_graph)
 
 # state columns
 S, IH, IL, RF = 0, 1, 2, 3
@@ -343,6 +345,8 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
 # ---------------------------------------------------------------------------
 # instance JSON config
 
+_INSTANCE_KEYS = ("graph", "beta_high", "beta_low", "horizon", "initial_state", "control_bounds",
+                  "control_rates", "solver")
 # keys of the "solver" block: ModelInstance fields, which it defaults and checks
 _SOLVER_KEYS = ("max_iterations", "convergence_epsilon", "relaxation_weight", "adjoint_mode",
                 "time_steps")
@@ -351,18 +355,25 @@ _SOLVER_KEYS = ("max_iterations", "convergence_epsilon", "relaxation_weight", "a
 def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
     """Build a ModelInstance from its JSON configuration dictionary.
 
-    A missing required key raises a ValueError that names it.
+    A missing required key, an unknown top-level or solver key, and a block
+    that is not an object each raise a ValueError that names it.
     """
+    data = json_object(data, "instance", _INSTANCE_KEYS)
     ref = required(data, "graph", "instance")
-    graph = graph_from_dict(ref) if isinstance(ref, dict) else resolve_graph(ref, base_dir)
+    if isinstance(ref, dict):
+        graph = graph_from_dict(ref)
+    elif isinstance(ref, (str, os.PathLike)):
+        graph = resolve_graph(ref, base_dir)
+    else:
+        raise ValueError(f'graph must be an object, a path or "canonical", got {ref!r}')
 
-    bounds = required(data, "control_bounds", "instance")
+    bounds = json_object(required(data, "control_bounds", "instance"), "control_bounds")
     params = ModelParams.from_scalars(
         graph.node_count,
         *(required(data, key, "instance") for key in ("beta_high", "beta_low", "horizon")),
         *(required(bounds, name, "control_bounds") for name in CONTROL_NAMES))
 
-    init = required(data, "initial_state", "instance")
+    init = json_object(required(data, "initial_state", "instance"), "initial_state")
     if "per_node" in init:
         state = np.asarray(init["per_node"], dtype=float)
     else:
@@ -376,12 +387,10 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
     rates = data.get("control_rates")
     control_rates = None
     if rates is not None:
+        rates = json_object(rates, "control_rates")
         control_rates = tuple(required(rates, name, "control_rates") for name in CONTROL_NAMES)
 
-    solver = data.get("solver", {})
-    unknown = sorted(set(solver) - set(_SOLVER_KEYS))
-    if unknown:
-        raise ValueError(f"unknown solver keys {unknown}; expected keys among {sorted(_SOLVER_KEYS)}")
+    solver = json_object(data.get("solver", {}), "solver", _SOLVER_KEYS)
     return ModelInstance(graph=graph, params=params, initial_state=state,
                          control_rates=control_rates, **solver)
 

@@ -342,6 +342,20 @@ BAD_INPUT = {
                                     lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, rooms=[["a"], ["b", 4]]),
         "--out", out]),
+    "optimize-solver-number": ("solver must be an object, got 5", optimize_args(
+        lambda c: c.update(solver=5))),
+    "optimize-initial_state-number": ("initial_state must be an object, got 5", optimize_args(
+        lambda c: c.update(initial_state=5))),
+    "optimize-control_bounds-number": ("control_bounds must be an object, got 5", optimize_args(
+        lambda c: c.update(control_bounds=5))),
+    "optimize-control_rates-number": ("control_rates must be an object, got 5", optimize_args(
+        lambda c: c.update(control_rates=5))),
+    "optimize-graph-number": ("graph must be an object", optimize_args(
+        lambda c: c.update(graph=5))),
+    "optimize-unknown-key": ("unknown instance keys ['control_rate']", optimize_args(
+        lambda c: c.update(control_rate={"delta": 0.9, "gamma_high": 0.6, "gamma_low": 0.4}))),
+    "generate-unknown-key": ("unknown spec keys ['rng_sed']", lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp, rng_sed=11), "--out", out]),
 }
 
 

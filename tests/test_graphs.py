@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from malctrl.graphs import (GraphValidationError, SmartHomeSpec, TopologyError,
                             canonical_graph, canonical_spec, floorplan_spec,
                             generate_smart_home, graph_from_json, graph_to_json,
-                            resolve_graph, save_graph, validate_graph)
+                            resolve_graph, save_graph, spec_from_dict, validate_graph)
 from malctrl.graphs import _component_labels
 
 
@@ -73,6 +73,28 @@ class TestSmartHomeSpec:
         with pytest.raises(ValueError):
             SmartHomeSpec(total_devices=2, rooms=(("a", 2),), intra_room_density=1.5,
                           inter_room_hub=False, rng_seed=1)
+
+
+    def test_fields_stored_parsed(self):
+        spec = SmartHomeSpec(total_devices=8.0, rooms=[["a", 4.0], [1, np.int64(4)]],
+                             intra_room_density=1, inter_room_hub=False, rng_seed=np.int64(3))
+        assert spec.rooms == (("a", 4), ("1", 4))
+        assert all(type(count) is int for _, count in spec.rooms)
+        assert type(spec.total_devices) is int and type(spec.rng_seed) is int
+        assert type(spec.intra_room_density) is float
+
+    @pytest.mark.parametrize("field, value", [
+        ("inter_room_hub", "false"), ("rng_seed", 1.5), ("rng_seed", True),
+        ("rooms", (("a", 4), ("b", 2.5))), ("intra_room_density", "0.5")])
+    def test_python_and_json_reject_a_value_alike(self, field, value):
+        spec = dict(total_devices=8, rooms=(("a", 4), ("b", 4)), intra_room_density=0.5,
+                    inter_room_hub=True, rng_seed=1)
+        spec[field] = value
+        with pytest.raises(ValueError) as from_python:
+            SmartHomeSpec(**spec)
+        with pytest.raises(ValueError) as from_json:
+            spec_from_dict(json.loads(json.dumps(spec)))
+        assert str(from_python.value) == str(from_json.value)
 
 
 class TestGenerateSmartHome:

@@ -200,6 +200,14 @@ class TestModelInstance:
             ModelInstance(graph=graph, params=params,
                           initial_state=seed_initial_state(graph, 57, 2, 1), control_rates=rates)
 
+    @pytest.mark.parametrize("rates", [("a", 1, 2), {"delta": 1}, (True, 0, 0)])
+    def test_control_rates_must_be_numbers(self, rates):
+        graph = canonical_graph()
+        params = ModelParams.from_scalars(60, 0.001, 0.0005, 6.0)
+        with pytest.raises(ValueError, match=r"^control_rates (delta )?must be"):
+            ModelInstance(graph=graph, params=params,
+                          initial_state=seed_initial_state(graph, 57, 2, 1), control_rates=rates)
+
     def test_control_rates_stored_as_float_tuple(self):
         graph = canonical_graph()
         params = ModelParams.from_scalars(60, 0.001, 0.0005, 6.0)
@@ -358,3 +366,26 @@ class TestInstanceConfig:
         np.testing.assert_array_equal(inst.params.lower[:, DELTA], [0.1, 0.2])
         np.testing.assert_array_equal(inst.params.upper[:, DELTA], [0.5, 0.6])
         assert inst.initial_state[0, IH] == 1.0
+
+
+SCALARS = {"beta_high": 0.0004, "beta_low": 0.0002, "horizon": 10.0}
+COUNTS = {"susceptible": 57, "infected_high": 2, "infected_low": 1,
+          "recover_first": 0, "recover_complete": 0}
+
+
+@pytest.mark.parametrize("key, value", [(key, value) for key in SCALARS for value in ("0.2", True)]
+                         + [(key, value) for key in COUNTS for value in (57.5, True)])
+def test_python_and_json_reject_a_value_alike(key, value):
+    graph = canonical_graph()
+    config = json.loads(json.dumps(CASE1_CONFIG))
+    if key in SCALARS:
+        config[key] = value
+        with pytest.raises(ValueError) as from_python:
+            ModelParams.from_scalars(60, **dict(SCALARS, **{key: value}))
+    else:
+        config["initial_state"][key] = value
+        with pytest.raises(ValueError) as from_python:
+            seed_initial_state(graph, **dict(COUNTS, **{key: value}))
+    with pytest.raises(ValueError) as from_json:
+        instance_from_dict(config)
+    assert str(from_python.value) == str(from_json.value)
