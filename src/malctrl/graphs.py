@@ -108,6 +108,8 @@ class SmartHomeSpec:
     def __post_init__(self):
         if not isinstance(self.inter_room_hub, bool):
             raise ValueError(f"inter_room_hub must be true or false, got {self.inter_room_hub!r}")
+        if not isinstance(self.rooms, (list, tuple)):
+            raise ValueError(f"rooms must be a list of [name, count] pairs, got {self.rooms!r}")
         for i, room in enumerate(self.rooms):
             if not (isinstance(room, (list, tuple)) and len(room) == 2):
                 raise ValueError(f"rooms[{i}] must be a [name, count] pair, got {room!r}")
@@ -304,7 +306,7 @@ def json_object(value, name: str, keys=None) -> dict:
     outside them; otherwise a ValueError that names ``name``."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object, got {value!r}")
-    unknown = sorted(set(value) - set(value if keys is None else keys))
+    unknown = [] if keys is None else sorted(set(value) - set(keys))
     if unknown:
         raise ValueError(f"unknown {name} keys {unknown}; expected keys among {sorted(keys)}")
     return value

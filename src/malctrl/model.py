@@ -13,7 +13,6 @@ Array layout conventions used across the package:
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -312,6 +311,10 @@ class ModelInstance:
         return self.constant_control(*self.control_rates)
 
 
+# the count arguments of seed_initial_state: the count keys of an "initial_state" block
+_COUNT_KEYS = ("susceptible", "infected_high", "infected_low", "recover_first", "recover_complete")
+
+
 def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int,
                        infected_low: int, recover_first: int = 0,
                        recover_complete: int = 0) -> np.ndarray:
@@ -325,9 +328,8 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
     everything else starts susceptible.
     """
     n = graph.node_count
-    counts = tuple(integer(count, name) for name, count in zip(
-        ("susceptible", "infected_high", "infected_low", "recover_first", "recover_complete"),
-        (susceptible, infected_high, infected_low, recover_first, recover_complete)))
+    counts = tuple(integer(count, name) for name, count in zip(_COUNT_KEYS, (
+        susceptible, infected_high, infected_low, recover_first, recover_complete)))
     if min(counts) < 0:
         raise ValueError(f"compartment counts must be non-negative, got {counts}")
     total = sum(counts)
@@ -345,6 +347,7 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
 # ---------------------------------------------------------------------------
 # instance JSON config
 
+# top-level keys of an instance file
 _INSTANCE_KEYS = ("graph", "beta_high", "beta_low", "horizon", "initial_state", "control_bounds",
                   "control_rates", "solver")
 # keys of the "solver" block: ModelInstance fields, which it defaults and checks
@@ -355,31 +358,32 @@ _SOLVER_KEYS = ("max_iterations", "convergence_epsilon", "relaxation_weight", "a
 def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
     """Build a ModelInstance from its JSON configuration dictionary.
 
-    A missing required key, an unknown top-level or solver key, and a block
-    that is not an object each raise a ValueError that names it.
+    A missing required key, an unknown key and a block that is not an
+    object each raise a ValueError that names it.
     """
     data = json_object(data, "instance", _INSTANCE_KEYS)
     ref = required(data, "graph", "instance")
     if isinstance(ref, dict):
         graph = graph_from_dict(ref)
-    elif isinstance(ref, (str, os.PathLike)):
+    elif isinstance(ref, (str, Path)):
         graph = resolve_graph(ref, base_dir)
     else:
         raise ValueError(f'graph must be an object, a path or "canonical", got {ref!r}')
 
-    bounds = json_object(required(data, "control_bounds", "instance"), "control_bounds")
+    bounds = json_object(required(data, "control_bounds", "instance"), "control_bounds",
+                         CONTROL_NAMES)
     params = ModelParams.from_scalars(
         graph.node_count,
         *(required(data, key, "instance") for key in ("beta_high", "beta_low", "horizon")),
         *(required(bounds, name, "control_bounds") for name in CONTROL_NAMES))
 
-    init = json_object(required(data, "initial_state", "instance"), "initial_state")
+    init = json_object(required(data, "initial_state", "instance"), "initial_state",
+                       ("per_node", *_COUNT_KEYS))
     if "per_node" in init:
         state = np.asarray(init["per_node"], dtype=float)
     else:
         state = seed_initial_state(
-            graph, *(required(init, key, "initial_state")
-                     for key in ("susceptible", "infected_high", "infected_low")),
+            graph, *(required(init, key, "initial_state") for key in _COUNT_KEYS[:3]),
             recover_first=init.get("recover_first", 0),
             recover_complete=init.get("recover_complete", 0),
         )
@@ -387,7 +391,7 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
     rates = data.get("control_rates")
     control_rates = None
     if rates is not None:
-        rates = json_object(rates, "control_rates")
+        rates = json_object(rates, "control_rates", CONTROL_NAMES)
         control_rates = tuple(required(rates, name, "control_rates") for name in CONTROL_NAMES)
 
     solver = json_object(data.get("solver", {}), "solver", _SOLVER_KEYS)

@@ -356,6 +356,12 @@ BAD_INPUT = {
         lambda c: c.update(control_rate={"delta": 0.9, "gamma_high": 0.6, "gamma_low": 0.4}))),
     "generate-unknown-key": ("unknown spec keys ['rng_sed']", lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, rng_sed=11), "--out", out]),
+    "optimize-unknown-initial_state-key": ("unknown initial_state keys ['recover_firs']",
+                                           optimize_args(lambda c: c["initial_state"].update(
+                                               recover_firs=1))),
+    "generate-rooms-number": ("rooms must be a list of [name, count] pairs, got 5",
+                              lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp, rooms=5), "--out", out]),
 }
 
 

@@ -74,7 +74,6 @@ class TestSmartHomeSpec:
             SmartHomeSpec(total_devices=2, rooms=(("a", 2),), intra_room_density=1.5,
                           inter_room_hub=False, rng_seed=1)
 
-
     def test_fields_stored_parsed(self):
         spec = SmartHomeSpec(total_devices=8.0, rooms=[["a", 4.0], [1, np.int64(4)]],
                              intra_room_density=1, inter_room_hub=False, rng_seed=np.int64(3))
