@@ -110,12 +110,12 @@ class SmartHomeSpec:
             raise ValueError(f"inter_room_hub must be true or false, got {self.inter_room_hub!r}")
         if not isinstance(self.rooms, (list, tuple)):
             raise ValueError(f"rooms must be a list of [name, count] pairs, got {self.rooms!r}")
+        rooms = []
         for i, room in enumerate(self.rooms):
             if not (isinstance(room, (list, tuple)) and len(room) == 2):
                 raise ValueError(f"rooms[{i}] must be a [name, count] pair, got {room!r}")
-        rooms = tuple((str(name), integer(count, f"rooms[{i}] device count"))
-                      for i, (name, count) in enumerate(self.rooms))
-        object.__setattr__(self, "rooms", rooms)
+            rooms.append((str(room[0]), integer(room[1], f"rooms[{i}] device count")))
+        object.__setattr__(self, "rooms", tuple(rooms))
         for name, parse in (("total_devices", integer), ("intra_room_density", number),
                             ("rng_seed", integer)):
             object.__setattr__(self, name, parse(getattr(self, name), name))
@@ -252,6 +252,7 @@ def graph_to_json(graph: NetworkGraph) -> str:
 
 
 def graph_from_dict(data: dict) -> NetworkGraph:
+    data = json_object(data, "topology", ("n", "adjacency", "labels", "rooms"))
     if "adjacency" not in data:
         raise GraphValidationError("topology has no adjacency matrix")
     for key in ("labels", "rooms"):
@@ -301,12 +302,12 @@ def required(data: dict, key: str, where: str):
     return data[key]
 
 
-def json_object(value, name: str, keys=None) -> dict:
-    """``value`` if it is a JSON object with, when ``keys`` is given, no key
-    outside them; otherwise a ValueError that names ``name``."""
+def json_object(value, name: str, keys) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``;
+    otherwise a ValueError that names ``name``."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object, got {value!r}")
-    unknown = [] if keys is None else sorted(set(value) - set(keys))
+    unknown = sorted(set(value) - set(keys))
     if unknown:
         raise ValueError(f"unknown {name} keys {unknown}; expected keys among {sorted(keys)}")
     return value

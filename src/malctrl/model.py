@@ -347,7 +347,7 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
 # ---------------------------------------------------------------------------
 # instance JSON config
 
-# top-level keys of an instance file
+# top-level keys of an instance file; [1:4] are the ModelParams scalars
 _INSTANCE_KEYS = ("graph", "beta_high", "beta_low", "horizon", "initial_state", "control_bounds",
                   "control_rates", "solver")
 # keys of the "solver" block: ModelInstance fields, which it defaults and checks
@@ -374,7 +374,7 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
                          CONTROL_NAMES)
     params = ModelParams.from_scalars(
         graph.node_count,
-        *(required(data, key, "instance") for key in ("beta_high", "beta_low", "horizon")),
+        *(required(data, key, "instance") for key in _INSTANCE_KEYS[1:4]),
         *(required(bounds, name, "control_bounds") for name in CONTROL_NAMES))
 
     init = json_object(required(data, "initial_state", "instance"), "initial_state",

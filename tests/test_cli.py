@@ -359,6 +359,8 @@ BAD_INPUT = {
     "optimize-unknown-initial_state-key": ("unknown initial_state keys ['recover_firs']",
                                            optimize_args(lambda c: c["initial_state"].update(
                                                recover_firs=1))),
+    "optimize-unknown-graph-key": ("unknown topology keys ['lables']", optimize_args(
+        lambda c: c.update(graph={"adjacency": [[0, 1], [1, 0]], "lables": ["a", "b"]}))),
     "generate-rooms-number": ("rooms must be a list of [name, count] pairs, got 5",
                               lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, rooms=5), "--out", out]),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,13 @@ class TestSerialization:
         data["n"] = 5
         with pytest.raises(GraphValidationError):
             graph_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("text, named", [
+        ("5", "topology must be an object, got 5"),
+        ('{"adjacency": [[0]], "lables": ["a"]}', "unknown topology keys ['lables']")])
+    def test_non_object_or_unknown_key_named(self, text, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            graph_from_json(text)
 
 
 class TestResolveGraph:
