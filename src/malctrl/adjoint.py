@@ -72,13 +72,13 @@ def adjoint_rhs(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
 
     pressure_h = a @ state[:, IH]
     pressure_l = a @ state[:, IL]
+    gap_h = costate[:, LAM_S] - costate[:, LAM_H]
+    gap_l = costate[:, LAM_S] - costate[:, LAM_L]
     out = np.empty_like(costate)
-    out[:, LAM_S] = (beta_high * pressure_h * (costate[:, LAM_S] - costate[:, LAM_H])
-                     + beta_low * pressure_l * (costate[:, LAM_S] - costate[:, LAM_L]))
-    out[:, LAM_H] = (-1.0
-                     + beta_high * (a @ (state[:, S] * (costate[:, LAM_S] - costate[:, LAM_H])))
+    out[:, LAM_S] = beta_high * pressure_h * gap_h + beta_low * pressure_l * gap_l
+    out[:, LAM_H] = (-1.0 + beta_high * (a @ (state[:, S] * gap_h))
                      + control[:, GAMMA_H] * (costate[:, LAM_H] - costate[:, LAM_F]))
-    out[:, LAM_L] = (beta_low * (a @ (state[:, S] * (costate[:, LAM_S] - costate[:, LAM_L])))
+    out[:, LAM_L] = (beta_low * (a @ (state[:, S] * gap_l))
                      + control[:, GAMMA_L] * (costate[:, LAM_L] - costate[:, LAM_F]))
     out[:, LAM_F] = costate[:, LAM_F] * control[:, DELTA]
     if mode == "consistent":
@@ -113,12 +113,12 @@ def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTraject
     steps = grid.shape[0] - 1
     h = -instance.dt
     params, graph = instance.params, instance.graph
+    states = state_traj.states
+    midpoints = 0.5 * (states[:-1] + states[1:])
     costates = np.zeros((steps + 1, instance.node_count, 4))
     lam = np.zeros((instance.node_count, 4))
     for k in range(steps - 1, -1, -1):
-        e_right = state_traj.states[k + 1]
-        e_left = state_traj.states[k]
-        stage_states = (e_right, 0.5 * (e_left + e_right), e_left)
+        stage_states = (states[k + 1], midpoints[k], states[k])
         u = controls[k]
         lam = _rk4_step(lambda y, stage: adjoint_rhs(stage_states[stage], u, y, params,
                                                      graph, mode), lam, h)

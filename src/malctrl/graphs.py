@@ -322,10 +322,15 @@ def integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is an int or a float, NumPy's included, and not a boolean."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def number(value, name: str) -> float:
     """``value`` as a float; a boolean or a non-number raises a ValueError
     that names ``name``."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+    if is_number(value):
         return float(value)
     raise ValueError(f"{name} must be a number, got {value!r}")
 

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import (NetworkGraph, graph_from_dict, integer, json_object, number, required,
-                     resolve_graph)
+from .graphs import (NetworkGraph, graph_from_dict, integer, is_number, json_object, number,
+                     required, resolve_graph)
 
 # state columns
 S, IH, IL, RF = 0, 1, 2, 3
@@ -46,6 +46,51 @@ class DimensionMismatchError(ValueError):
 
 class GridMismatchError(ValueError):
     """Two trajectories do not share the same time grid."""
+
+
+def _in_words(shape: tuple) -> str:
+    if not shape:
+        return "a scalar"
+    if len(shape) == 1:
+        return f"length {shape[0]}"
+    return "an array of shape (" + ", ".join("N" if length is None else str(length)
+                                             for length in shape) + ")"
+
+
+def number_array(value, name: str, shapes, *, expected: str | None = None,
+                 columns: tuple = ()) -> np.ndarray:
+    """``value`` as a new float64 array whose shape is one of ``shapes``, in
+    which None matches any length: the array counterpart of ``graphs.number``.
+
+    A ragged nesting raises a ValueError that names ``name``; so does a
+    boolean, a string, None or any other non-number entry, located by its
+    index, or by its label in ``columns`` for a one-dimensional value.  A
+    shape outside ``shapes`` raises a DimensionMismatchError that names
+    ``name`` and says what it must be: ``expected``, or the shapes in words.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        cells = value
+    else:
+        try:
+            cells = np.array(value, dtype=object)
+            ragged = any(isinstance(cell, (list, tuple, np.ndarray)) for cell in cells.flat)
+        except ValueError:  # nestings numpy cannot stack even as objects
+            ragged = True
+        if ragged:
+            raise ValueError(f"{name} must be a regular array of numbers, got a ragged nesting")
+    if not any(len(shape) == cells.ndim and all(want in (None, length)
+                                                for want, length in zip(shape, cells.shape))
+               for shape in shapes):
+        expected = expected or " or ".join(map(_in_words, shapes))
+        got = f"shape {cells.shape}" if cells.ndim else repr(value)
+        raise DimensionMismatchError(f"{name} must be {expected}, got {got}")
+    if cells.dtype == object:
+        for index, cell in np.ndenumerate(cells):
+            if not is_number(cell):
+                entry = (f"{name} {columns[index[0]]}" if columns
+                         else f"{name}{list(index)}" if index else name)
+                raise ValueError(f"{entry} must be a number, got {cell!r}")
+    return cells.astype(np.float64)
 
 
 def r_complete(states: np.ndarray) -> np.ndarray:
@@ -111,9 +156,8 @@ class ModelParams:
                              f" got {self.beta_low}, {self.beta_high}")
         if not 0.0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        lower, upper = (np.array(bound, dtype=np.float64) for bound in (self.lower, self.upper))
-        if lower.ndim != 2 or lower.shape[1] != 3 or upper.shape != lower.shape:
-            raise DimensionMismatchError(f"need (N, 3) control bounds, got {lower.shape}, {upper.shape}")
+        lower = number_array(self.lower, "lower", [(None, 3)])
+        upper = number_array(self.upper, "upper", [lower.shape])
         bad = ~(np.isfinite(upper) & (0.0 <= lower) & (lower <= upper))
         if bad.any():
             raise ValueError(f"need finite 0 <= lo <= hi for {CONTROL_NAMES[np.argwhere(bad)[0, 1]]}")
@@ -131,15 +175,10 @@ class ModelParams:
         """The box from a (lo, hi) pair per control; each bound is a scalar or length N."""
         box = np.empty((2, node_count, 3))
         for column, (name, pair) in enumerate(zip(CONTROL_NAMES, (delta, gamma_high, gamma_low))):
-            try:
-                lo, hi = (np.asarray(b, dtype=float) for b in pair)
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} bounds must be a (lo, hi) pair of numbers,"
-                                 f" got {pair!r}") from None
-            for side, bound in enumerate((lo, hi)):
-                if bound.shape not in ((), (node_count,)):
-                    raise DimensionMismatchError(f"{name} bounds must be scalars or length {node_count}")
-                box[side, :, column] = bound
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValueError(f"{name} bounds must be a (lo, hi) pair of numbers, got {pair!r}")
+            for side, bound, rows in zip(("lower", "upper"), pair, box):
+                rows[:, column] = number_array(bound, f"{name} {side} bound", [(), (node_count,)])
         return cls(beta_high, beta_low, horizon, *box)
 
     def lower_bounds(self) -> np.ndarray:
@@ -233,7 +272,8 @@ class ModelInstance:
     ``max_iterations`` and ``time_steps`` must be whole numbers and are stored
     as int; ``convergence_epsilon`` and ``relaxation_weight`` are stored as float.
     ``control_rates``, when given, are three finite non-negative rates, stored
-    as a tuple of floats.
+    as a tuple of floats.  ``initial_state`` is stored as a new float64 (N, 4)
+    array; both are parsed by ``number_array``.
     """
 
     graph: NetworkGraph
@@ -250,17 +290,13 @@ class ModelInstance:
         n = self.graph.node_count
         if self.params.node_count != n:
             raise DimensionMismatchError("params sized for a different node count than the graph")
-        state = np.asarray(self.initial_state, dtype=float)
-        if state.shape != (n, 4):
-            raise DimensionMismatchError(f"initial_state must have shape ({n}, 4)")
+        state = number_array(self.initial_state, "initial_state", [(n, 4)])
         validate_states(state, n, tol=STATE_TOL)
         object.__setattr__(self, "initial_state", state)
         if self.control_rates is not None:
-            rates = np.asarray(self.control_rates, dtype=object)
-            if rates.shape != (3,):
-                raise ValueError(f"control_rates must be three rates (delta, gamma_high,"
-                                 f" gamma_low), got {self.control_rates!r}")
-            rates = tuple(map(number, rates, [f"control_rates {name}" for name in CONTROL_NAMES]))
+            rates = tuple(map(float, number_array(
+                self.control_rates, "control_rates", [(3,)],
+                expected="three rates (delta, gamma_high, gamma_low)", columns=CONTROL_NAMES)))
             if not all(0.0 <= rate < np.inf for rate in rates):
                 raise ValueError(f"control_rates must be finite and non-negative,"
                                  f" got {self.control_rates}")
@@ -297,11 +333,7 @@ class ModelInstance:
         grid, n = self.time_grid(), self.node_count
         rows = np.empty((n, 3))
         for column, (name, rate) in enumerate(zip(CONTROL_NAMES, (delta, gamma_high, gamma_low))):
-            rate = np.asarray(rate, dtype=np.float64)
-            if rate.shape not in ((), (n,)):
-                raise DimensionMismatchError(f"{name} must be a scalar or length {n},"
-                                             f" got shape {rate.shape}")
-            rows[:, column] = rate
+            rows[:, column] = number_array(rate, name, [(), (n,)])
         return ControlTrajectory(time_grid=grid,
                                  controls=np.broadcast_to(rows, (grid.shape[0], n, 3)).copy())
 
@@ -380,7 +412,10 @@ def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:
     init = json_object(required(data, "initial_state", "instance"), "initial_state",
                        ("per_node", *_COUNT_KEYS))
     if "per_node" in init:
-        state = np.asarray(init["per_node"], dtype=float)
+        if len(init) > 1:
+            raise ValueError(f"initial_state takes per_node or the count keys, not both;"
+                             f" got per_node and {sorted(set(init) - {'per_node'})}")
+        state = init["per_node"]
     else:
         state = seed_initial_state(
             graph, *(required(init, key, "initial_state") for key in _COUNT_KEYS[:3]),

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from malctrl.cli import main
 from malctrl.experiments import ExperimentSpec, run_experiment
 from malctrl.graphs import graph_from_json
+from malctrl.model import DimensionMismatchError, load_instance
 from malctrl.serialize import summary_json
 
 
@@ -374,4 +375,44 @@ def test_bad_input_reported_before_writing(runner, tmp_path, case):
     result = runner.invoke(main, args(runner, tmp_path, str(out)))
     assert result.exit_code == 1
     assert result.stderr.startswith("Error: ") and named in result.stderr
+    assert not out.exists()
+
+
+SUSCEPTIBLE_ROWS = [[1, 0, 0, 0]] * 8  # per_node for the eight-device instance
+
+
+def initial_state(**block):
+    return lambda c: c.update(initial_state=block)
+
+
+def delta_bounds(pair):
+    return lambda c: c["control_bounds"].update(delta=pair)
+
+
+# case -> (field the error names, error type, edit of the instance config)
+BAD_ARRAYS = {
+    "per_node-string": ("initial_state", DimensionMismatchError, initial_state(per_node="x")),
+    "per_node-ragged": ("initial_state", ValueError,
+                        initial_state(per_node=SUSCEPTIBLE_ROWS[:-1] + [[1, 0, 0]])),
+    "per_node-booleans": ("initial_state", ValueError,
+                          initial_state(per_node=[[True, False, False, False]] * 8)),
+    "per_node-beside-susceptible": ("susceptible", ValueError,
+                                    initial_state(per_node=SUSCEPTIBLE_ROWS, susceptible=8)),
+    "delta-true-0.8": ("delta", ValueError, delta_bounds([True, 0.8])),
+    "delta-true-1.5": ("delta", ValueError, delta_bounds([True, 1.5])),
+    "delta-string-0.8": ("delta", ValueError, delta_bounds(["lo", 0.8])),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARRAYS)
+def test_bad_array_input_named(runner, tmp_path, case):
+    field, error, edit = BAD_ARRAYS[case]
+    inst_path = edited_instance(runner, tmp_path, edit)
+    with pytest.raises(error, match=field) as raised:
+        load_instance(inst_path)
+    assert type(raised.value) is error
+    out = tmp_path / "out"
+    result = optimize(runner, inst_path, out)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("Error: ") and field in result.stderr
     assert not out.exists()

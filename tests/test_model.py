@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from malctrl.graphs import canonical_graph, validate_graph
 from malctrl.model import (DELTA, GAMMA_L, IH, IL, DimensionMismatchError, ModelInstance,
                            ModelParams, StateTrajectory,
-                           instance_from_dict, r_complete, seed_initial_state,
+                           instance_from_dict, number_array, r_complete, seed_initial_state,
                            uniform_grid, validate_snapshot, validate_states)
 
 
@@ -293,6 +294,46 @@ class TestConstantControl:
     def test_rates_sized_for_another_graph_rejected(self):
         with pytest.raises(DimensionMismatchError, match="gamma_high must be a scalar or length 3"):
             self.instance().constant_control(0.1, [0.2, 0.3], 0.0)
+
+    @pytest.mark.parametrize("rates, name, value", [((True, 0.5, 0.2), "delta", True),
+                                                    (("0.2", 0.5, 0.2), "delta", "0.2"),
+                                                    ((0.1, 0.5, [0.2, False, 0.3]),
+                                                     "gamma_low[1]", False)])
+    def test_rates_must_be_numbers(self, rates, name, value):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a number, got {value!r}$"):
+            self.instance().constant_control(*rates)
+
+
+class TestNumberArray:
+
+    @pytest.mark.parametrize("value", [[[0, 1.5], [2, 3]], np.arange(4).reshape(2, 2),
+                                       [np.float64(0.5), np.int64(2)], 7, np.float32(0.25)])
+    def test_numbers_load_as_float64(self, value):
+        array = number_array(value, "x", [(), (2,), (2, 2)])
+        assert array.dtype == np.float64
+        np.testing.assert_array_equal(array, np.asarray(value, dtype=float))
+
+    @pytest.mark.parametrize("value, message", [
+        ("x", "x must be a number, got 'x'"),
+        (None, "x must be a number, got None"),
+        ([1.0, 2.0, 3.0], r"x must be a scalar or length 2, got shape \(3,\)"),
+        ([[1.0], [2.0]], r"x must be a scalar or length 2, got shape \(2, 1\)"),
+        (True, "x must be a number, got True"),
+        ([1.0, "2"], r"x\[1\] must be a number, got '2'"),
+        (np.array([True, False]), r"x\[0\] must be a number, got True"),
+        ([[1.0], 2.0], "x must be a regular array of numbers, got a ragged nesting"),
+        ([np.zeros(2), np.zeros((2, 2))], "x must be a regular array of numbers"),
+    ])
+    def test_bad_values_named(self, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            number_array(value, "x", [(), (2,)])
+
+    @pytest.mark.parametrize("value, got", [(np.zeros((3, 2)), r"shape \(3, 2\)"), ("x", "'x'"),
+                                            (None, "None")])
+    def test_wrong_shape_is_a_dimension_mismatch(self, value, got):
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^x must be an array of shape \(N, 3\), got {got}$"):
+            number_array(value, "x", [(None, 3)])
 
 
 CASE1_CONFIG = {

@@ -180,13 +180,31 @@ lower_and_width = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
          beta_ratio=0.5, horizon=1.0, steps=20, omega=0.3, mode="paper", max_iterations=10)
 def test_solver_output_stays_in_the_box(n, seed, boxes, beta_high, beta_ratio, horizon,
                                         steps, omega, mode, max_iterations):
+    inst = random_instance(n, seed, boxes, beta_high, beta_ratio, horizon,
+                           relaxation_weight=omega, adjoint_mode=mode,
+                           max_iterations=max_iterations, time_steps=steps)
+    controls = fbsm_solve(inst)[0].controls
+    assert (inst.params.lower <= controls).all() and (controls <= inst.params.upper).all()
+
+
+@pytest.mark.xfail(strict=True, reason="consistent-mode costates are the gradient of J only to"
+                                       " O(dt^2); the exact discrete adjoint is ROADMAP item 3")
+def test_consistent_objective_never_increases():
+    # a hypothesis search over 3-8 node graphs (K 20-60, random boxes) found this
+    # instance: J rises by 4.2e-7 at K=20, 1.1e-7 at K=40 and 2.8e-8 at K=80,
+    # fourfold less per halving of dt
+    inst = random_instance(3, 0, ((0.0, 1.0), (0.0, 0.0), (0.0, 1.0)), 0.0, 0.0, 2.0,
+                           adjoint_mode="consistent", time_steps=20)
+    history = fbsm_solve(inst)[3].objective_history
+    assert (np.diff(history) <= 0.0).all(), history
+
+
+def random_instance(n, seed, boxes, beta_high, beta_ratio, horizon, **settings):
+    """An n-node instance on a seeded random graph and initial state; each
+    box is a (lower, width) pair."""
     rng = np.random.default_rng(seed)
     a = np.triu((rng.random((n, n)) < 0.6).astype(int), 1)
     params = ModelParams.from_scalars(n, beta_high, beta_ratio * beta_high, horizon,
                                       *((lo, lo + width) for lo, width in boxes))
-    inst = ModelInstance(graph=validate_graph(a + a.T), params=params,
-                         initial_state=rng.dirichlet(np.ones(5), size=n)[:, :4],
-                         relaxation_weight=omega, adjoint_mode=mode,
-                         max_iterations=max_iterations, time_steps=steps)
-    controls = fbsm_solve(inst)[0].controls
-    assert (params.lower <= controls).all() and (controls <= params.upper).all()
+    return ModelInstance(graph=validate_graph(a + a.T), params=params,
+                         initial_state=rng.dirichlet(np.ones(5), size=n)[:, :4], **settings)
