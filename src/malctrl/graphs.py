@@ -17,6 +17,10 @@ class TopologyError(ValueError):
     """The smart-home generator cannot produce a graph for this spec."""
 
 
+class DimensionMismatchError(ValueError):
+    """State, control, costate, and graph dimensions disagree."""
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkGraph:
     """Undirected device topology with a dense 0/1 adjacency matrix.
@@ -57,19 +61,22 @@ def validate_graph(adjacency, node_labels=None, room_assignment=None) -> Network
     """Check adjacency invariants and build a NetworkGraph.
 
     Raises the error for the first violated invariant, scanning in a fixed
-    order: squareness, then binary entries (row-major), then the diagonal,
-    then symmetry (lower triangle, reported as the (i, j) entry with i > j).
+    order: numbers (``number_array``: a ragged nesting or a boolean, string
+    or None entry raises a ValueError naming ``adjacency``, and a value that
+    is not two-dimensional a DimensionMismatchError), then squareness, then
+    binary entries (row-major), then the diagonal, then symmetry (lower
+    triangle, reported as the (i, j) entry with i > j).
     """
-    a = np.asarray(adjacency)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = number_array(adjacency, "adjacency", [(None, None)])
+    if a.shape[0] != a.shape[1]:
         raise GraphValidationError(f"adjacency matrix must be square, got shape {a.shape}")
     n = a.shape[0]
 
     bad = ~((a == 0) | (a == 1))
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise GraphValidationError(f"adjacency[{i},{j}] = {a.item(i, j)!r} is not 0 or 1")
-    a = a.astype(np.float64)
+        entry = repr(a.item(i, j)).removesuffix(".0")
+        raise GraphValidationError(f"adjacency[{i},{j}] = {entry} is not 0 or 1")
 
     diag = np.flatnonzero(np.diagonal(a))
     if diag.size:
@@ -260,7 +267,7 @@ def graph_from_dict(data: dict) -> NetworkGraph:
             raise GraphValidationError(f"{key} must be a list, got {data[key]!r}")
     graph = validate_graph(data["adjacency"], data.get("labels"), data.get("rooms"))
     n = data.get("n", graph.node_count)
-    if type(n) is not int or n != graph.node_count:
+    if not (is_number(n) and n == graph.node_count):
         raise GraphValidationError(f"declared n={n!r} is not the adjacency size {graph.node_count}")
     return graph
 
@@ -322,9 +329,12 @@ def integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+
+
 def is_number(value) -> bool:
     """Whether ``value`` is an int or a float, NumPy's included, and not a boolean."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return isinstance(value, _NUMBER_TYPES) and not isinstance(value, bool)
 
 
 def number(value, name: str) -> float:
@@ -333,6 +343,54 @@ def number(value, name: str) -> float:
     if is_number(value):
         return float(value)
     raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _in_words(shape: tuple) -> str:
+    if not shape:
+        return "a scalar"
+    if len(shape) == 1:
+        return f"length {shape[0]}"
+    return "an array of shape (" + ", ".join("N" if length is None else str(length)
+                                             for length in shape) + ")"
+
+
+def number_array(value, name: str, shapes) -> np.ndarray:
+    """``value`` as a new float64 array whose shape is one of ``shapes``, in
+    which None matches any length: the array counterpart of ``number``.
+
+    A ragged nesting raises a ValueError that names ``name``; so does a
+    boolean, a string, None or any other non-number entry, located by its
+    index, and so does an integer beyond the float range.  A shape outside
+    ``shapes`` raises a DimensionMismatchError that names ``name`` and says,
+    in words, what the shape must be.  A value that is not already an
+    integer or float array is checked by the set of its entries' types, so
+    the entries are walked one by one only to name a bad one.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        cells, types = value, set()
+    else:
+        try:
+            cells = np.array(value, dtype=object)
+            types = set(map(type, cells.flat))
+            ragged = any(issubclass(kind, (list, tuple, np.ndarray)) for kind in types)
+        except ValueError:  # nestings numpy cannot stack even as objects
+            ragged = True
+        if ragged:
+            raise ValueError(f"{name} must be a regular array of numbers, got a ragged nesting")
+    if not any(len(shape) == cells.ndim and all(want in (None, length)
+                                                for want, length in zip(shape, cells.shape))
+               for shape in shapes):
+        got = f"shape {cells.shape}" if cells.ndim else repr(value)
+        raise DimensionMismatchError(
+            f"{name} must be {' or '.join(map(_in_words, shapes))}, got {got}")
+    if not all(issubclass(kind, _NUMBER_TYPES) and not issubclass(kind, bool) for kind in types):
+        index, cell = next((index, cell) for index, cell in np.ndenumerate(cells)
+                           if not is_number(cell))
+        raise ValueError(f"{name}{list(index) if index else ''} must be a number, got {cell!r}")
+    try:
+        return cells.astype(np.float64)
+    except OverflowError:  # a Python int beyond the float range
+        raise ValueError(f"{name} holds an integer too large for a float") from None
 
 
 def spec_from_dict(data: dict) -> SmartHomeSpec:

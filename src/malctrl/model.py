@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import (NetworkGraph, graph_from_dict, integer, is_number, json_object, number,
-                     required, resolve_graph)
+from .graphs import (DimensionMismatchError, NetworkGraph, graph_from_dict, integer, json_object,
+                     number, number_array, required, resolve_graph)
 
 # state columns
 S, IH, IL, RF = 0, 1, 2, 3
@@ -40,57 +40,8 @@ TRAJECTORY_TOL = 1e-6     # tolerance the integrator guarantees along trajectori
 ADJOINT_MODES = ("paper", "consistent")
 
 
-class DimensionMismatchError(ValueError):
-    """State, control, costate, and graph dimensions disagree."""
-
-
 class GridMismatchError(ValueError):
     """Two trajectories do not share the same time grid."""
-
-
-def _in_words(shape: tuple) -> str:
-    if not shape:
-        return "a scalar"
-    if len(shape) == 1:
-        return f"length {shape[0]}"
-    return "an array of shape (" + ", ".join("N" if length is None else str(length)
-                                             for length in shape) + ")"
-
-
-def number_array(value, name: str, shapes, *, expected: str | None = None,
-                 columns: tuple = ()) -> np.ndarray:
-    """``value`` as a new float64 array whose shape is one of ``shapes``, in
-    which None matches any length: the array counterpart of ``graphs.number``.
-
-    A ragged nesting raises a ValueError that names ``name``; so does a
-    boolean, a string, None or any other non-number entry, located by its
-    index, or by its label in ``columns`` for a one-dimensional value.  A
-    shape outside ``shapes`` raises a DimensionMismatchError that names
-    ``name`` and says what it must be: ``expected``, or the shapes in words.
-    """
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        cells = value
-    else:
-        try:
-            cells = np.array(value, dtype=object)
-            ragged = any(isinstance(cell, (list, tuple, np.ndarray)) for cell in cells.flat)
-        except ValueError:  # nestings numpy cannot stack even as objects
-            ragged = True
-        if ragged:
-            raise ValueError(f"{name} must be a regular array of numbers, got a ragged nesting")
-    if not any(len(shape) == cells.ndim and all(want in (None, length)
-                                                for want, length in zip(shape, cells.shape))
-               for shape in shapes):
-        expected = expected or " or ".join(map(_in_words, shapes))
-        got = f"shape {cells.shape}" if cells.ndim else repr(value)
-        raise DimensionMismatchError(f"{name} must be {expected}, got {got}")
-    if cells.dtype == object:
-        for index, cell in np.ndenumerate(cells):
-            if not is_number(cell):
-                entry = (f"{name} {columns[index[0]]}" if columns
-                         else f"{name}{list(index)}" if index else name)
-                raise ValueError(f"{entry} must be a number, got {cell!r}")
-    return cells.astype(np.float64)
 
 
 def r_complete(states: np.ndarray) -> np.ndarray:
@@ -271,9 +222,9 @@ class ModelInstance:
     with ``dataclasses.replace(instance, adjoint_mode="consistent")``.
     ``max_iterations`` and ``time_steps`` must be whole numbers and are stored
     as int; ``convergence_epsilon`` and ``relaxation_weight`` are stored as float.
-    ``control_rates``, when given, are three finite non-negative rates, stored
-    as a tuple of floats.  ``initial_state`` is stored as a new float64 (N, 4)
-    array; both are parsed by ``number_array``.
+    ``control_rates``, when given, are three finite non-negative rates, each
+    parsed by ``number`` and stored as a tuple of floats.  ``initial_state``
+    is parsed by ``number_array`` and stored as a new float64 (N, 4) array.
     """
 
     graph: NetworkGraph
@@ -294,9 +245,13 @@ class ModelInstance:
         validate_states(state, n, tol=STATE_TOL)
         object.__setattr__(self, "initial_state", state)
         if self.control_rates is not None:
-            rates = tuple(map(float, number_array(
-                self.control_rates, "control_rates", [(3,)],
-                expected="three rates (delta, gamma_high, gamma_low)", columns=CONTROL_NAMES)))
+            rates = self.control_rates
+            if not (isinstance(rates, (list, tuple)) or isinstance(rates, np.ndarray)
+                    and rates.ndim == 1) or len(rates) != 3:
+                raise DimensionMismatchError(f"control_rates must be three rates (delta,"
+                                             f" gamma_high, gamma_low), got {rates!r}")
+            rates = tuple(number(rate, f"control_rates {name}")
+                          for name, rate in zip(CONTROL_NAMES, rates))
             if not all(0.0 <= rate < np.inf for rate in rates):
                 raise ValueError(f"control_rates must be finite and non-negative,"
                                  f" got {self.control_rates}")

@@ -201,6 +201,14 @@ UNREADABLE = {
     "rooms-not-a-list": ('{"adjacency": [[0, 1], [1, 0]], "rooms": 5}', "rooms must be a list"),
     "non-binary-float": ('{"adjacency": [[0, 0.5], [0.5, 0]]}', "adjacency[0,1] = 0.5 is not 0 or 1"),
     "non-binary-int": ('{"adjacency": [[0, 2], [2, 0]]}', "adjacency[0,1] = 2 is not 0 or 1"),
+    "adjacency-booleans": ('{"adjacency": [[false, true], [true, false]]}', "adjacency[0, 0]"),
+    "adjacency-some-booleans": ('{"adjacency": [[0, true], [true, 0]]}', "adjacency[0, 1]"),
+    "adjacency-ragged": ('{"adjacency": [[0, 1], [1]]}', "adjacency must be a regular array"),
+    "adjacency-strings": ('{"adjacency": [["0", "1"], ["1", "0"]]}', "adjacency[0, 0]"),
+    "adjacency-nulls": ('{"adjacency": [[null, 1], [1, null]]}', "adjacency[0, 0]"),
+    "adjacency-one-dimensional": ('{"adjacency": [0, 1]}', "adjacency must be an array of shape"),
+    "adjacency-huge-int": ('{"adjacency": [[0, 1%s], [1, 0]]}' % ("0" * 400),
+                           "adjacency holds an integer too large for a float"),
 }
 
 
@@ -401,6 +409,8 @@ BAD_ARRAYS = {
     "delta-true-0.8": ("delta", ValueError, delta_bounds([True, 0.8])),
     "delta-true-1.5": ("delta", ValueError, delta_bounds([True, 1.5])),
     "delta-string-0.8": ("delta", ValueError, delta_bounds(["lo", 0.8])),
+    "graph-adjacency-booleans": ("adjacency", ValueError, lambda c: c.update(
+        graph={"adjacency": [[False, True], [True, False]]})),
 }
 
 

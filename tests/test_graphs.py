@@ -194,6 +194,12 @@ class TestSerialization:
         with pytest.raises(GraphValidationError):
             graph_from_json(json.dumps(data))
 
+    def test_declared_n_follows_the_integer_rule(self):
+        # a whole float counts as its integer, as every other count does; a boolean does not
+        assert graph_from_json('{"adjacency": [[0, 1], [1, 0]], "n": 2.0}').node_count == 2
+        with pytest.raises(GraphValidationError, match=r"^declared n=True "):
+            graph_from_json('{"adjacency": [[0, 1], [1, 0]], "n": true}')
+
     @pytest.mark.parametrize("text, named", [
         ("5", "topology must be an object, got 5"),
         ('{"adjacency": [[0]], "lables": ["a"]}', "unknown topology keys ['lables']")])

@@ -304,7 +304,61 @@ class TestConstantControl:
             self.instance().constant_control(*rates)
 
 
+NUMBERS = st.one_of(st.integers(-2**53, 2**53), st.floats(),
+                    st.integers(-2**63, 2**63 - 1).map(np.int64), st.floats().map(np.float64),
+                    st.floats(width=32).map(np.float32))
+CELLS = st.one_of(NUMBERS, st.booleans(), st.booleans().map(np.bool_), st.text(max_size=2),
+                  st.none(), st.lists(NUMBERS, max_size=3))
+
+
+@st.composite
+def nestings(draw):
+    """Lists nested to depth 0-2 with lengths 0-3, of numbers only or of any cell;
+    half of them regular, and a list cell adds a level."""
+    cells = draw(st.sampled_from([NUMBERS, CELLS]))
+    lengths = draw(st.lists(st.integers(0, 3), max_size=2))
+    regular = draw(st.booleans())
+
+    def build(depth):
+        if depth == len(lengths):
+            return draw(cells)
+        length = lengths[depth] if regular else draw(st.integers(0, 3))
+        return [build(depth + 1) for _ in range(length)]
+    return build(0)
+
+
+def shape_and_leaves(value):
+    """The shape and the leaves of a regular nesting of lists; None for a ragged one."""
+    if not isinstance(value, list):
+        return (), [value]
+    children = [shape_and_leaves(cell) for cell in value]
+    if None in children or len({shape for shape, _ in children}) > 1:
+        return None
+    shape = children[0][0] if children else ()
+    return (len(value), *shape), [leaf for _, leaves in children for leaf in leaves]
+
+
 class TestNumberArray:
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=nestings())
+    def test_returns_the_float_array_or_names_the_field(self, value):
+        found = shape_and_leaves(value)
+        if found is not None and len(found[0]) not in (1, 2):
+            error = DimensionMismatchError
+        elif found is not None and all(
+                isinstance(leaf, (int, float, np.integer, np.floating))
+                and not isinstance(leaf, bool) for leaf in found[1]):
+            array = number_array(value, "field", [(None,), (None, None)])
+            expected = np.asarray(value, dtype=float)
+            assert array.dtype == expected.dtype and array.shape == expected.shape
+            assert array.tobytes() == expected.tobytes()
+            return
+        else:
+            error = ValueError
+        with pytest.raises(ValueError, match="^field") as raised:
+            number_array(value, "field", [(None,), (None, None)])
+        assert type(raised.value) is error
 
     @pytest.mark.parametrize("value", [[[0, 1.5], [2, 3]], np.arange(4).reshape(2, 2),
                                        [np.float64(0.5), np.int64(2)], 7, np.float32(0.25)])
