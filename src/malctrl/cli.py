@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from . import graphs
-from .adjoint import ADJOINT_MODES
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, population_comparison, run_experiment
 from .model import COMPARTMENTS, CONTROL_COLUMNS, COSTATE_COLUMNS, load_instance
 from .rgcs import RgcsConfig
@@ -68,22 +66,14 @@ def dataset_validate(path: Path):
 @main.command()
 @click.option("--instance", "instance_path", required=True,
               type=click.Path(exists=True, path_type=Path))
-@click.option("--adjoint-mode", type=click.Choice(ADJOINT_MODES), default=None,
-              help="Costate convention; defaults to the instance setting.")
-@click.option("--omega", type=float, default=None, help="Relaxation weight in [0, 1).")
-@click.option("--eps", type=float, default=None, help="Convergence threshold.")
-@click.option("--max-iter", type=int, default=None)
 @click.option("--out-prefix", "out_dir", required=True, type=click.Path(path_type=Path))
-def optimize(instance_path: Path, adjoint_mode, omega, eps, max_iter, out_dir: Path):
+def optimize(instance_path: Path, out_dir: Path):
     """Solve the optimality system and write control/state/adjoint CSVs.
 
-    The solver options that are given override the instance's solver block.
+    The instance's solver block sets every solver option.
     """
-    given = {"adjoint_mode": adjoint_mode, "relaxation_weight": omega,
-             "convergence_epsilon": eps, "max_iterations": max_iter}
     with _bad_input():
-        instance = replace(load_instance(instance_path),
-                           **{key: value for key, value in given.items() if value is not None})
+        instance = load_instance(instance_path)
     control, states, adjoints, report = fbsm_solve(instance)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "control.csv").write_text(

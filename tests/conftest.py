@@ -10,9 +10,9 @@ from malctrl.experiments import ExperimentSpec, run_experiment
 # directory.  exp2 is the population-5 run (rng_seed 7); the other families
 # run with their defaults.  The command-line artifacts come from
 # configs/case1_instance.json (``optimize_<run>/``, ``rgcs_compare_20.json``)
-# and configs/canonical_spec.json (``canonical_graph.json``); the tests in
-# test_cli.py name the flags of each run.  Any change to an artifact's bytes
-# shows here.
+# and configs/canonical_spec.json (``canonical_graph.json``); test_cli.py
+# names the solver block of each optimize run.  Any change to an artifact's
+# bytes shows here.
 ARTIFACT_SHA256 = {
     "canonical_graph.json": "754caacaaf21d3ea3ff12fbaf55be030f80e5fbc65f42e69e219101aab61df71",
     "exp1_case1/samples.csv": "c21fd75bc905f11175d43d45ff3a1e7753b57e54422da1db88ebdc0910b80840",

@@ -31,21 +31,25 @@ def small_instance_config(graph_path):
     }
 
 
-def write_instance(runner, tmp_path, solver=None):
+def write_graph(runner, tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC))
     graph_path = tmp_path / "graph.json"
     runner.invoke(main, ["dataset", "generate", "--spec", str(spec_path),
                          "--out", str(graph_path)])
-    config = small_instance_config(graph_path)
+    return graph_path
+
+
+def write_instance(runner, tmp_path, solver=None):
+    config = small_instance_config(write_graph(runner, tmp_path))
     config["solver"].update(solver or {})
     inst_path = tmp_path / "instance.json"
     inst_path.write_text(json.dumps(config))
     return inst_path
 
 
-def optimize(runner, inst_path, out_dir, *flags):
-    return runner.invoke(main, ["optimize", "--instance", str(inst_path), *flags,
+def optimize(runner, inst_path, out_dir):
+    return runner.invoke(main, ["optimize", "--instance", str(inst_path),
                                 "--out-prefix", str(out_dir)])
 
 
@@ -74,11 +78,9 @@ def test_dataset_validate_rejects_bad_matrix(runner, tmp_path):
 
 
 def test_optimize_writes_artifacts(runner, tmp_path):
-    inst_path = write_instance(runner, tmp_path)
+    inst_path = write_instance(runner, tmp_path, {"adjoint_mode": "consistent"})
     out_dir = tmp_path / "run"
-    result = runner.invoke(main, ["optimize", "--instance", str(inst_path),
-                                  "--adjoint-mode", "consistent",
-                                  "--out-prefix", str(out_dir)])
+    result = optimize(runner, inst_path, out_dir)
     assert result.exit_code == 0, result.output
     for name in ("control.csv", "state.csv", "adjoint.csv",
                  "sweep_report.json", "objective.json"):
@@ -109,20 +111,25 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CASE1 = CONFIGS / "case1_instance.json"
 
 
-# output directory -> (flags, exit code); --max-iter 3 pins the non-converged branch
+# output directory -> (keys set in the case-1 solver block, exit code); a cap of
+# 3 iterations pins the non-converged branch
 OPTIMIZE_RUNS = {
-    "optimize_paper": ([], 0),
-    "optimize_consistent": (["--adjoint-mode", "consistent"], 0),
-    "optimize_max_iter_3": (["--max-iter", "3"], 2),
+    "optimize_paper": ({}, 0),
+    "optimize_consistent": ({"adjoint_mode": "consistent"}, 0),
+    "optimize_max_iter_3": ({"max_iterations": 3}, 2),
 }
 
 
 @pytest.mark.parametrize("run", OPTIMIZE_RUNS)
 def test_optimize_case1_artifacts_match_recorded_digests(runner, tmp_path, recorded_artifacts, run):
-    flags, exit_code = OPTIMIZE_RUNS[run]
-    result = optimize(runner, CASE1, tmp_path / run, *flags)
+    solver, exit_code = OPTIMIZE_RUNS[run]
+    config = json.loads(CASE1.read_text())
+    config["solver"].update(solver)
+    inst_path = tmp_path / "instance.json"  # outside the hashed directory
+    inst_path.write_text(json.dumps(config))
+    result = optimize(runner, inst_path, tmp_path / "out" / run)
     assert result.exit_code == exit_code, result.output
-    recorded_artifacts(tmp_path)
+    recorded_artifacts(tmp_path / "out")
 
 
 def test_rgcs_compare_population_20_matches_recorded_digest(runner, tmp_path, recorded_artifacts):
@@ -161,12 +168,7 @@ def test_experiment_run_exp3(runner, tmp_path):
 
 
 def test_times_printed_with_nine_significant_digits(runner, tmp_path):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(SPEC))
-    graph_path = tmp_path / "graph.json"
-    runner.invoke(main, ["dataset", "generate", "--spec", str(spec_path),
-                         "--out", str(graph_path)])
-    config = small_instance_config(graph_path)
+    config = small_instance_config(write_graph(runner, tmp_path))
     config["horizon"] = 1.0
     config["solver"]["time_steps"] = 3
     inst_path = tmp_path / "instance.json"
@@ -223,40 +225,47 @@ def test_dataset_validate_reports_unreadable_topology(runner, tmp_path, case):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
-def test_optimize_max_iter_flag(runner, tmp_path):
-    inst_path = write_instance(runner, tmp_path)
-    result = optimize(runner, inst_path, tmp_path / "run", "--max-iter", "1")
+def test_optimize_stops_at_max_iterations(runner, tmp_path):
+    inst_path = write_instance(runner, tmp_path, {"max_iterations": 1})
+    result = optimize(runner, inst_path, tmp_path / "run")
     assert result.exit_code == 2, result.output
     report = json.loads((tmp_path / "run" / "sweep_report.json").read_text())
     assert report["iterations_used"] == 1 and not report["converged"]
 
 
-def test_optimize_eps_flag(runner, tmp_path):
+def test_optimize_converges_below_convergence_epsilon(runner, tmp_path):
     # the first residual measures the whole state trajectory, far above 100
-    inst_path = write_instance(runner, tmp_path)
-    result = optimize(runner, inst_path, tmp_path / "run", "--eps", "100")
+    inst_path = write_instance(runner, tmp_path, {"convergence_epsilon": 100})
+    result = optimize(runner, inst_path, tmp_path / "run")
     assert result.exit_code == 0, result.output
     report = json.loads((tmp_path / "run" / "sweep_report.json").read_text())
     assert report["iterations_used"] == 1 and report["converged"]
 
 
-def test_optimize_adjoint_mode_flag_overrides_instance(runner, tmp_path):
-    inst_path = write_instance(runner, tmp_path, {"adjoint_mode": "consistent"})
+def test_optimize_adjoint_modes_give_different_objectives(runner, tmp_path):
     objectives = {}
-    for name, flags in (("default", ()), ("paper", ("--adjoint-mode", "paper")),
-                        ("consistent", ("--adjoint-mode", "consistent"))):
-        result = optimize(runner, inst_path, tmp_path / name, *flags)
+    for mode in ("paper", "consistent"):
+        inst_path = write_instance(runner, tmp_path, {"adjoint_mode": mode})
+        result = optimize(runner, inst_path, tmp_path / mode)
         assert result.exit_code == 0, result.output
-        objectives[name] = (tmp_path / name / "objective.json").read_text()
-    assert objectives["default"] == objectives["consistent"]
-    assert json.loads(objectives["paper"])["J"] != json.loads(objectives["consistent"])["J"]
+        objectives[mode] = json.loads((tmp_path / mode / "objective.json").read_text())["J"]
+    assert objectives["paper"] != objectives["consistent"]
 
 
 def test_optimize_rejects_bad_omega_before_writing(runner, tmp_path):
-    inst_path = write_instance(runner, tmp_path)
-    result = optimize(runner, inst_path, tmp_path / "run", "--omega", "1.5")
+    inst_path = write_instance(runner, tmp_path, {"relaxation_weight": 1.5})
+    result = optimize(runner, inst_path, tmp_path / "run")
     assert result.exit_code == 1
-    assert "relaxation_weight" in result.output
+    assert result.stderr.startswith("Error: ") and "relaxation_weight" in result.stderr
+    assert not (tmp_path / "run").exists()
+
+
+def test_optimize_takes_no_solver_flags(runner, tmp_path):
+    # the instance's solver block is the one place a solver setting is read
+    inst_path = write_instance(runner, tmp_path)
+    result = runner.invoke(main, ["optimize", "--instance", str(inst_path), "--omega", "0.5",
+                                  "--out-prefix", str(tmp_path / "run")])
+    assert result.exit_code == 2 and "No such option" in result.stderr
     assert not (tmp_path / "run").exists()
 
 
@@ -288,6 +297,12 @@ def optimize_args(edit):
                                      "--out-prefix", out]
 
 
+def experiment_on_small_graph(experiment_id):
+    # the experiments seed 60 devices, so an 8-node topology is refused
+    return lambda runner, tmp, out: ["experiment", "run", "--id", experiment_id,
+                                     "--graph", str(write_graph(runner, tmp)), "--out", out]
+
+
 # case -> (text the error names, (runner, tmp_path, output path) -> command line)
 BAD_INPUT = {
     "optimize-missing-beta_high": ("beta_high", optimize_args(lambda c: c.pop("beta_high"))),
@@ -306,6 +321,9 @@ BAD_INPUT = {
         "experiment", "run", "--id", "exp3", "--graph", str(tmp / "nothere.json"), "--out", out]),
     "experiment-negative-seed": ("rng_seed must be non-negative, got -1", lambda runner, tmp, out: [
         "experiment", "run", "--id", "exp2", "--seed", "-1", "--out", out]),
+    **{f"experiment-{experiment_id}-8-nodes": ("compartment counts sum to 60, expected 8",
+                                               experiment_on_small_graph(experiment_id))
+       for experiment_id in ("exp1", "exp2", "exp3", "exp4_stage1")},
     "generate-empty-room": ("0 devices", lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, rooms=[["a", 8], ["b", 0]]), "--out", out]),
     "generate-missing-density": ("intra_room_density", lambda runner, tmp, out: [
@@ -338,10 +356,9 @@ BAD_INPUT = {
     "optimize-epsilon-NaN": ("convergence_epsilon must be finite and positive, got nan",
                              optimize_args(lambda c: c["solver"].update(
                                  convergence_epsilon=float("nan")))),
-    "optimize-eps-flag-inf": ("convergence_epsilon must be finite and positive, got inf",
-                              lambda runner, tmp, out: [
-        "optimize", "--instance", str(write_instance(runner, tmp)), "--eps", "inf",
-        "--out-prefix", out]),
+    "optimize-epsilon-Infinity": ("convergence_epsilon must be finite and positive, got inf",
+                                  optimize_args(lambda c: c["solver"].update(
+                                      convergence_epsilon=float("inf")))),
     "optimize-relaxation_weight-null": ("relaxation_weight must be a number", optimize_args(
         lambda c: c["solver"].update(relaxation_weight=None))),
     "generate-density-string": ("intra_room_density must be a number", lambda runner, tmp, out: [
