@@ -108,7 +108,7 @@ def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTraject
     if controls.ndim != 3 or state_traj.states.shape != controls.shape[:-1] + (4,):
         raise DimensionMismatchError(f"expected one state trajectory and one control schedule,"
                                      f" got shapes {state_traj.states.shape}, {controls.shape}")
-    validate_states(state_traj.states, instance.node_count, tol=TRAJECTORY_TOL)
+    validate_states(state_traj.states, tol=TRAJECTORY_TOL)
     mode = instance.adjoint_mode
     steps = grid.shape[0] - 1
     h = -instance.dt

@@ -79,10 +79,9 @@ def validate_snapshot(n: int, *arrays) -> tuple:
     return checked
 
 
-def validate_states(states: np.ndarray, n: int, tol: float = STATE_TOL) -> None:
+def validate_states(states: np.ndarray, tol: float = STATE_TOL) -> None:
+    """Raise ValueError unless ``states_in_range(states, tol)``; callers check the shape."""
     states = np.asarray(states)
-    if states.shape[-2:] != (n, 4):
-        raise DimensionMismatchError(f"expected state shape (..., {n}, 4), got {states.shape}")
     if not states_in_range(states, tol):
         raise ValueError(f"state entries or derived recover-complete compartment outside [0, 1]"
                          f" (stored min {states.min()}, max {states.max()}, tol {tol})")
@@ -221,7 +220,7 @@ class ModelInstance:
     The solver settings are set, defaulted and checked here only; change them
     with ``dataclasses.replace(instance, adjoint_mode="consistent")``.
     ``max_iterations`` and ``time_steps`` must be whole numbers and are stored
-    as int; ``convergence_epsilon`` and ``relaxation_weight`` are stored as float.
+    as int.  The sweep's blend weight and tolerance are fixed in ``fbsm_solve``.
     ``control_rates``, when given, are three finite non-negative rates, each
     parsed by ``number`` and stored as a tuple of floats.  ``initial_state``
     is parsed by ``number_array`` and stored as a new float64 (N, 4) array.
@@ -232,8 +231,6 @@ class ModelInstance:
     initial_state: np.ndarray
     control_rates: tuple[float, float, float] | None = None  # (delta, gamma_h, gamma_l)
     max_iterations: int = 100
-    convergence_epsilon: float = 1e-4
-    relaxation_weight: float = 0.5
     adjoint_mode: str = "paper"
     time_steps: int = 300
 
@@ -242,7 +239,7 @@ class ModelInstance:
         if self.params.node_count != n:
             raise DimensionMismatchError("params sized for a different node count than the graph")
         state = number_array(self.initial_state, "initial_state", [(n, 4)])
-        validate_states(state, n, tol=STATE_TOL)
+        validate_states(state, tol=STATE_TOL)
         object.__setattr__(self, "initial_state", state)
         if self.control_rates is not None:
             rates = self.control_rates
@@ -256,16 +253,10 @@ class ModelInstance:
                 raise ValueError(f"control_rates must be finite and non-negative,"
                                  f" got {self.control_rates}")
             object.__setattr__(self, "control_rates", rates)
-        for name, parse in (("max_iterations", integer), ("time_steps", integer),
-                            ("convergence_epsilon", number), ("relaxation_weight", number)):
-            object.__setattr__(self, name, parse(getattr(self, name), name))
+        for name in ("max_iterations", "time_steps"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not (np.isfinite(self.convergence_epsilon) and self.convergence_epsilon > 0):
-            raise ValueError(
-                f"convergence_epsilon must be finite and positive, got {self.convergence_epsilon}")
-        if not 0.0 <= self.relaxation_weight < 1.0:
-            raise ValueError("relaxation_weight must lie in [0, 1)")
         if self.adjoint_mode not in ADJOINT_MODES:
             raise ValueError(f"adjoint_mode must be one of {ADJOINT_MODES}")
         if self.time_steps < 1:
@@ -338,8 +329,7 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
 _INSTANCE_KEYS = ("graph", "beta_high", "beta_low", "horizon", "initial_state", "control_bounds",
                   "control_rates", "solver")
 # keys of the "solver" block: ModelInstance fields, which it defaults and checks
-_SOLVER_KEYS = ("max_iterations", "convergence_epsilon", "relaxation_weight", "adjoint_mode",
-                "time_steps")
+_SOLVER_KEYS = ("max_iterations", "adjoint_mode", "time_steps")
 
 
 def instance_from_dict(data: dict, base_dir=None) -> ModelInstance:

@@ -107,7 +107,7 @@ def test_criterion_04_pointwise_hamiltonian_minimality():
     graph = _random_graph(n, 0.5, rng)
     params = ModelParams.from_scalars(n, 0.4, 0.2, 1.0, delta=(0.1, 0.8),
                                       gamma_high=(0.1, 1.0), gamma_low=(0.1, 0.6))
-    lo, hi = params.lower_bounds(), params.upper_bounds()
+    lo, hi = params.lower, params.upper
     grid = uniform_grid(1.0, 1)
     for _ in range(200):
         state = rng.dirichlet(np.ones(5), size=n)[:, :4]

@@ -102,7 +102,7 @@ class TestPointwiseMinimality:
         graph = validate_graph(a + a.T)
         params = ModelParams.from_scalars(n, 0.4, 0.2, 1.0, delta=(0.1, 0.8),
                                           gamma_high=(0.1, 1.0), gamma_low=(0.1, 0.6))
-        lo, hi = params.lower_bounds(), params.upper_bounds()
+        lo, hi = params.lower, params.upper
         grid = np.array([0.0, 1.0])
         for _ in range(25):
             state = rng.dirichlet(np.ones(5), size=n)[:, :4]

@@ -233,15 +233,6 @@ def test_optimize_stops_at_max_iterations(runner, tmp_path):
     assert report["iterations_used"] == 1 and not report["converged"]
 
 
-def test_optimize_converges_below_convergence_epsilon(runner, tmp_path):
-    # the first residual measures the whole state trajectory, far above 100
-    inst_path = write_instance(runner, tmp_path, {"convergence_epsilon": 100})
-    result = optimize(runner, inst_path, tmp_path / "run")
-    assert result.exit_code == 0, result.output
-    report = json.loads((tmp_path / "run" / "sweep_report.json").read_text())
-    assert report["iterations_used"] == 1 and report["converged"]
-
-
 def test_optimize_adjoint_modes_give_different_objectives(runner, tmp_path):
     objectives = {}
     for mode in ("paper", "consistent"):
@@ -252,11 +243,12 @@ def test_optimize_adjoint_modes_give_different_objectives(runner, tmp_path):
     assert objectives["paper"] != objectives["consistent"]
 
 
-def test_optimize_rejects_bad_omega_before_writing(runner, tmp_path):
+def test_optimize_refuses_relaxation_weight_before_writing(runner, tmp_path):
+    # the sweep's blend weight is fixed at 0.5, so the solver block has no such key
     inst_path = write_instance(runner, tmp_path, {"relaxation_weight": 1.5})
     result = optimize(runner, inst_path, tmp_path / "run")
     assert result.exit_code == 1
-    assert result.stderr.startswith("Error: ") and "relaxation_weight" in result.stderr
+    assert result.stderr.startswith("Error: unknown solver keys ['relaxation_weight']")
     assert not (tmp_path / "run").exists()
 
 
@@ -351,16 +343,13 @@ BAD_INPUT = {
         lambda c: c.update(horizon=True))),
     "optimize-control_rates-string": ("control_rates gamma_low must be a number", optimize_args(
         lambda c: c.update(control_rates={"delta": 0.9, "gamma_high": 0.6, "gamma_low": "x"}))),
-    "optimize-epsilon-string": ("convergence_epsilon must be a number", optimize_args(
-        lambda c: c["solver"].update(convergence_epsilon="1e-4"))),
-    "optimize-epsilon-NaN": ("convergence_epsilon must be finite and positive, got nan",
-                             optimize_args(lambda c: c["solver"].update(
-                                 convergence_epsilon=float("nan")))),
-    "optimize-epsilon-Infinity": ("convergence_epsilon must be finite and positive, got inf",
-                                  optimize_args(lambda c: c["solver"].update(
-                                      convergence_epsilon=float("inf")))),
-    "optimize-relaxation_weight-null": ("relaxation_weight must be a number", optimize_args(
-        lambda c: c["solver"].update(relaxation_weight=None))),
+    # the sweep's fixed weight and tolerance are no solver keys, not even at their values
+    "optimize-solver-convergence_epsilon": ("unknown solver keys ['convergence_epsilon']",
+                                            optimize_args(lambda c: c["solver"].update(
+                                                convergence_epsilon=1e-4))),
+    "optimize-solver-relaxation_weight": ("unknown solver keys ['relaxation_weight']",
+                                          optimize_args(lambda c: c["solver"].update(
+                                              relaxation_weight=0.5))),
     "generate-density-string": ("intra_room_density must be a number", lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, intra_room_density="dense"),
         "--out", out]),

@@ -1,12 +1,15 @@
-"""The checked-in configs describe the instances the code builds, and the
-pytest settings report a failing property."""
+"""The checked-in configs describe the instances the code builds, the
+pytest settings report a failing property, and the sources parse on the
+oldest Python that pyproject.toml admits."""
 
+import ast
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from malctrl.experiments import build_case_instance
 from malctrl.graphs import canonical_graph, canonical_spec, graph_to_json, load_spec
@@ -60,3 +63,13 @@ def test_failing_property_prints_its_example(tmp_path):
     output = run.stdout + run.stderr
     assert run.returncode == 1, output
     assert "Falsifying example" in output and "INTERNALERROR" not in output
+
+
+SOURCES = sorted(path.relative_to(ROOT) for folder in ("src", "tests")
+                 for path in (ROOT / folder).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=str)
+def test_source_parses_as_python_3_10(path):
+    # requires-python is >=3.10, so a newer construct (except*, PEP 695 generics) is refused
+    ast.parse((ROOT / path).read_text(), filename=str(path), feature_version=(3, 10))

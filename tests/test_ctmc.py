@@ -263,7 +263,8 @@ def digest(summary):
 
 def test_canonical_summary_digest():
     inst = build_case_instance(1, canonical_graph())
-    out = ctmc_simulate(inst, inst.fixed_control_trajectory(), rng_seed=5, num_runs=300)
+    out = ctmc_simulate(inst, inst.constant_control(*inst.control_rates), rng_seed=5,
+                        num_runs=300)
     assert digest(out) == "d8724f42a3fab3099c218366edd61f5cdcb977d4f6b0060e9b7a8d087ad2e1f4"
 
 

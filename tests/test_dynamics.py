@@ -133,7 +133,7 @@ class TestIntegrateForward:
         inst = make_instance(graph, 0.004, 0.002, 12.0, initial=initial, time_steps=300)
         traj = integrate_forward(inst, inst.constant_control(0.5, 0.4, 0.2))
         assert traj.states.shape == (301, 60, 4)
-        validate_states(traj.states, 60, tol=TRAJECTORY_TOL)
+        validate_states(traj.states, tol=TRAJECTORY_TOL)
         totals = traj.full_states().sum(axis=2)
         assert np.abs(totals - 1.0).max() <= 1e-6
         s = traj.states[:, :, S]
@@ -158,7 +158,7 @@ class TestIntegrateForward:
         # a one-node control would broadcast to all 60 nodes; a control on the
         # wrong number of grid points or without its node axis is refused too
         inst = build_case_instance(1, canonical_graph())
-        controls = inst.fixed_control_trajectory().controls
+        controls = inst.constant_control(*inst.control_rates).controls
         for bad in (controls[:, :1], controls[:-1], controls[:, 0]):
             with pytest.raises(DimensionMismatchError, match="expected control shape"):
                 integrate_forward(inst, ControlTrajectory(inst.time_grid(), bad))
@@ -168,8 +168,8 @@ class TestIntegrateForward:
         # one bad entry on case 1 (grid point 5, node 3): NaN would give NaN
         # states, which no range check compares false on
         inst = build_case_instance(1, canonical_graph())
-        good = inst.fixed_control_trajectory()
-        bad = inst.fixed_control_trajectory()
+        good = inst.constant_control(*inst.control_rates)
+        bad = inst.constant_control(*inst.control_rates)
         bad.controls[5, 3, GAMMA_H] = rate
         stack = ControlTrajectory(good.time_grid, np.stack([good.controls, bad.controls]))
         for control in (bad, stack):

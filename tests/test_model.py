@@ -1,17 +1,19 @@
 import json
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malctrl.graphs import canonical_graph, validate_graph
+from malctrl.dynamics import ctmc_simulate
+from malctrl.graphs import GraphValidationError, SmartHomeSpec, canonical_graph, validate_graph
 from malctrl.model import (DELTA, GAMMA_L, IH, IL, DimensionMismatchError, ModelInstance,
                            ModelParams, StateTrajectory,
                            instance_from_dict, number_array, r_complete, seed_initial_state,
                            uniform_grid, validate_snapshot, validate_states)
+from malctrl.rgcs import RgcsConfig
 
 
 class TestNodeState:
@@ -21,16 +23,16 @@ class TestNodeState:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            validate_states(np.array([[1.2, 0.0, 0.0, 0.0]]), 1)
+            validate_states(np.array([[1.2, 0.0, 0.0, 0.0]]))
 
     def test_rejects_over_normalized(self):
         with pytest.raises(ValueError, match="recover-complete"):
-            validate_states(np.array([[0.8, 0.8, 0.0, 0.0]]), 1)
+            validate_states(np.array([[0.8, 0.8, 0.0, 0.0]]))
 
     def test_array_round_trip(self):
         # the four stored columns come back unchanged next to the derived RC
         states = np.array([[[0.5, 0.25, 0.125, 0.0625]]])
-        validate_states(states, 1)
+        validate_states(states)
         full = StateTrajectory(np.zeros(1), states).full_states()
         np.testing.assert_array_equal(full[0, 0], [0.5, 0.25, 0.125, 0.0625, 0.0625])
 
@@ -73,8 +75,8 @@ class TestModelParams:
     def test_bound_stacks(self):
         p = ModelParams.from_scalars(2, 0.2, 0.1, 1.0, delta=(0.1, 0.8),
                                      gamma_high=(0.2, 0.9), gamma_low=(0.3, 0.7))
-        np.testing.assert_array_equal(p.lower_bounds(), [[0.1, 0.2, 0.3]] * 2)
-        np.testing.assert_array_equal(p.upper_bounds(), [[0.8, 0.9, 0.7]] * 2)
+        np.testing.assert_array_equal(p.lower, [[0.1, 0.2, 0.3]] * 2)
+        np.testing.assert_array_equal(p.upper, [[0.8, 0.9, 0.7]] * 2)
 
     def test_box_is_two_read_only_arrays(self):
         assert [f.name for f in fields(ModelParams)] == [
@@ -243,11 +245,8 @@ class TestModelInstance:
         inst = ModelInstance(graph=graph, params=params,
                              initial_state=seed_initial_state(graph, 57, 2, 1),
                              max_iterations=7.0, time_steps=np.int64(40))
-        replaced = replace(inst, relaxation_weight=0)
-        for each in (inst, replaced):
-            assert each.max_iterations == 7 and type(each.max_iterations) is int
-            assert each.time_steps == 40 and type(each.time_steps) is int
-        assert type(replaced.relaxation_weight) is float
+        assert inst.max_iterations == 7 and type(inst.max_iterations) is int
+        assert inst.time_steps == 40 and type(inst.time_steps) is int
 
     def test_adjoint_mode_validated(self):
         graph = canonical_graph()
@@ -420,14 +419,12 @@ class TestInstanceConfig:
         assert inst.initial_state[:, IH].sum() == 2.0
 
     def test_solver_defaults_and_types(self):
-        config = dict(CASE1_CONFIG, solver={"max_iterations": 7.0, "relaxation_weight": 0})
+        config = dict(CASE1_CONFIG, solver={"max_iterations": 7.0})
         inst = instance_from_dict(config)
         assert inst.max_iterations == 7 and type(inst.max_iterations) is int
-        assert inst.relaxation_weight == 0.0 and type(inst.relaxation_weight) is float
         # the other settings keep ModelInstance's defaults
         default = ModelInstance(graph=inst.graph, params=inst.params,
                                 initial_state=inst.initial_state)
-        assert inst.convergence_epsilon == default.convergence_epsilon
         assert inst.adjoint_mode == default.adjoint_mode
         assert inst.time_steps == default.time_steps
 
@@ -484,3 +481,51 @@ def test_python_and_json_reject_a_value_alike(key, value):
     with pytest.raises(ValueError) as from_json:
         instance_from_dict(config)
     assert str(from_python.value) == str(from_json.value)
+
+
+def two_node_instance(**settings):
+    graph = validate_graph([[0, 1], [1, 0]])
+    params = ModelParams.from_scalars(2, 0.2, 0.1, 1.0)
+    return ModelInstance(graph=graph, params=params,
+                         initial_state=[[1.0, 0, 0, 0], [0, 1.0, 0, 0]], **settings)
+
+
+def spec(total_devices, rooms):
+    return SmartHomeSpec(total_devices=total_devices, rooms=rooms, intra_room_density=0.5,
+                         inter_room_hub=True, rng_seed=0)
+
+
+# case -> (error type, message, call that raises it)
+REACHABLE_CHECKS = {
+    "params-for-other-graph": (
+        DimensionMismatchError, "params sized for a different node count than the graph",
+        lambda: ModelInstance(graph=validate_graph([[0, 1], [1, 0]]),
+                              params=ModelParams.from_scalars(3, 0.2, 0.1, 1.0),
+                              initial_state=np.zeros((2, 4)))),
+    "max_iterations-0": (ValueError, "max_iterations must be at least 1",
+                         lambda: two_node_instance(max_iterations=0)),
+    "time_steps-0": (ValueError, "time_steps must be positive",
+                     lambda: two_node_instance(time_steps=0)),
+    "no-control_rates": (ValueError, "instance has no constant control rates configured",
+                         lambda: two_node_instance().fixed_control_trajectory()),
+    "grid-0-steps": (ValueError, "need at least one time step", lambda: uniform_grid(1.0, 0)),
+    "one-room-for-two-nodes": (GraphValidationError, "expected 2 room assignments, got 1",
+                               lambda: validate_graph([[0, 1], [1, 0]], room_assignment=["a"])),
+    "spec-0-devices": (ValueError, "total_devices must be positive",
+                       lambda: spec(0, (("a", 0),))),
+    "spec-no-rooms": (ValueError, "at least one room is required", lambda: spec(1, ())),
+    "rgcs-population-0": (ValueError, "population_size must be at least 1",
+                          lambda: RgcsConfig(population_size=0)),
+    "ctmc-0-runs": (ValueError, "num_runs must be positive",
+                    lambda: ctmc_simulate(two_node_instance(),
+                                          two_node_instance().constant_control(0.1, 0.1, 0.1),
+                                          rng_seed=0, num_runs=0)),
+}
+
+
+@pytest.mark.parametrize("case", REACHABLE_CHECKS)
+def test_reachable_check_raises_its_error(case):
+    error, message, call = REACHABLE_CHECKS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        call()
+    assert type(raised.value) is error

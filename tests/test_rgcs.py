@@ -60,6 +60,19 @@ class TestRgcsConfig:
         assert all(type(v) is int for v in vars(config).values())
 
 
+class RepeatedCuts:
+    """A generator stub whose ``uniform`` draws the same cut points every time."""
+
+    def uniform(self, low, high, size):
+        return np.array([0.5, 0.5, 0.2, 0.5])[:size]
+
+
+def test_random_partition_nudges_duplicate_cuts_apart():
+    cuts = random_partition(1.0, 4, RepeatedCuts())
+    assert (np.diff(cuts) > 0.0).all() and 0.0 < cuts[0] and cuts[-1] < 1.0
+    np.testing.assert_array_equal(cuts[1:3], [0.5, np.nextafter(0.5, 1.0)])
+
+
 class TestRgcsGenerate:
 
     def test_degenerate_bounds_force_constant(self):
@@ -99,8 +112,8 @@ class TestRgcsGenerate:
 
     def test_strategies_always_admissible(self):
         inst = small_instance(bounds=((0.1, 0.8), (0.2, 0.9), (0.0, 0.3)))
-        lo = inst.params.lower_bounds()[None]
-        hi = inst.params.upper_bounds()[None]
+        lo = inst.params.lower[None]
+        hi = inst.params.upper[None]
         for seed in range(20):
             controls = rgcs_generate(inst, RgcsConfig(rng_seed=seed)).controls
             assert (controls >= lo - 1e-12).all() and (controls <= hi + 1e-12).all()
