@@ -4,7 +4,7 @@ forward-backward sweep."""
 
 from .graphs import (NetworkGraph, SmartHomeSpec, canonical_graph, canonical_spec,
                      floorplan_spec, generate_smart_home, graph_from_json,
-                     graph_to_json, load_graph, save_graph, validate_graph)
+                     graph_to_json, load_graph, save_graph)
 from .model import (AdjointTrajectory, ControlTrajectory, ModelInstance,
                     ModelParams, StateTrajectory, load_instance,
                     seed_initial_state, uniform_grid)
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "NetworkGraph", "SmartHomeSpec", "canonical_graph", "canonical_spec",
     "floorplan_spec", "generate_smart_home", "graph_from_json", "graph_to_json",
-    "load_graph", "save_graph", "validate_graph",
+    "load_graph", "save_graph",
     "AdjointTrajectory", "ControlTrajectory", "ModelInstance", "ModelParams",
     "StateTrajectory", "load_instance", "seed_initial_state", "uniform_grid",
     "CtmcSummary", "ctmc_simulate", "integrate_forward",

@@ -126,10 +126,9 @@ def experiment():
               help="Master seed of the exp2 strategy population.")
 def experiment_run(experiment_id: str, graph_ref: str, out_dir: Path, seed: int):
     """Run one experiment (or family) and write its artifacts."""
-    spec = ExperimentSpec(experiment_id=experiment_id, out_dir=out_dir,
-                          graph=graph_ref, rng_seed=seed)
     with _bad_input():  # the graph and the seed are the only inputs
-        run_experiment(spec)
+        run_experiment(ExperimentSpec(experiment_id=experiment_id, out_dir=out_dir,
+                                      graph=graph_ref, rng_seed=seed))
     click.echo(f"{experiment_id} artifacts written under {out_dir}")
 
 

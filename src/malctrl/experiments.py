@@ -78,6 +78,8 @@ SAMPLE_NODE_COUNT = 4
 
 @dataclass
 class ExperimentSpec:
+    """One run; ``rng_seed`` and ``population_size`` follow ``RgcsConfig``'s rules."""
+
     experiment_id: str
     out_dir: Path
     graph: str | Path = "canonical"
@@ -89,6 +91,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment id {self.experiment_id!r};"
                              f" expected one of {EXPERIMENT_IDS}")
         self.out_dir = Path(self.out_dir)
+        population = RgcsConfig(rng_seed=self.rng_seed, population_size=self.population_size)
+        self.rng_seed, self.population_size = population.rng_seed, population.population_size
 
 
 def snapshot(state_traj: StateTrajectory) -> dict:

@@ -13,10 +13,6 @@ class GraphValidationError(ValueError):
     """An adjacency matrix violates a structural invariant."""
 
 
-class TopologyError(ValueError):
-    """The smart-home generator cannot produce a graph for this spec."""
-
-
 class DimensionMismatchError(ValueError):
     """State, control, costate, and graph dimensions disagree."""
 
@@ -28,15 +24,62 @@ class NetworkGraph:
     The adjacency is stored as float64 with entries exactly 0.0 or 1.0, so
     the matrix-vector products of the dynamics use it without a cast; graph
     JSON still writes integer entries.  Immutable after construction (the
-    adjacency array is marked read-only); safe to share across concurrent
+    adjacency array is a read-only copy); safe to share across concurrent
     workers.  Storage is dense, so memory and matrix-vector cost are O(N^2);
     intended for up to a few hundred nodes.  ``node_count`` is the size of
     the adjacency, so a graph cannot claim more or fewer nodes than it has.
+
+    Construction raises the error for the first violated invariant, scanning
+    in a fixed order: numbers (``number_array``: a ragged nesting or a
+    boolean, string or None entry raises a ValueError naming ``adjacency``,
+    and a value that is not two-dimensional a DimensionMismatchError), then
+    squareness, then binary entries (row-major), then the diagonal, then
+    symmetry (lower triangle, reported as the (i, j) entry with i > j), then
+    the label and room counts.  Labels default to ``device-00``, ... and
+    rooms to ``default``; both are stored as tuples of strings.
     """
 
     adjacency: np.ndarray
-    node_labels: tuple[str, ...]
-    room_assignment: tuple[str, ...]
+    node_labels: tuple[str, ...] | None = None
+    room_assignment: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        a = number_array(self.adjacency, "adjacency", [(None, None)])
+        if a.shape[0] != a.shape[1]:
+            raise GraphValidationError(f"adjacency matrix must be square, got shape {a.shape}")
+        n = a.shape[0]
+
+        bad = ~((a == 0) | (a == 1))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            entry = repr(a.item(i, j)).removesuffix(".0")
+            raise GraphValidationError(f"adjacency[{i},{j}] = {entry} is not 0 or 1")
+
+        diag = np.flatnonzero(np.diagonal(a))
+        if diag.size:
+            raise GraphValidationError(f"adjacency[{diag[0]},{diag[0]}] = 1: self-loops are not allowed")
+
+        asym = np.tril(a != a.T, k=-1)
+        if asym.any():
+            i, j = np.argwhere(asym)[0]
+            raise GraphValidationError(f"adjacency[{i},{j}] != adjacency[{j},{i}]: links must be undirected")
+
+        node_labels, room_assignment = self.node_labels, self.room_assignment
+        if node_labels is None:
+            node_labels = (f"device-{k:02d}" for k in range(n))
+        if room_assignment is None:
+            room_assignment = ("default",) * n
+        node_labels = tuple(str(s) for s in node_labels)
+        room_assignment = tuple(str(s) for s in room_assignment)
+        if len(node_labels) != n:
+            raise GraphValidationError(f"expected {n} node labels, got {len(node_labels)}")
+        if len(room_assignment) != n:
+            raise GraphValidationError(f"expected {n} room assignments, got {len(room_assignment)}")
+
+        a.flags.writeable = False
+        object.__setattr__(self, "adjacency", a)
+        object.__setattr__(self, "node_labels", node_labels)
+        object.__setattr__(self, "room_assignment", room_assignment)
 
     @property
     def node_count(self) -> int:
@@ -55,51 +98,6 @@ class NetworkGraph:
         for i in np.argsort(-self.degrees(), kind="stable").tolist():
             rooms[self.room_assignment[i]].append(i)
         return list(rooms.values())
-
-
-def validate_graph(adjacency, node_labels=None, room_assignment=None) -> NetworkGraph:
-    """Check adjacency invariants and build a NetworkGraph.
-
-    Raises the error for the first violated invariant, scanning in a fixed
-    order: numbers (``number_array``: a ragged nesting or a boolean, string
-    or None entry raises a ValueError naming ``adjacency``, and a value that
-    is not two-dimensional a DimensionMismatchError), then squareness, then
-    binary entries (row-major), then the diagonal, then symmetry (lower
-    triangle, reported as the (i, j) entry with i > j).
-    """
-    a = number_array(adjacency, "adjacency", [(None, None)])
-    if a.shape[0] != a.shape[1]:
-        raise GraphValidationError(f"adjacency matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-
-    bad = ~((a == 0) | (a == 1))
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        entry = repr(a.item(i, j)).removesuffix(".0")
-        raise GraphValidationError(f"adjacency[{i},{j}] = {entry} is not 0 or 1")
-
-    diag = np.flatnonzero(np.diagonal(a))
-    if diag.size:
-        raise GraphValidationError(f"adjacency[{diag[0]},{diag[0]}] = 1: self-loops are not allowed")
-
-    asym = np.tril(a != a.T, k=-1)
-    if asym.any():
-        i, j = np.argwhere(asym)[0]
-        raise GraphValidationError(f"adjacency[{i},{j}] != adjacency[{j},{i}]: links must be undirected")
-
-    if node_labels is None:
-        node_labels = tuple(f"device-{k:02d}" for k in range(n))
-    if room_assignment is None:
-        room_assignment = tuple("default" for _ in range(n))
-    node_labels = tuple(str(s) for s in node_labels)
-    room_assignment = tuple(str(s) for s in room_assignment)
-    if len(node_labels) != n:
-        raise GraphValidationError(f"expected {n} node labels, got {len(node_labels)}")
-    if len(room_assignment) != n:
-        raise GraphValidationError(f"expected {n} room assignments, got {len(room_assignment)}")
-
-    a.flags.writeable = False
-    return NetworkGraph(adjacency=a, node_labels=node_labels, room_assignment=room_assignment)
 
 
 @dataclass(frozen=True)
@@ -130,6 +128,9 @@ class SmartHomeSpec:
             raise ValueError("total_devices must be positive")
         if not self.rooms:
             raise ValueError("at least one room is required")
+        for name, count in self.rooms:
+            if count < 1:
+                raise ValueError(f"room {name!r} has {count} devices")
         total = sum(count for _, count in self.rooms)
         if total != self.total_devices:
             raise ValueError(f"room device counts sum to {total}, expected {self.total_devices}")
@@ -179,12 +180,6 @@ def generate_smart_home(spec: SmartHomeSpec) -> NetworkGraph:
     disconnected components are chained together with one bridge edge each,
     lowest-index members first.
     """
-    for name, count in spec.rooms:
-        if count == 0:
-            raise TopologyError(f"room {name!r} has 0 devices")
-    if spec.intra_room_density == 0.0 and not spec.inter_room_hub and spec.total_devices > 1:
-        raise TopologyError("intra-room density 0 with no hub cannot yield a connected graph")
-
     n = spec.total_devices
     rng = np.random.default_rng(spec.rng_seed)
     a = np.zeros((n, n), dtype=np.int64)
@@ -217,7 +212,7 @@ def generate_smart_home(spec: SmartHomeSpec) -> NetworkGraph:
     a[roots[1:], roots[:-1]] = 1
     a[roots[:-1], roots[1:]] = 1
 
-    return validate_graph(a, labels, assignment)
+    return NetworkGraph(a, labels, assignment)
 
 
 def _component_labels(a: np.ndarray) -> np.ndarray:
@@ -265,7 +260,7 @@ def graph_from_dict(data: dict) -> NetworkGraph:
     for key in ("labels", "rooms"):
         if key in data and not isinstance(data[key], list):
             raise GraphValidationError(f"{key} must be a list, got {data[key]!r}")
-    graph = validate_graph(data["adjacency"], data.get("labels"), data.get("rooms"))
+    graph = NetworkGraph(data["adjacency"], data.get("labels"), data.get("rooms"))
     n = data.get("n", graph.node_count)
     if not (is_number(n) and n == graph.node_count):
         raise GraphValidationError(f"declared n={n!r} is not the adjacency size {graph.node_count}")

@@ -13,8 +13,8 @@ import pytest
 from malctrl.adjoint import integrate_backward
 from malctrl.dynamics import _reduced_rhs, ctmc_simulate, integrate_forward
 from malctrl.experiments import ExperimentSpec, build_case_instance, run_experiment
-from malctrl.graphs import (canonical_graph, canonical_spec, floorplan_spec,
-                            generate_smart_home, graph_to_json, validate_graph)
+from malctrl.graphs import (NetworkGraph, canonical_graph, canonical_spec, floorplan_spec,
+                            generate_smart_home, graph_to_json)
 from malctrl.model import (DELTA, IH, IL, LAM_F, LAM_H, LAM_L, RF,
                            AdjointTrajectory, ControlTrajectory, ModelInstance,
                            ModelParams, StateTrajectory, seed_initial_state,
@@ -24,14 +24,11 @@ from malctrl.rgcs import RgcsConfig, rgcs_generate, rgcs_population
 from malctrl.sweep import control_update, fbsm_solve
 from malctrl.adjoint import hamiltonian
 
+from helpers import random_graph
+
 
 def _report(number, name, started):
     print(f"ACCEPTANCE {number:02d} {name}: PASS ({time.perf_counter() - started:.1f} s)")
-
-
-def _random_graph(n, density, rng):
-    a = np.triu((rng.random((n, n)) < density).astype(int), 1)
-    return validate_graph(a + a.T)
 
 
 def test_criterion_01_normalization_suite():
@@ -41,7 +38,7 @@ def test_criterion_01_normalization_suite():
     worst = 0.0
     for trial in range(50):
         n = (5, 20, 60)[trial % 3]
-        graph = _random_graph(n, 0.4, rng)
+        graph = random_graph(rng, n, 0.4)
         beta_high = 0.5 * rng.random() / max(1.0, graph.degrees().max())
         params = ModelParams.from_scalars(
             n, beta_high, beta_high * rng.random(), horizon=3.0,
@@ -80,7 +77,7 @@ def test_criterion_02_rhs_components_sum_to_zero():
 def test_criterion_03_jump_process_matches_ode():
     """3-node path, 20,000 runs: expected IH counts within 10% at mid-horizon."""
     started = time.perf_counter()
-    graph = validate_graph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    graph = NetworkGraph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     initial = np.array([[0.0, 1.0, 0, 0], [1.0, 0, 0, 0], [1.0, 0, 0, 0]])
     params = ModelParams.from_scalars(3, 0.2, 0.1, 6.0, delta=(0.0, 1.0),
                                       gamma_high=(0.0, 1.0), gamma_low=(0.0, 1.0))
@@ -104,7 +101,7 @@ def test_criterion_04_pointwise_hamiltonian_minimality():
     started = time.perf_counter()
     rng = np.random.default_rng(1004)
     n = 10
-    graph = _random_graph(n, 0.5, rng)
+    graph = random_graph(rng, n, 0.5)
     params = ModelParams.from_scalars(n, 0.4, 0.2, 1.0, delta=(0.1, 0.8),
                                       gamma_high=(0.1, 1.0), gamma_low=(0.1, 0.6))
     lo, hi = params.lower, params.upper
@@ -127,7 +124,7 @@ def test_criterion_05_gradient_check_consistent_mode():
     """Costate gradient vs central differences of J: within 1e-3 relative."""
     started = time.perf_counter()
     rng = np.random.default_rng(13)
-    graph = _random_graph(5, 0.7, rng)
+    graph = random_graph(rng, 5, 0.7)
     initial = np.zeros((5, 4))
     initial[:, 0] = 1.0
     initial[0] = (0.0, 1.0, 0.0, 0.0)
@@ -242,7 +239,7 @@ def test_criterion_10_seeded_pipelines_reproduce_bytes(tmp_path, recorded_artifa
             == rgcs_generate(inst, cfg).controls.tobytes())
     assert rgcs_population(inst, cfg) == rgcs_population(inst, cfg)
     # jump process
-    graph = validate_graph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    graph = NetworkGraph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     initial = np.array([[0.0, 1.0, 0, 0], [1.0, 0, 0, 0], [1.0, 0, 0, 0]])
     params = ModelParams.from_scalars(3, 0.3, 0.15, 3.0, delta=(0.0, 1.0),
                                       gamma_high=(0.0, 1.0), gamma_low=(0.0, 1.0))

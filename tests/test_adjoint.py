@@ -4,21 +4,21 @@ import pytest
 from malctrl.adjoint import (DivergenceError, adjoint_rhs, hamiltonian,
                              integrate_backward)
 from malctrl.dynamics import integrate_forward
-from malctrl.graphs import validate_graph
+from malctrl.graphs import NetworkGraph
 from malctrl.model import (GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, LAM_S, RF, S,
                            ControlTrajectory, DimensionMismatchError, ModelInstance,
                            ModelParams)
 from malctrl.objective import objective, running_cost
 from malctrl.sweep import control_update
 
-TWO_NODE = validate_graph([[0, 1], [1, 0]])
-SINGLE = validate_graph([[0]])
+from helpers import TWO_NODE, random_graph
+
+SINGLE = NetworkGraph([[0]])
 
 
 def small_instance(seed=2, n=5, horizon=4.0, steps=200, mode="paper"):
     rng = np.random.default_rng(seed)
-    a = np.triu((rng.random((n, n)) < 0.7).astype(int), 1)
-    graph = validate_graph(a + a.T)
+    graph = random_graph(rng, n, 0.7)
     initial = np.zeros((n, 4))
     initial[:, S] = 1.0
     initial[0] = (0.0, 1.0, 0.0, 0.0)
@@ -98,8 +98,7 @@ class TestPointwiseMinimality:
     def test_clamped_update_minimizes_hamiltonian(self):
         rng = np.random.default_rng(7)
         n = 6
-        a = np.triu((rng.random((n, n)) < 0.6).astype(int), 1)
-        graph = validate_graph(a + a.T)
+        graph = random_graph(rng, n, 0.6)
         params = ModelParams.from_scalars(n, 0.4, 0.2, 1.0, delta=(0.1, 0.8),
                                           gamma_high=(0.1, 1.0), gamma_low=(0.1, 0.6))
         lo, hi = params.lower, params.upper
@@ -170,8 +169,7 @@ class TestAdjointRhs:
         # negated costate drift in consistent mode
         rng = np.random.default_rng(12)
         n = 4
-        a = np.triu((rng.random((n, n)) < 0.8).astype(int), 1)
-        graph = validate_graph(a + a.T)
+        graph = random_graph(rng, n, 0.8)
         params = ModelParams.from_scalars(n, 0.35, 0.15, 1.0)
         state = rng.dirichlet(np.ones(5), size=n)[:, :4] * 0.9
         control = rng.random((n, 3))
@@ -194,7 +192,7 @@ class TestIntegrateBackward:
         # no infection, controls pinned to zero, and no edges (with links and
         # susceptible neighbors the costate coupling term stays active even
         # disease-free): lam_h(t) = T - t, everything else zero
-        graph = validate_graph(np.zeros((2, 2), dtype=int))
+        graph = NetworkGraph(np.zeros((2, 2), dtype=int))
         initial = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
         params = ModelParams.from_scalars(2, 0.5, 0.2, 3.0)
         inst = ModelInstance(graph=graph, params=params, initial_state=initial,

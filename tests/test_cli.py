@@ -379,6 +379,14 @@ BAD_INPUT = {
     "generate-rooms-number": ("rooms must be a list of [name, count] pairs, got 5",
                               lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, rooms=5), "--out", out]),
+    # the counts sum to total_devices; the generator used to fail with an IndexError
+    "generate-negative-room": ("Error: room 'b' has -1 devices", lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp, rooms=[["a", 5], ["b", -1]],
+                                                   total_devices=4), "--out", out]),
+    # exp3 runs no population, yet its seed is checked as exp2's is
+    "experiment-exp3-negative-seed": ("rng_seed must be non-negative, got -1",
+                                      lambda runner, tmp, out: [
+        "experiment", "run", "--id", "exp3", "--seed", "-1", "--out", out]),
 }
 
 

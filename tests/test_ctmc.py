@@ -1,4 +1,5 @@
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,28 +8,24 @@ from hypothesis import strategies as st
 
 from malctrl.dynamics import _reduced_rhs, ctmc_simulate
 from malctrl.experiments import build_case_instance
-from malctrl.graphs import canonical_graph, validate_graph
+from malctrl.graphs import NetworkGraph, canonical_graph
 from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, ControlTrajectory,
-                           DimensionMismatchError, ModelInstance, ModelParams,
-                           StateTrajectory, r_complete)
+                           DimensionMismatchError, StateTrajectory, r_complete)
+
+import helpers
+from helpers import TWO_NODE, random_graph
 
 # compartment columns in CtmcSummary.mean_counts
 C_S, C_IH, C_IL, C_RF, C_RC = range(5)
 
 
-def make_instance(graph, beta_high, beta_low, horizon, initial, time_steps,
-                  bounds=((0.0, 2.0),) * 3):
-    params = ModelParams.from_scalars(graph.node_count, beta_high, beta_low, horizon,
-                                      delta=bounds[0], gamma_high=bounds[1],
-                                      gamma_low=bounds[2])
-    return ModelInstance(graph=graph, params=params, initial_state=initial,
-                         time_steps=time_steps)
+# the jump-process instances admit every rate up to 2
+make_instance = partial(helpers.make_instance, bounds=((0.0, 2.0),) * 3)
 
 
 def test_zero_infection_stays_disease_free():
-    graph = validate_graph([[0, 1], [1, 0]])
     initial = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
-    inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=50)
+    inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=50)
     out = ctmc_simulate(inst, inst.constant_control(0.5, 0.5, 0.5), rng_seed=1,
                         num_runs=500)
     assert not out.mean_counts[:, C_IH].any()
@@ -37,9 +34,8 @@ def test_zero_infection_stays_disease_free():
 
 
 def test_non_indicator_initial_state_rejected():
-    graph = validate_graph([[0, 1], [1, 0]])
     initial = np.array([[0.5, 0.5, 0, 0], [1.0, 0, 0, 0]])
-    inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=10)
+    inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
     with pytest.raises(ValueError, match=r"needs indicator \(0/1\) initial states"):
         ctmc_simulate(inst, inst.constant_control(0, 0, 0), rng_seed=1, num_runs=10)
 
@@ -47,9 +43,8 @@ def test_non_indicator_initial_state_rejected():
 def test_control_shape_checked():
     # a one-node control would broadcast to every node; a stack of controls
     # is one strategy per member, which the jump process does not take
-    graph = validate_graph([[0, 1], [1, 0]])
     initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
-    inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=10)
+    inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
     controls = inst.constant_control(0.5, 0.5, 0.5).controls
     for bad in (controls[:, :1], np.stack([controls, controls])):
         with pytest.raises(DimensionMismatchError, match="expected control shape"):
@@ -61,9 +56,8 @@ def test_control_shape_checked():
 def test_bad_control_rate_rejected(rate):
     # NaN would freeze a node in IH, -1 would act as 0, and +inf would
     # overflow the substep count
-    graph = validate_graph([[0, 1], [1, 0]])
     initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
-    inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=10)
+    inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
     control = inst.constant_control(0.5, 0.5, 0.5)
     control.controls[3, 1, GAMMA_H] = rate
     with pytest.raises(ValueError, match="control gamma_high must be finite and non-negative"):
@@ -71,9 +65,8 @@ def test_bad_control_rate_rejected(rate):
 
 
 def test_negative_seed_named():
-    graph = validate_graph([[0, 1], [1, 0]])
     initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
-    inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=10)
+    inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
     with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
         ctmc_simulate(inst, inst.constant_control(0.5, 0.5, 0.5), rng_seed=-1, num_runs=10)
 
@@ -81,18 +74,16 @@ def test_negative_seed_named():
 @pytest.mark.parametrize("field", ["num_runs", "rng_seed"])
 @pytest.mark.parametrize("value", [2.5, True])
 def test_fractional_or_boolean_counts_named(field, value):
-    graph = validate_graph([[0, 1], [1, 0]])
     initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
-    inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=10)
+    inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
     args = {"rng_seed": 1, "num_runs": 10, field: value}
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
         ctmc_simulate(inst, inst.constant_control(0.5, 0.5, 0.5), **args)
 
 
 def test_whole_float_counts_give_an_int_num_runs():
-    graph = validate_graph([[0, 1], [1, 0]])
     initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
-    inst = make_instance(graph, 0.5, 0.2, 2.0, initial, time_steps=10)
+    inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
     control = inst.constant_control(0.5, 0.5, 0.5)
     out = ctmc_simulate(inst, control, rng_seed=3.0, num_runs=np.int64(20))
     assert out.num_runs == 20 and type(out.num_runs) is int
@@ -104,7 +95,7 @@ def test_isolated_node_exponential_holding_time():
     # single device starting infected-high with containment rate 1.0: the
     # holding time is exponential with mean 1.0; the occupancy integral over
     # a long horizon estimates it
-    graph = validate_graph([[0]])
+    graph = NetworkGraph([[0]])
     initial = np.array([[0.0, 1.0, 0.0, 0.0]])
     inst = make_instance(graph, 0.0, 0.0, 12.0, initial, time_steps=600)
     out = ctmc_simulate(inst, inst.constant_control(0.0, 1.0, 0.0), rng_seed=9,
@@ -119,9 +110,8 @@ def test_isolated_node_exponential_holding_time():
 def test_single_edge_infection_probability():
     # node 1 stays infected-high forever (containment pinned to zero), so
     # P[node 0 infected by t] = 1 - exp(-beta_high * t)
-    graph = validate_graph([[0, 1], [1, 0]])
     initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
-    inst = make_instance(graph, 0.5, 0.0, 2.0, initial, time_steps=100,
+    inst = make_instance(TWO_NODE, 0.5, 0.0, 2.0, initial, time_steps=100,
                          bounds=((0.0, 0.0),) * 3)
     out = ctmc_simulate(inst, inst.constant_control(0, 0, 0), rng_seed=4,
                         num_runs=10_000)
@@ -131,7 +121,7 @@ def test_single_edge_infection_probability():
 
 
 def test_deterministic_given_seed():
-    graph = validate_graph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    graph = NetworkGraph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     initial = np.array([[0.0, 1.0, 0, 0], [1.0, 0, 0, 0], [1.0, 0, 0, 0]])
     inst = make_instance(graph, 0.3, 0.15, 3.0, initial, time_steps=60)
     control = inst.constant_control(0.4, 0.3, 0.2)
@@ -168,10 +158,10 @@ def test_zero_infection_mean_is_the_euler_recurrence(seed):
     # on these seeds: it lacks the O(sdt) bias of the substep chain
     rng = np.random.default_rng(seed)
     n = 12
-    a = np.triu((rng.random((n, n)) < 0.5).astype(int), 1)
+    graph = random_graph(rng, n, 0.5)
     codes = np.concatenate([np.arange(5), rng.integers(0, 5, n - 5)])
     initial = np.eye(5)[rng.permutation(codes)][:, :4]
-    inst = make_instance(validate_graph(a + a.T), 0.0, 0.0, 3.0, initial, time_steps=30)
+    inst = make_instance(graph, 0.0, 0.0, 3.0, initial, time_steps=30)
     control = ControlTrajectory(inst.time_grid(), rng.uniform(0.1, 2.0, (31, n, 3)))
     out = ctmc_simulate(inst, control, rng_seed=seed, num_runs=20_000)
     mean = euler_mean(inst, control)
@@ -245,11 +235,11 @@ def random_jump_instance(rng, n):
     susceptible nodes have only infected neighbours, with random betas (zero
     one time in five) and a time-varying control.  Rates reach a few per unit
     time, so a grid step often splits into several substeps."""
-    a = np.triu((rng.random((n, n)) < 0.7).astype(int), 1)
+    graph = random_graph(rng, n, 0.7)
     initial = np.eye(5)[rng.choice(5, size=n, p=[0.3, 0.3, 0.2, 0.1, 0.1])][:, :4]
     beta_high = rng.choice([0.0, rng.uniform(0.5, 4.0)], p=[0.2, 0.8])
     beta_low = rng.uniform(0.0, beta_high)
-    inst = make_instance(validate_graph(a + a.T), beta_high, beta_low,
+    inst = make_instance(graph, beta_high, beta_low,
                          horizon=rng.uniform(0.5, 3.0), initial=initial,
                          time_steps=int(rng.integers(1, 7)))
     controls = rng.uniform(0.0, 2.0, (inst.time_steps + 1, n, 3))

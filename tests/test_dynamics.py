@@ -6,26 +6,14 @@ from hypothesis import strategies as st
 from malctrl.dynamics import (StepTooLargeError, _reduced_rhs, ctmc_simulate,
                               integrate_forward)
 from malctrl.experiments import build_case_instance
-from malctrl.graphs import canonical_graph, validate_graph
+from malctrl.graphs import canonical_graph
 from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S,
                            ControlTrajectory, DimensionMismatchError, GridMismatchError,
-                           ModelInstance, ModelParams, TRAJECTORY_TOL, r_complete,
+                           ModelParams, TRAJECTORY_TOL, r_complete,
                            seed_initial_state, validate_states)
 from malctrl.objective import objective
 
-TWO_NODE = validate_graph([[0, 1], [1, 0]])
-
-
-def make_instance(graph, beta_high, beta_low, horizon, bounds=((0.0, 1.0),) * 3,
-                  initial=None, time_steps=200):
-    params = ModelParams.from_scalars(graph.node_count, beta_high, beta_low, horizon,
-                                      delta=bounds[0], gamma_high=bounds[1],
-                                      gamma_low=bounds[2])
-    if initial is None:
-        initial = np.zeros((graph.node_count, 4))
-        initial[:, S] = 1.0
-    return ModelInstance(graph=graph, params=params, initial_state=initial,
-                         time_steps=time_steps)
+from helpers import TWO_NODE, make_instance, random_graph
 
 
 def ode_rhs(state, control, params, graph):
@@ -108,10 +96,7 @@ class TestIntegrateForward:
     def test_fine_euler_oracle(self):
         # RK4 at dt matches a 100x finer explicit-Euler reference within 1e-4
         rng = np.random.default_rng(2)
-        a = (rng.random((5, 5)) < 0.6).astype(int)
-        a = np.triu(a, 1)
-        a = a + a.T
-        graph = validate_graph(a)
+        graph = random_graph(rng, 5, 0.6)
         initial = np.zeros((5, 4))
         initial[:, S] = 1.0
         initial[0] = (0.0, 1.0, 0.0, 0.0)
@@ -189,8 +174,7 @@ class TestIntegrateForward:
     def test_random_instances_stay_normalized(self, seed):
         rng = np.random.default_rng(seed)
         n = 6
-        a = np.triu((rng.random((n, n)) < 0.5).astype(int), 1)
-        graph = validate_graph(a + a.T)
+        graph = random_graph(rng, n, 0.5)
         initial = rng.dirichlet(np.ones(5), size=n)[:, :4]
         inst = make_instance(graph, 0.3, 0.1, 3.0, initial=initial, time_steps=120)
         controls = rng.random((121, n, 3))
@@ -199,9 +183,9 @@ class TestIntegrateForward:
 
 
 def random_instance(rng, n, time_steps):
-    a = np.triu((rng.random((n, n)) < 0.6).astype(int), 1)
+    graph = random_graph(rng, n, 0.6)
     initial = rng.dirichlet(np.ones(5), size=n)[:, :4]
-    return make_instance(validate_graph(a + a.T), 0.4, 0.2, 2.0, initial=initial,
+    return make_instance(graph, 0.4, 0.2, 2.0, initial=initial,
                          time_steps=time_steps)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -190,3 +191,17 @@ class TestSpecValidation:
     def test_unknown_id_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown experiment id"):
             ExperimentSpec("exp9", out_dir=tmp_path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("population_size", 0, "population_size must be at least 1"),
+        ("rng_seed", -1, "rng_seed must be non-negative, got -1"),
+        ("rng_seed", 1.5, "rng_seed must be an integer, got 1.5")])
+    def test_population_settings_follow_the_rgcs_rules(self, tmp_path, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec("exp1", out_dir=tmp_path, **{field: value})
+        assert not tmp_path.joinpath("exp1").exists()
+
+    def test_population_settings_stored_as_int(self, tmp_path):
+        spec = ExperimentSpec("exp2", out_dir=tmp_path, rng_seed=7.0, population_size=np.int64(5))
+        assert (spec.rng_seed, spec.population_size) == (7, 5)
+        assert type(spec.rng_seed) is int and type(spec.population_size) is int

@@ -24,7 +24,6 @@ def test_public_surface_is_pinned():
         "integrate_forward", "load_graph", "load_instance", "objective", "rgcs_generate",
         "rgcs_population", "run_experiment", "running_cost", "save_graph",
         "seed_initial_state", "select_sample_nodes", "snapshot", "uniform_grid",
-        "validate_graph",
     ]
 
 

@@ -7,58 +7,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malctrl.graphs import (GraphValidationError, SmartHomeSpec, TopologyError,
+from malctrl.graphs import (GraphValidationError, NetworkGraph, SmartHomeSpec,
                             canonical_graph, canonical_spec, floorplan_spec,
                             generate_smart_home, graph_from_json, graph_to_json,
-                            resolve_graph, save_graph, spec_from_dict, validate_graph)
+                            resolve_graph, save_graph, spec_from_dict)
 from malctrl.graphs import _component_labels
+
+from helpers import TWO_NODE
 
 
 class TestValidateGraph:
 
     def test_smallest_connected_graph(self):
-        g = validate_graph([[0, 1], [1, 0]])
+        g = NetworkGraph([[0, 1], [1, 0]])
         assert g.node_count == 2
         assert g.adjacency.tolist() == [[0, 1], [1, 0]]
 
     def test_asymmetry_reported_from_lower_triangle(self):
         with pytest.raises(GraphValidationError,
                            match=r"^adjacency\[1,0\] != adjacency\[0,1\]: links must be undirected$"):
-            validate_graph([[0, 1], [0, 0]])
+            NetworkGraph([[0, 1], [0, 0]])
 
     def test_self_loop(self):
         a = np.zeros((3, 3), dtype=int)
         a[0, 0] = 1
         with pytest.raises(GraphValidationError,
                            match=r"^adjacency\[0,0\] = 1: self-loops are not allowed$"):
-            validate_graph(a)
+            NetworkGraph(a)
 
     def test_non_square(self):
         with pytest.raises(GraphValidationError,
                            match=r"^adjacency matrix must be square, got shape \(2, 3\)$"):
-            validate_graph([[0, 1, 0], [1, 0, 1]])
+            NetworkGraph([[0, 1, 0], [1, 0, 1]])
 
     def test_non_binary_entry(self):
         a = np.zeros((3, 3), dtype=int)
         a[0, 2] = a[2, 0] = 2
         with pytest.raises(GraphValidationError, match=r"^adjacency\[0,2\] = 2 is not 0 or 1$"):
-            validate_graph(a)
+            NetworkGraph(a)
 
     def test_label_length_checked(self):
         with pytest.raises(GraphValidationError):
-            validate_graph([[0, 1], [1, 0]], node_labels=["only-one"])
+            NetworkGraph([[0, 1], [1, 0]], node_labels=["only-one"])
 
     def test_adjacency_is_read_only(self):
         # stored as float64 so the dynamics' matrix-vector products need no cast
-        g = validate_graph(np.array([[0, 1], [1, 0]], dtype=np.int64))
+        g = NetworkGraph(np.array([[0, 1], [1, 0]], dtype=np.int64))
         assert g.adjacency.dtype == np.float64
         assert g.degrees().dtype == np.int64
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = 0
 
+    def test_defaults_and_the_first_failed_check(self):
+        g = NetworkGraph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        assert g.node_labels == ("device-00", "device-01", "device-02")
+        assert g.room_assignment == ("default",) * 3
+        # the adjacency is checked before the label and room counts
+        with pytest.raises(GraphValidationError,
+                           match=r"^adjacency\[0,0\] = 1: self-loops are not allowed$"):
+            NetworkGraph(np.eye(3), ("a",), ())
+
     def test_json_keeps_integer_entries(self):
-        g = validate_graph([[0, 1], [1, 0]])
-        text = graph_to_json(g)
+        text = graph_to_json(TWO_NODE)
         assert '"adjacency":[[0,1],[1,0]]' in text
         assert graph_to_json(graph_from_json(text)) == text
 
@@ -96,6 +106,12 @@ class TestSmartHomeSpec:
             spec_from_dict(json.loads(json.dumps(spec)))
         assert str(from_python.value) == str(from_json.value)
 
+    def test_negative_room_rejected(self):
+        # the counts sum to total_devices, so only the per-room rule stops it
+        with pytest.raises(ValueError, match="^room 'b' has -1 devices$"):
+            SmartHomeSpec(total_devices=4, rooms=(("a", 5), ("b", -1)),
+                          intra_room_density=0.5, inter_room_hub=True, rng_seed=1)
+
 
 class TestGenerateSmartHome:
 
@@ -116,16 +132,18 @@ class TestGenerateSmartHome:
         assert g.adjacency.tolist() == [[0, 1], [1, 0]]
 
     def test_empty_room_rejected(self):
-        spec = SmartHomeSpec(total_devices=2, rooms=(("a", 2), ("b", 0)),
-                             intra_room_density=0.5, inter_room_hub=True, rng_seed=1)
-        with pytest.raises(TopologyError, match="^room 'b' has 0 devices$"):
-            generate_smart_home(spec)
+        with pytest.raises(ValueError, match="^room 'b' has 0 devices$"):
+            SmartHomeSpec(total_devices=2, rooms=(("a", 2), ("b", 0)),
+                          intra_room_density=0.5, inter_room_hub=True, rng_seed=1)
 
-    def test_zero_density_without_hub_unconnectable(self):
+    def test_zero_density_without_hub_chains_rooms(self):
+        # no link is drawn, so every node is its own component and the
+        # bridges chain them in index order
         spec = SmartHomeSpec(total_devices=4, rooms=(("a", 2), ("b", 2)),
                              intra_room_density=0.0, inter_room_hub=False, rng_seed=1)
-        with pytest.raises(TopologyError, match="^intra-room density 0 with no hub cannot"):
-            generate_smart_home(spec)
+        g = generate_smart_home(spec)
+        assert g.adjacency.tolist() == [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
+        assert not _component_labels(g.adjacency).any()
 
     def test_hub_reaches_every_room(self):
         spec = floorplan_spec(rng_seed=7)
@@ -174,7 +192,7 @@ class TestGenerateSmartHome:
                              intra_room_density=density, inter_room_hub=hub,
                              rng_seed=seed)
         g = generate_smart_home(spec)
-        revalidated = validate_graph(g.adjacency, g.node_labels, g.room_assignment)
+        revalidated = NetworkGraph(g.adjacency, g.node_labels, g.room_assignment)
         assert revalidated.node_count == 12
         assert not _component_labels(g.adjacency).any()
         assert graph_to_json(generate_smart_home(spec)) == graph_to_json(g)
@@ -188,8 +206,7 @@ class TestSerialization:
         assert graph_to_json(graph_from_json(text)) == text
 
     def test_declared_n_must_match(self):
-        g = validate_graph([[0, 1], [1, 0]])
-        data = json.loads(graph_to_json(g))
+        data = json.loads(graph_to_json(TWO_NODE))
         data["n"] = 5
         with pytest.raises(GraphValidationError):
             graph_from_json(json.dumps(data))
@@ -214,12 +231,12 @@ class TestResolveGraph:
         assert graph_to_json(resolve_graph("canonical")) == graph_to_json(canonical_graph())
 
     def test_relative_path_taken_from_base_dir(self, tmp_path):
-        g = validate_graph([[0, 1], [1, 0]])
         (tmp_path / "topo").mkdir()
-        save_graph(g, tmp_path / "topo" / "g.json")
+        save_graph(TWO_NODE, tmp_path / "topo" / "g.json")
         for ref in ("topo/g.json", tmp_path / "topo" / "g.json"):
-            assert graph_to_json(resolve_graph(ref, base_dir=tmp_path)) == graph_to_json(g)
-        assert graph_to_json(resolve_graph(str(tmp_path / "topo" / "g.json"))) == graph_to_json(g)
+            assert graph_to_json(resolve_graph(ref, base_dir=tmp_path)) == graph_to_json(TWO_NODE)
+        assert (graph_to_json(resolve_graph(str(tmp_path / "topo" / "g.json")))
+                == graph_to_json(TWO_NODE))
 
 
 class TestCanonicalInstance:

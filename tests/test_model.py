@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malctrl.dynamics import ctmc_simulate
-from malctrl.graphs import GraphValidationError, SmartHomeSpec, canonical_graph, validate_graph
+from malctrl.graphs import GraphValidationError, NetworkGraph, SmartHomeSpec, canonical_graph
 from malctrl.model import (DELTA, GAMMA_L, IH, IL, DimensionMismatchError, ModelInstance,
                            ModelParams, StateTrajectory,
                            instance_from_dict, number_array, r_complete, seed_initial_state,
                            uniform_grid, validate_snapshot, validate_states)
 from malctrl.rgcs import RgcsConfig
+
+from helpers import TWO_NODE
 
 
 class TestNodeState:
@@ -155,8 +157,8 @@ class TestSeedInitialState:
         a = np.zeros((4, 4), dtype=int)
         a[0, 1] = a[1, 0] = 1
         a[2, 3] = a[3, 2] = 1
-        graph = validate_graph(a, [f"dev-{i}" for i in range(4)],
-                               ["a", "a", "b", "b"])
+        graph = NetworkGraph(a, [f"dev-{i}" for i in range(4)],
+                             ["a", "a", "b", "b"])
         state = seed_initial_state(graph, 2, 1, 1)
         # room "a" contributes the first candidate (infected-high), room "b"
         # the second (infected-low)
@@ -266,7 +268,7 @@ class TestConstantControl:
                                           gamma_high=(0.2, 0.9), gamma_low=(0.0, [0.4, 0.5, 0.6]))
         initial = np.zeros((n, 4))
         initial[:, 0] = 1.0
-        return ModelInstance(graph=validate_graph(a), params=params, initial_state=initial,
+        return ModelInstance(graph=NetworkGraph(a), params=params, initial_state=initial,
                              time_steps=steps)
 
     def test_per_node_columns_broadcast_over_the_grid(self):
@@ -484,9 +486,8 @@ def test_python_and_json_reject_a_value_alike(key, value):
 
 
 def two_node_instance(**settings):
-    graph = validate_graph([[0, 1], [1, 0]])
     params = ModelParams.from_scalars(2, 0.2, 0.1, 1.0)
-    return ModelInstance(graph=graph, params=params,
+    return ModelInstance(graph=TWO_NODE, params=params,
                          initial_state=[[1.0, 0, 0, 0], [0, 1.0, 0, 0]], **settings)
 
 
@@ -499,7 +500,7 @@ def spec(total_devices, rooms):
 REACHABLE_CHECKS = {
     "params-for-other-graph": (
         DimensionMismatchError, "params sized for a different node count than the graph",
-        lambda: ModelInstance(graph=validate_graph([[0, 1], [1, 0]]),
+        lambda: ModelInstance(graph=TWO_NODE,
                               params=ModelParams.from_scalars(3, 0.2, 0.1, 1.0),
                               initial_state=np.zeros((2, 4)))),
     "max_iterations-0": (ValueError, "max_iterations must be at least 1",
@@ -510,7 +511,7 @@ REACHABLE_CHECKS = {
                          lambda: two_node_instance().fixed_control_trajectory()),
     "grid-0-steps": (ValueError, "need at least one time step", lambda: uniform_grid(1.0, 0)),
     "one-room-for-two-nodes": (GraphValidationError, "expected 2 room assignments, got 1",
-                               lambda: validate_graph([[0, 1], [1, 0]], room_assignment=["a"])),
+                               lambda: NetworkGraph([[0, 1], [1, 0]], room_assignment=["a"])),
     "spec-0-devices": (ValueError, "total_devices must be positive",
                        lambda: spec(0, (("a", 0),))),
     "spec-no-rooms": (ValueError, "at least one room is required", lambda: spec(1, ())),

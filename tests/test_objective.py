@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malctrl.dynamics import integrate_forward
-from malctrl.graphs import validate_graph
 from malctrl.model import (ControlTrajectory, DimensionMismatchError, GridMismatchError,
                            ModelInstance, ModelParams, StateTrajectory, uniform_grid)
 from malctrl.objective import objective, running_cost
+
+from helpers import random_graph
 
 
 class TestRunningCost:
@@ -77,8 +78,7 @@ class TestObjective:
         # evaluating the same smooth trajectory on a 10x finer grid moves the
         # quadrature by less than 1e-5 relative
         rng = np.random.default_rng(8)
-        a = np.triu((rng.random((5, 5)) < 0.7).astype(int), 1)
-        graph = validate_graph(a + a.T)
+        graph = random_graph(rng, 5, 0.7)
         initial = np.zeros((5, 4))
         initial[:, 0] = 1.0
         initial[0] = (0, 1, 0, 0)
@@ -165,7 +165,7 @@ class TestOrderOfJ:
     @pytest.mark.parametrize("kind, ratio", [("smooth", 2.0), ("constant", 4.0)])
     def test_ratio_of_successive_differences(self, seed, kind, ratio):
         rng = np.random.default_rng(seed)
-        a = np.triu((rng.random((6, 6)) < 0.6).astype(int), 1)
+        graph = random_graph(rng, 6, 0.6)
         initial = np.zeros((6, 4))
         initial[:, 0] = 1.0
         initial[0] = (0, 1, 0, 0)
@@ -175,7 +175,7 @@ class TestOrderOfJ:
         lo, hi = params.lower, params.upper
         js = []
         for steps in (20, 40, 80, 160, 320):
-            inst = ModelInstance(graph=validate_graph(a + a.T), params=params,
+            inst = ModelInstance(graph=graph, params=params,
                                  initial_state=initial, time_steps=steps)
             t = inst.time_grid()[:, None, None]
             share = 0.5 + 0.5 * np.sin(0.7 * t + 2.0) if kind == "smooth" else np.full_like(t, 0.5)

@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 from malctrl import rgcs
 from malctrl.dynamics import StepTooLargeError, integrate_forward
 from malctrl.experiments import build_case_instance, population_comparison
-from malctrl.graphs import canonical_graph, validate_graph
+from malctrl.graphs import NetworkGraph, canonical_graph
 from malctrl.model import IH, ControlTrajectory, ModelInstance, ModelParams
 from malctrl.objective import objective
 from malctrl.rgcs import RgcsConfig, random_partition, rgcs_generate, rgcs_population
 
+from helpers import TWO_NODE, random_graph
+
 
 def small_instance(bounds, horizon=5.0, steps=100):
-    graph = validate_graph([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+    graph = NetworkGraph([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
     initial = np.array([[0.0, 1.0, 0, 0], [1.0, 0, 0, 0], [1.0, 0, 0, 0]])
     params = ModelParams.from_scalars(3, 0.2, 0.1, horizon, delta=bounds[0],
                                       gamma_high=bounds[1], gamma_low=bounds[2])
@@ -29,20 +31,19 @@ def small_instance(bounds, horizon=5.0, steps=100):
 def stiff_instance():
     # no infection; gamma_high up to 40 is far beyond RK4's stability limit
     # at the coarse step of 0.25
-    graph = validate_graph([[0, 1], [1, 0]])
     params = ModelParams.from_scalars(2, 0.0, 0.0, 1.0, delta=(0.0, 1.0),
                                       gamma_high=(0.0, 40.0), gamma_low=(0.0, 1.0))
     initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
-    return ModelInstance(graph=graph, params=params, initial_state=initial, time_steps=4)
+    return ModelInstance(graph=TWO_NODE, params=params, initial_state=initial, time_steps=4)
 
 
 def random_instance(rng, n, time_steps):
-    a = np.triu((rng.random((n, n)) < 0.6).astype(int), 1)
+    graph = random_graph(rng, n, 0.6)
     initial = rng.dirichlet(np.ones(5), size=n)[:, :4]
     lo = rng.uniform(0.0, 0.5, 3)
     hi = lo + rng.uniform(0.0, 1.0, 3)
     params = ModelParams.from_scalars(n, 0.4, 0.2, 2.0, *zip(lo, hi))
-    return ModelInstance(graph=validate_graph(a + a.T), params=params, initial_state=initial,
+    return ModelInstance(graph=graph, params=params, initial_state=initial,
                          time_steps=time_steps)
 
 

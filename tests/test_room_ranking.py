@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malctrl.experiments import select_sample_nodes
-from malctrl.graphs import validate_graph
+from malctrl.graphs import NetworkGraph
 from malctrl.model import IH, IL, RF, S, seed_initial_state
 
 
@@ -90,7 +90,7 @@ def random_rooms_graph(rng):
     n = int(rng.integers(1, 16))
     a = np.triu((rng.random((n, n)) < rng.random()).astype(int), 1)
     names = [f"room{k}" for k in range(int(rng.integers(1, 5)))]
-    return validate_graph(a + a.T, room_assignment=rng.choice(names, size=n).tolist())
+    return NetworkGraph(a + a.T, room_assignment=rng.choice(names, size=n).tolist())
 
 
 def test_ranked_rooms_orders_rooms_by_first_appearance_and_nodes_by_degree():
@@ -98,7 +98,7 @@ def test_ranked_rooms_orders_rooms_by_first_appearance_and_nodes_by_degree():
     a = np.zeros((4, 4), dtype=int)
     for i, j in ((0, 1), (1, 2), (2, 3), (1, 3)):
         a[i, j] = a[j, i] = 1
-    graph = validate_graph(a, room_assignment=["b", "a", "b", "a"])
+    graph = NetworkGraph(a, room_assignment=["b", "a", "b", "a"])
     assert graph.ranked_rooms() == [[2, 0], [1, 3]]
     assert all(type(i) is int for room in graph.ranked_rooms() for i in room)
 

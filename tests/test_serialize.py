@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from malctrl.graphs import graph_to_json, load_graph, validate_graph
+from malctrl.graphs import NetworkGraph, graph_to_json, load_graph
 from malctrl.model import COMPARTMENTS, StateTrajectory, uniform_grid
 from malctrl.serialize import node_csv, summary_json, totals_csv
 
@@ -39,7 +39,7 @@ def test_totals_csv_sums_nodes():
 
 
 def test_canonical_json_is_sorted_and_compact():
-    text = graph_to_json(validate_graph([[0, 1], [1, 0]], ["b", "a"], ["r", "r"]))
+    text = graph_to_json(NetworkGraph([[0, 1], [1, 0]], ["b", "a"], ["r", "r"]))
     assert text == '{"adjacency":[[0,1],[1,0]],"labels":["b","a"],"n":2,"rooms":["r","r"]}\n'
 
 

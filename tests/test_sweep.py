@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from malctrl.adjoint import integrate_backward
 from malctrl.dynamics import integrate_forward
-from malctrl.graphs import canonical_graph, validate_graph
+from malctrl.graphs import canonical_graph
 from malctrl.model import (ADJOINT_MODES, DELTA, GAMMA_H, AdjointTrajectory,
                            DimensionMismatchError, ModelInstance, ModelParams,
                            StateTrajectory, uniform_grid)
 from malctrl.objective import objective
 from malctrl.experiments import build_case_instance
 from malctrl.sweep import control_update, fbsm_solve
+
+from helpers import random_graph
 
 
 def two_point_trajs(state_row, costate_row, n=1):
@@ -202,8 +204,8 @@ def random_instance(n, seed, boxes, beta_high, beta_ratio, horizon, **settings):
     """An n-node instance on a seeded random graph and initial state; each
     box is a (lower, width) pair."""
     rng = np.random.default_rng(seed)
-    a = np.triu((rng.random((n, n)) < 0.6).astype(int), 1)
+    graph = random_graph(rng, n, 0.6)
     params = ModelParams.from_scalars(n, beta_high, beta_ratio * beta_high, horizon,
                                       *((lo, lo + width) for lo, width in boxes))
-    return ModelInstance(graph=validate_graph(a + a.T), params=params,
+    return ModelInstance(graph=graph, params=params,
                          initial_state=rng.dirichlet(np.ones(5), size=n)[:, :4], **settings)
