@@ -1,16 +1,17 @@
 """Hamiltonian, costate dynamics, and backward integration.
 
-Two costate conventions are supported, selected by ``mode`` in
-``adjoint_rhs`` and by the instance's ``adjoint_mode`` in ``integrate_backward``:
+``adjoint_rhs`` is the published system of four costate equations.  The
+instance's ``adjoint_mode`` is the one switch between the two costate
+conventions that ``integrate_backward`` steps:
 
-* ``"paper"`` (default): the published four costate equations as-is.  The
-  running cost's recovery credit does not feed back through the
-  normalization constraint, so lam_f solves a homogeneous equation from a
-  zero terminal condition and stays identically zero; the patch-rate update
-  is then pinned at its lower bound.
-* ``"consistent"``: the recovery credit is expanded through
-  RC = 1 - S - IH - IL - RF before differentiating, which adds a constant
-  -1 to each costate equation.  In this mode the costates are the
+* ``"paper"`` (default): the published system as-is.  The running cost's
+  recovery credit does not feed back through the normalization constraint,
+  so lam_f solves a homogeneous equation from a zero terminal condition and
+  stays identically zero; the patch-rate update is then pinned at its lower
+  bound.
+* ``"consistent"``: the published system minus 1.  The recovery credit is
+  expanded through RC = 1 - S - IH - IL - RF before differentiating, which
+  adds a constant -1 to each costate equation.  In this mode the costates are the
   sensitivities of the computed objective to second order: they solve the
   continuous costate equations, not the adjoint of the discrete scheme, so
   the gradient they give is off the discrete one by O(dt^2) (the relative
@@ -28,11 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import NetworkGraph
-from .model import (ADJOINT_MODES, DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F,
-                    LAM_H, LAM_L, LAM_S, RF, S, AdjointTrajectory,
-                    ControlTrajectory, DimensionMismatchError, ModelInstance,
-                    ModelParams, StateTrajectory, TRAJECTORY_TOL, _check_same_grid,
-                    require_finite, validate_control, validate_snapshot, validate_states)
+from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, LAM_S, S,
+                    AdjointTrajectory, ControlTrajectory, ModelInstance, ModelParams,
+                    StateTrajectory, TRAJECTORY_TOL, _check_same_grid, require_finite,
+                    validate_control, validate_snapshot, validate_states)
 from .dynamics import _reduced_rhs, _rk4_step
 from .objective import running_cost
 
@@ -48,8 +48,8 @@ def hamiltonian(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
     """Running cost plus costate-weighted drift of the four stored compartments.
 
     A state, control or costate whose shape is not (N, 4), (N, 3) or (N, 4)
-    for the graph's N raises DimensionMismatchError naming it; a NaN or
-    infinite one raises ValueError naming it.
+    for the graph's N raises ValueError naming it, as does a NaN or infinite
+    one.
     """
     state, control, costate = validate_snapshot(graph.node_count, state, control, costate)
     require_finite(state=state, control=control, costate=costate)
@@ -58,14 +58,11 @@ def hamiltonian(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
 
 
 def adjoint_rhs(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
-                params: ModelParams, graph: NetworkGraph,
-                mode: str = "paper") -> np.ndarray:
-    """Costate time derivatives, shape (N, 4).
+                params: ModelParams, graph: NetworkGraph) -> np.ndarray:
+    """Costate time derivatives of the published system, shape (N, 4).
 
     Argument shapes are checked as in hamiltonian; values are not.
     """
-    if mode not in ADJOINT_MODES:
-        raise ValueError(f"mode must be one of {ADJOINT_MODES}")
     state, control, costate = validate_snapshot(graph.node_count, state, control, costate)
     a = graph.adjacency
     beta_high, beta_low = params.beta_high, params.beta_low
@@ -81,9 +78,12 @@ def adjoint_rhs(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
     out[:, LAM_L] = (beta_low * (a @ (state[:, S] * gap_l))
                      + control[:, GAMMA_L] * (costate[:, LAM_L] - costate[:, LAM_F]))
     out[:, LAM_F] = costate[:, LAM_F] * control[:, DELTA]
-    if mode == "consistent":
-        out -= 1.0
     return out
+
+
+def _consistent_rhs(*args) -> np.ndarray:
+    """The consistent convention: the published system minus 1."""
+    return adjoint_rhs(*args) - 1.0
 
 
 def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTrajectory,
@@ -97,19 +97,21 @@ def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTraject
     ``instance.adjoint_mode``.
 
     The control is checked as integrate_forward checks it.  Both arguments
-    are single trajectories, not stacks (DimensionMismatchError).  Every
-    state compartment, derived RC included, must lie within 1e-6 of [0, 1];
-    a state outside, or NaN, raises ValueError.  Raises DivergenceError when
+    are single trajectories, not stacks.  Every state compartment, derived
+    RC included, must lie within 1e-6 of [0, 1].  A stack, or a state outside
+    the range or NaN, raises ValueError.  Raises DivergenceError when
     a costate magnitude exceeds 1e12 or turns NaN.
     """
     grid = instance.time_grid()
     controls = validate_control(instance, control_traj)
     _check_same_grid(state_traj.time_grid, grid)
     if controls.ndim != 3 or state_traj.states.shape != controls.shape[:-1] + (4,):
-        raise DimensionMismatchError(f"expected one state trajectory and one control schedule,"
-                                     f" got shapes {state_traj.states.shape}, {controls.shape}")
+        raise ValueError(f"expected one state trajectory and one control schedule,"
+                         f" got shapes {state_traj.states.shape}, {controls.shape}")
     validate_states(state_traj.states, tol=TRAJECTORY_TOL)
-    mode = instance.adjoint_mode
+    # adjoint_rhs is looked up at call time, not bound at import, so a wrapper
+    # installed on the module name (perfbench's tracer) sees every stage call
+    rhs = adjoint_rhs if instance.adjoint_mode == "paper" else _consistent_rhs
     steps = grid.shape[0] - 1
     h = -instance.dt
     params, graph = instance.params, instance.graph
@@ -120,8 +122,7 @@ def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTraject
     for k in range(steps - 1, -1, -1):
         stage_states = (states[k + 1], midpoints[k], states[k])
         u = controls[k]
-        lam = _rk4_step(lambda y, stage: adjoint_rhs(stage_states[stage], u, y, params,
-                                                     graph, mode), lam, h)
+        lam = _rk4_step(lambda y, stage: rhs(stage_states[stage], u, y, params, graph), lam, h)
         if not np.abs(lam).max() <= _DIVERGENCE_LIMIT:  # also true for NaN
             raise DivergenceError(f"costate magnitude exceeded {_DIVERGENCE_LIMIT:g} or turned NaN"
                                   f" at t={grid[k]:.6g}")

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import integer
-from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S, ControlTrajectory,
-                    DimensionMismatchError, ModelInstance, StateTrajectory,
-                    TRAJECTORY_TOL, r_complete, states_in_range, validate_control)
+from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S, ControlTrajectory, ModelInstance,
+                    StateTrajectory, TRAJECTORY_TOL, r_complete, states_in_range,
+                    validate_control)
 
 
 class StepTooLargeError(RuntimeError):
@@ -67,10 +67,9 @@ def integrate_forward(instance: ModelInstance, control: ControlTrajectory) -> St
     piecewise constant: the grid value at index k is held for the whole step
     to t_{k+1}, including the half-step stages.
 
-    Raises GridMismatchError for a control off the instance grid,
-    DimensionMismatchError for a control of another shape, and ValueError
-    for a control value that is NaN, infinite or negative (the control box
-    is not checked).  Raises StepTooLargeError when any compartment of any
+    Raises ValueError for a control off the instance grid, of another shape,
+    or with a value that is NaN, infinite or negative (the control box is
+    not checked).  Raises StepTooLargeError when any compartment of any
     member leaves [-1e-6, 1 + 1e-6] or turns NaN, which signals that the
     step size is too coarse for the configured rates.
     """
@@ -157,8 +156,7 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     """
     controls = validate_control(instance, control)
     if controls.ndim != 3:
-        raise DimensionMismatchError(
-            f"expected control shape {controls.shape[-3:]}, got {controls.shape}")
+        raise ValueError(f"expected control shape {controls.shape[-3:]}, got {controls.shape}")
     init = instance.initial_state
     if not np.isin(init, (0.0, 1.0)).all():
         raise ValueError("jump-process simulation needs indicator (0/1) initial states")
@@ -175,8 +173,8 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     beta_high, beta_low = instance.params.beta_high, instance.params.beta_low
     adjacency = instance.graph.adjacency
     degree = adjacency.sum(axis=1)
-    rate_max = max(beta_high * degree.max(), beta_low * degree.max(),
-                   float(controls.max(initial=0.0)))
+    # beta_low <= beta_high, so beta_high * degree bounds a node's whole infection rate
+    rate_max = max(beta_high * degree.max(), float(controls.max(initial=0.0)))
     substeps = max(1, int(np.ceil(rate_max * dt / _MAX_STEP_PROBABILITY)))
     sdt = dt / substeps
     s_cap = beta_high * degree * sdt + beta_low * degree * sdt

@@ -6,12 +6,23 @@ Four experiment families are supported:
   optimality system for one parameter case and emit sampled per-node
   trajectories plus the objective breakdown,
 * ``exp2``: objective values of a random-strategy population against the
-  sweep optimum,
+  sweep optimum.  This is the paper's comparison, and control cost decides
+  it: on the canonical seed 7 the best strategy (seed 81) scores J 209.51,
+  with infection 4.15, patch 72.24, restriction 150.66 and recovery 17.54,
+  against the optimum's infection 3.19, and the lower-bound schedule alone
+  (J 19.64) beats every strategy.  So ``optimal_beats_population`` holds
+  for any schedule near the lower bound and tests no optimality,
 * ``exp3``: forward runs with and without the restricted-environment rates,
   peak infection counts, the percentage reduction, and peak-time snapshots,
 * ``exp4_stage1`` .. ``exp4_stage4`` (or ``exp4`` for all): an infection-rate
   sweep; each stage reports peak expected infection counts of an
   unrestrained propagation run alongside the optimally controlled one.
+
+Every family solves in paper mode (``adjoint_mode``), so each "optimal"
+output, ``optimal_J`` included, is the fixed point of the published
+optimality system, not a minimum of J: on exp1 case 1 a step 1%, 5% or 20%
+of the way toward the consistent-mode optimum lowers J from 7.094 to
+6.875, 6.028 or 3.249.
 
 Reported "device counts" are expected counts (sums of per-node compartment
 probabilities), emitted raw; peak-time snapshots additionally classify each
@@ -189,7 +200,8 @@ def _run_exp1_case(case_id: str, graph: NetworkGraph, spec: ExperimentSpec) -> d
 
 
 def population_comparison(instance: ModelInstance, config: RgcsConfig) -> dict:
-    """A random-strategy population (sorted by J) next to the sweep optimum.
+    """A random-strategy population (sorted by J) next to the sweep optimum,
+    which in paper mode is the published system's fixed point, not a minimum of J.
 
     The population is streamed in batches and needs less memory than the
     solve, which sets the peak: at N=60 the population grows the resident

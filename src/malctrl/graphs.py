@@ -9,14 +9,6 @@ from pathlib import Path
 import numpy as np
 
 
-class GraphValidationError(ValueError):
-    """An adjacency matrix violates a structural invariant."""
-
-
-class DimensionMismatchError(ValueError):
-    """State, control, costate, and graph dimensions disagree."""
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkGraph:
     """Undirected device topology with a dense 0/1 adjacency matrix.
@@ -29,14 +21,14 @@ class NetworkGraph:
     intended for up to a few hundred nodes.  ``node_count`` is the size of
     the adjacency, so a graph cannot claim more or fewer nodes than it has.
 
-    Construction raises the error for the first violated invariant, scanning
-    in a fixed order: numbers (``number_array``: a ragged nesting or a
-    boolean, string or None entry raises a ValueError naming ``adjacency``,
-    and a value that is not two-dimensional a DimensionMismatchError), then
-    squareness, then binary entries (row-major), then the diagonal, then
-    symmetry (lower triangle, reported as the (i, j) entry with i > j), then
-    the label and room counts.  Labels default to ``device-00``, ... and
-    rooms to ``default``; both are stored as tuples of strings.
+    Construction raises a ValueError for the first violated invariant,
+    scanning in a fixed order: numbers (``number_array``: a ragged nesting,
+    a boolean, string or None entry, or a value that is not two-dimensional
+    is named as ``adjacency``), then squareness, then binary entries
+    (row-major), then the diagonal, then symmetry (lower triangle, reported
+    as the (i, j) entry with i > j), then the label and room counts.
+    Labels default to ``device-00``, ... and rooms to ``default``; both are
+    stored as tuples of strings.
     """
 
     adjacency: np.ndarray
@@ -46,23 +38,23 @@ class NetworkGraph:
     def __post_init__(self):
         a = number_array(self.adjacency, "adjacency", [(None, None)])
         if a.shape[0] != a.shape[1]:
-            raise GraphValidationError(f"adjacency matrix must be square, got shape {a.shape}")
+            raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
         n = a.shape[0]
 
         bad = ~((a == 0) | (a == 1))
         if bad.any():
             i, j = np.argwhere(bad)[0]
             entry = repr(a.item(i, j)).removesuffix(".0")
-            raise GraphValidationError(f"adjacency[{i},{j}] = {entry} is not 0 or 1")
+            raise ValueError(f"adjacency[{i},{j}] = {entry} is not 0 or 1")
 
         diag = np.flatnonzero(np.diagonal(a))
         if diag.size:
-            raise GraphValidationError(f"adjacency[{diag[0]},{diag[0]}] = 1: self-loops are not allowed")
+            raise ValueError(f"adjacency[{diag[0]},{diag[0]}] = 1: self-loops are not allowed")
 
         asym = np.tril(a != a.T, k=-1)
         if asym.any():
             i, j = np.argwhere(asym)[0]
-            raise GraphValidationError(f"adjacency[{i},{j}] != adjacency[{j},{i}]: links must be undirected")
+            raise ValueError(f"adjacency[{i},{j}] != adjacency[{j},{i}]: links must be undirected")
 
         node_labels, room_assignment = self.node_labels, self.room_assignment
         if node_labels is None:
@@ -72,9 +64,9 @@ class NetworkGraph:
         node_labels = tuple(str(s) for s in node_labels)
         room_assignment = tuple(str(s) for s in room_assignment)
         if len(node_labels) != n:
-            raise GraphValidationError(f"expected {n} node labels, got {len(node_labels)}")
+            raise ValueError(f"expected {n} node labels, got {len(node_labels)}")
         if len(room_assignment) != n:
-            raise GraphValidationError(f"expected {n} room assignments, got {len(room_assignment)}")
+            raise ValueError(f"expected {n} room assignments, got {len(room_assignment)}")
 
         a.flags.writeable = False
         object.__setattr__(self, "adjacency", a)
@@ -256,14 +248,14 @@ def graph_to_json(graph: NetworkGraph) -> str:
 def graph_from_dict(data: dict) -> NetworkGraph:
     data = json_object(data, "topology", ("n", "adjacency", "labels", "rooms"))
     if "adjacency" not in data:
-        raise GraphValidationError("topology has no adjacency matrix")
+        raise ValueError("topology has no adjacency matrix")
     for key in ("labels", "rooms"):
         if key in data and not isinstance(data[key], list):
-            raise GraphValidationError(f"{key} must be a list, got {data[key]!r}")
+            raise ValueError(f"{key} must be a list, got {data[key]!r}")
     graph = NetworkGraph(data["adjacency"], data.get("labels"), data.get("rooms"))
     n = data.get("n", graph.node_count)
     if not (is_number(n) and n == graph.node_count):
-        raise GraphValidationError(f"declared n={n!r} is not the adjacency size {graph.node_count}")
+        raise ValueError(f"declared n={n!r} is not the adjacency size {graph.node_count}")
     return graph
 
 
@@ -356,8 +348,8 @@ def number_array(value, name: str, shapes) -> np.ndarray:
     A ragged nesting raises a ValueError that names ``name``; so does a
     boolean, a string, None or any other non-number entry, located by its
     index, and so does an integer beyond the float range.  A shape outside
-    ``shapes`` raises a DimensionMismatchError that names ``name`` and says,
-    in words, what the shape must be.  A value that is not already an
+    ``shapes`` raises a ValueError that names ``name`` and says, in words,
+    what the shape must be.  A value that is not already an
     integer or float array is checked by the set of its entries' types, so
     the entries are walked one by one only to name a bad one.
     """
@@ -376,8 +368,7 @@ def number_array(value, name: str, shapes) -> np.ndarray:
                                                 for want, length in zip(shape, cells.shape))
                for shape in shapes):
         got = f"shape {cells.shape}" if cells.ndim else repr(value)
-        raise DimensionMismatchError(
-            f"{name} must be {' or '.join(map(_in_words, shapes))}, got {got}")
+        raise ValueError(f"{name} must be {' or '.join(map(_in_words, shapes))}, got {got}")
     if not all(issubclass(kind, _NUMBER_TYPES) and not issubclass(kind, bool) for kind in types):
         index, cell = next((index, cell) for index, cell in np.ndenumerate(cells)
                            if not is_number(cell))

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import (DimensionMismatchError, NetworkGraph, graph_from_dict, integer, json_object,
-                     number, number_array, required, resolve_graph)
+from .graphs import (NetworkGraph, graph_from_dict, integer, json_object, number, number_array,
+                     required, resolve_graph)
 
 # state columns
 S, IH, IL, RF = 0, 1, 2, 3
@@ -38,10 +38,6 @@ STATE_TOL = 1e-9          # tolerance for constructed states
 TRAJECTORY_TOL = 1e-6     # tolerance the integrator guarantees along trajectories
 
 ADJOINT_MODES = ("paper", "consistent")
-
-
-class GridMismatchError(ValueError):
-    """Two trajectories do not share the same time grid."""
 
 
 def r_complete(states: np.ndarray) -> np.ndarray:
@@ -70,12 +66,12 @@ def require_finite(**arrays) -> None:
 
 def validate_snapshot(n: int, *arrays) -> tuple:
     """A state, a control and a costate, or the first one or two of them, as float64 arrays;
-    raises DimensionMismatchError naming the first whose shape is not (n, 4), (n, 3) or (n, 4)."""
+    raises ValueError naming the first whose shape is not (n, 4), (n, 3) or (n, 4)."""
     checked = tuple(np.asarray(values, dtype=np.float64) for values in arrays)
     for name, width, values in zip(("state", "control", "costate"), (4, 3, 4), checked):
         if values.shape != (n, width):
-            raise DimensionMismatchError(f"sizes disagree: {name} has shape {values.shape},"
-                                         f" expected ({n}, {width})")
+            raise ValueError(f"sizes disagree: {name} has shape {values.shape},"
+                             f" expected ({n}, {width})")
     return checked
 
 
@@ -147,7 +143,7 @@ def uniform_grid(horizon: float, steps: int) -> np.ndarray:
 
 def _check_same_grid(grid_a: np.ndarray, grid_b: np.ndarray) -> None:
     if grid_a.shape != grid_b.shape or not np.array_equal(grid_a, grid_b):
-        raise GridMismatchError("trajectories must share an identical time grid")
+        raise ValueError("trajectories must share an identical time grid")
 
 
 def validate_control(instance: ModelInstance, control: ControlTrajectory) -> np.ndarray:
@@ -155,14 +151,14 @@ def validate_control(instance: ModelInstance, control: ControlTrajectory) -> np.
 
     They must lie on the instance grid, have shape (..., K+1, N, 3), and be
     finite and non-negative; the control box is not checked.  Raises
-    GridMismatchError, DimensionMismatchError or ValueError naming the control.
+    ValueError naming the control.
     """
     grid = instance.time_grid()
     _check_same_grid(control.time_grid, grid)
     controls = control.controls
     if controls.shape[-3:] != (grid.shape[0], instance.node_count, 3):
-        raise DimensionMismatchError(f"expected control shape (..., {grid.shape[0]},"
-                                     f" {instance.node_count}, 3), got {controls.shape}")
+        raise ValueError(f"expected control shape (..., {grid.shape[0]},"
+                         f" {instance.node_count}, 3), got {controls.shape}")
     bad = ~(np.isfinite(controls) & (controls >= 0.0))
     if bad.any():
         raise ValueError(f"control {CONTROL_NAMES[np.argwhere(bad)[0, -1]]} must be finite and"
@@ -237,7 +233,7 @@ class ModelInstance:
     def __post_init__(self):
         n = self.graph.node_count
         if self.params.node_count != n:
-            raise DimensionMismatchError("params sized for a different node count than the graph")
+            raise ValueError("params sized for a different node count than the graph")
         state = number_array(self.initial_state, "initial_state", [(n, 4)])
         validate_states(state, tol=STATE_TOL)
         object.__setattr__(self, "initial_state", state)
@@ -245,8 +241,8 @@ class ModelInstance:
             rates = self.control_rates
             if not (isinstance(rates, (list, tuple)) or isinstance(rates, np.ndarray)
                     and rates.ndim == 1) or len(rates) != 3:
-                raise DimensionMismatchError(f"control_rates must be three rates (delta,"
-                                             f" gamma_high, gamma_low), got {rates!r}")
+                raise ValueError(f"control_rates must be three rates (delta,"
+                                 f" gamma_high, gamma_low), got {rates!r}")
             rates = tuple(number(rate, f"control_rates {name}")
                           for name, rate in zip(CONTROL_NAMES, rates))
             if not all(0.0 <= rate < np.inf for rate in rates):

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DELTA, GAMMA_H, GAMMA_L, IH, ControlTrajectory,
-                    DimensionMismatchError, StateTrajectory, _check_same_grid,
-                    r_complete, require_finite, validate_snapshot)
+from .model import (DELTA, GAMMA_H, GAMMA_L, IH, ControlTrajectory, StateTrajectory,
+                    _check_same_grid, r_complete, require_finite, validate_snapshot)
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,7 @@ def running_cost(state: np.ndarray, control: np.ndarray) -> float:
     """Instantaneous cost of one (state, control) snapshot.
 
     A state that is not (N, 4) for some N, or a control that is not (N, 3),
-    raises DimensionMismatchError naming it; a NaN or infinite one raises
-    ValueError naming it.
+    raises ValueError naming it, as does a NaN or infinite one.
     """
     n = np.shape(state)[0] if np.ndim(state) else 0
     state, control = validate_snapshot(n, state, control)
@@ -100,8 +98,7 @@ def objective(state_traj: StateTrajectory, control_traj: ControlTrajectory) -> O
     _check_same_grid(state_traj.time_grid, control_traj.time_grid)
     states, controls = state_traj.states, control_traj.controls
     if states.shape[:-1] != controls.shape[:-1]:
-        raise DimensionMismatchError(
-            f"incompatible states {states.shape} and controls {controls.shape}")
+        raise ValueError(f"incompatible states {states.shape} and controls {controls.shape}")
     require_finite(state_traj=states, control_traj=controls)
     infection, recovery = _state_sums(states)
     patch, restriction = _control_sums(controls)

@@ -39,19 +39,6 @@ class RgcsConfig:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
-def random_partition(horizon: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n interior cut points, sorted, strictly increasing inside (0, horizon).
-
-    Exact duplicates (probability zero in real arithmetic, possible in
-    floats) are nudged apart by one ulp.
-    """
-    cuts = np.sort(rng.uniform(0.0, horizon, size=n))
-    for i in range(1, n):
-        if cuts[i] <= cuts[i - 1]:
-            cuts[i] = np.nextafter(cuts[i - 1], horizon)
-    return cuts
-
-
 def rgcs_generate(instance: ModelInstance, config: RgcsConfig) -> ControlTrajectory:
     """Draw one admissible piecewise-constant strategy, deterministic per seed.
 
@@ -70,10 +57,10 @@ def _strategy(instance: ModelInstance, config: RgcsConfig) -> tuple[np.ndarray, 
 
     Grid point k takes row ``cell[k]``.  Only the subintervals that hold a
     grid point keep a row, so the table is never larger than the strategy
-    on the grid.
+    on the grid; a subinterval between tied cut points is empty and has none.
     """
     rng = np.random.default_rng(config.rng_seed)
-    cuts = random_partition(instance.params.horizon, config.num_subintervals, rng)
+    cuts = np.sort(rng.uniform(0.0, instance.params.horizon, size=config.num_subintervals))
     lo, hi = instance.params.lower, instance.params.upper   # (N, 3) each
     draws = rng.random((instance.node_count, config.num_subintervals + 1, 3))
     used, cell = np.unique(np.searchsorted(cuts, instance.time_grid(), side="right"),

@@ -9,9 +9,8 @@ import numpy as np
 from .adjoint import integrate_backward
 from .dynamics import integrate_forward
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, RF,
-                    AdjointTrajectory, ControlTrajectory, DimensionMismatchError,
-                    ModelInstance, ModelParams, StateTrajectory, _check_same_grid,
-                    require_finite)
+                    AdjointTrajectory, ControlTrajectory, ModelInstance, ModelParams,
+                    StateTrajectory, _check_same_grid, require_finite)
 from .objective import ObjectiveBreakdown, objective
 
 
@@ -46,20 +45,20 @@ def control_update(state_traj: StateTrajectory, adjoint_traj: AdjointTrajectory,
     (lam_h - lam_f) * IH, (lam_l - lam_f) * IL for the two restriction
     rates; the quadratic control cost makes the clamp the exact box minimum.
     Takes one trajectory, not a stack; a costate or a box sized for other
-    nodes raises DimensionMismatchError naming ``adjoint_traj`` or
-    ``params``.  A NaN or infinite state or costate raises ValueError naming it.
+    nodes raises ValueError naming ``adjoint_traj`` or ``params``; a NaN or
+    infinite state or costate raises ValueError naming it.
     """
     _check_same_grid(state_traj.time_grid, adjoint_traj.time_grid)
     states, lams = state_traj.states, adjoint_traj.costates
     if states.ndim != 3:
-        raise DimensionMismatchError(f"control_update takes one trajectory, not a stack;"
-                                     f" state_traj has shape {states.shape}")
+        raise ValueError(f"control_update takes one trajectory, not a stack;"
+                         f" state_traj has shape {states.shape}")
     if lams.shape != states.shape:
-        raise DimensionMismatchError(f"adjoint_traj has shape {lams.shape},"
-                                     f" state_traj {states.shape}")
+        raise ValueError(f"adjoint_traj has shape {lams.shape},"
+                         f" state_traj {states.shape}")
     if params.node_count != states.shape[1]:
-        raise DimensionMismatchError(f"params sized for {params.node_count} nodes,"
-                                     f" state_traj for {states.shape[1]}")
+        raise ValueError(f"params sized for {params.node_count} nodes,"
+                         f" state_traj for {states.shape[1]}")
     require_finite(state_traj=states, adjoint_traj=lams)
     raw = np.empty(states.shape[:2] + (3,))
     raw[:, :, DELTA] = lams[:, :, LAM_F] * states[:, :, RF]

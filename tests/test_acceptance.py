@@ -8,7 +8,6 @@ criterion states one.
 import time
 
 import numpy as np
-import pytest
 
 from malctrl.adjoint import integrate_backward
 from malctrl.dynamics import _reduced_rhs, ctmc_simulate, integrate_forward
@@ -17,8 +16,7 @@ from malctrl.graphs import (NetworkGraph, canonical_graph, canonical_spec, floor
                             generate_smart_home, graph_to_json)
 from malctrl.model import (DELTA, IH, IL, LAM_F, LAM_H, LAM_L, RF,
                            AdjointTrajectory, ControlTrajectory, ModelInstance,
-                           ModelParams, StateTrajectory, seed_initial_state,
-                           uniform_grid)
+                           ModelParams, StateTrajectory, uniform_grid)
 from malctrl.objective import objective
 from malctrl.rgcs import RgcsConfig, rgcs_generate, rgcs_population
 from malctrl.sweep import control_update, fbsm_solve

@@ -6,8 +6,7 @@ from malctrl.adjoint import (DivergenceError, adjoint_rhs, hamiltonian,
 from malctrl.dynamics import integrate_forward
 from malctrl.graphs import NetworkGraph
 from malctrl.model import (GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, LAM_S, RF, S,
-                           ControlTrajectory, DimensionMismatchError, ModelInstance,
-                           ModelParams)
+                           ControlTrajectory, ModelInstance, ModelParams)
 from malctrl.objective import objective, running_cost
 from malctrl.sweep import control_update
 
@@ -88,7 +87,7 @@ class TestSnapshotShapes:
         calls = {"adjoint_rhs": lambda: adjoint_rhs(**args, params=params, graph=TWO_NODE),
                  "hamiltonian": lambda: hamiltonian(**args, params=params, graph=TWO_NODE),
                  "running_cost": lambda: running_cost(args["state"], args["control"])}
-        with pytest.raises(DimensionMismatchError,
+        with pytest.raises(ValueError,
                            match=rf"^sizes disagree: {arg} has shape \({shape[0]}, "):
             calls[function]()
 
@@ -138,35 +137,18 @@ class TestAdjointRhs:
         d = adjoint_rhs(state, control, costate, params, SINGLE)
         assert d[0, LAM_H] == pytest.approx(-0.5, abs=1e-15)
 
-    def test_unknown_mode_rejected(self):
-        state = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
-        params = ModelParams.from_scalars(2, 0.5, 0.2, 1.0)
-        with pytest.raises(ValueError, match="mode must be one of"):
-            adjoint_rhs(state, np.zeros((2, 3)), np.zeros((2, 4)), params, TWO_NODE,
-                        mode="exact")
-
     @pytest.mark.parametrize("wrong", ["state", "control", "costate"])
     def test_argument_for_another_graph_rejected(self, wrong):
         args = {"state": np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]),
                 "control": np.zeros((2, 3)), "costate": np.zeros((2, 4))}
         args[wrong] = args[wrong][:1]
         params = ModelParams.from_scalars(2, 0.5, 0.2, 1.0)
-        with pytest.raises(DimensionMismatchError, match="sizes disagree"):
+        with pytest.raises(ValueError, match="sizes disagree"):
             adjoint_rhs(args["state"], args["control"], args["costate"], params, TWO_NODE)
-
-    def test_consistent_mode_shifts_each_equation(self):
-        rng = np.random.default_rng(9)
-        state = rng.dirichlet(np.ones(5), size=2)[:, :4]
-        control = rng.random((2, 3))
-        costate = rng.normal(size=(2, 4))
-        params = ModelParams.from_scalars(2, 0.5, 0.2, 1.0)
-        base = adjoint_rhs(state, control, costate, params, TWO_NODE, mode="paper")
-        shifted = adjoint_rhs(state, control, costate, params, TWO_NODE, mode="consistent")
-        np.testing.assert_allclose(shifted, base - 1.0, atol=1e-15)
 
     def test_consistent_mode_matches_hamiltonian_gradient(self):
         # central differences of H in each state coordinate reproduce the
-        # negated costate drift in consistent mode
+        # negated costate drift in consistent mode, the published drift minus 1
         rng = np.random.default_rng(12)
         n = 4
         graph = random_graph(rng, n, 0.8)
@@ -174,7 +156,7 @@ class TestAdjointRhs:
         state = rng.dirichlet(np.ones(5), size=n)[:, :4] * 0.9
         control = rng.random((n, 3))
         costate = rng.normal(size=(n, 4))
-        want = -adjoint_rhs(state, control, costate, params, graph, mode="consistent")
+        want = 1.0 - adjoint_rhs(state, control, costate, params, graph)
         h = 1e-6
         for i in range(n):
             for c in range(4):
@@ -252,7 +234,7 @@ class TestIntegrateBackward:
         stacked_states = integrate_forward(inst, stacked_control)
         for args in ((stacked_states, control), (states, stacked_control),
                      (stacked_states, stacked_control)):
-            with pytest.raises(DimensionMismatchError, match="one state trajectory"):
+            with pytest.raises(ValueError, match="one state trajectory"):
                 integrate_backward(*args, inst)
 
     def test_nan_state_rejected(self):

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from malctrl.cli import main
 from malctrl.experiments import ExperimentSpec, run_experiment
 from malctrl.graphs import graph_from_json
-from malctrl.model import DimensionMismatchError, load_instance
+from malctrl.model import load_instance
 from malctrl.serialize import summary_json
 
 
@@ -413,7 +413,7 @@ def delta_bounds(pair):
 
 # case -> (field the error names, error type, edit of the instance config)
 BAD_ARRAYS = {
-    "per_node-string": ("initial_state", DimensionMismatchError, initial_state(per_node="x")),
+    "per_node-string": ("initial_state", ValueError, initial_state(per_node="x")),
     "per_node-ragged": ("initial_state", ValueError,
                         initial_state(per_node=SUSCEPTIBLE_ROWS[:-1] + [[1, 0, 0]])),
     "per_node-booleans": ("initial_state", ValueError,

@@ -1,6 +1,6 @@
 """The checked-in configs describe the instances the code builds, the
 pytest settings report a failing property, and the sources parse on the
-oldest Python that pyproject.toml admits."""
+oldest Python that pyproject.toml admits and use every name they import."""
 
 import ast
 import subprocess
@@ -73,3 +73,25 @@ SOURCES = sorted(path.relative_to(ROOT) for folder in ("src", "tests")
 def test_source_parses_as_python_3_10(path):
     # requires-python is >=3.10, so a newer construct (except*, PEP 695 generics) is refused
     ast.parse((ROOT / path).read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads: not as a name, an attribute
+    base (``np`` in ``np.zeros`` is a name) or an ``__all__`` entry."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=str)
+def test_source_has_no_unused_import(path):
+    assert unused_imports(ast.parse((ROOT / path).read_text(), filename=str(path))) == []

@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np

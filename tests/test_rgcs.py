@@ -14,7 +14,7 @@ from malctrl.experiments import build_case_instance, population_comparison
 from malctrl.graphs import NetworkGraph, canonical_graph
 from malctrl.model import IH, ControlTrajectory, ModelInstance, ModelParams
 from malctrl.objective import objective
-from malctrl.rgcs import RgcsConfig, random_partition, rgcs_generate, rgcs_population
+from malctrl.rgcs import RgcsConfig, rgcs_generate, rgcs_population
 
 from helpers import TWO_NODE, random_graph
 
@@ -59,19 +59,6 @@ class TestRgcsConfig:
         config = RgcsConfig(num_subintervals=4.0, rng_seed=np.int64(2), population_size=3.0)
         assert config == RgcsConfig(num_subintervals=4, rng_seed=2, population_size=3)
         assert all(type(v) is int for v in vars(config).values())
-
-
-class RepeatedCuts:
-    """A generator stub whose ``uniform`` draws the same cut points every time."""
-
-    def uniform(self, low, high, size):
-        return np.array([0.5, 0.5, 0.2, 0.5])[:size]
-
-
-def test_random_partition_nudges_duplicate_cuts_apart():
-    cuts = random_partition(1.0, 4, RepeatedCuts())
-    assert (np.diff(cuts) > 0.0).all() and 0.0 < cuts[0] and cuts[-1] < 1.0
-    np.testing.assert_array_equal(cuts[1:3], [0.5, np.nextafter(0.5, 1.0)])
 
 
 class TestRgcsGenerate:
@@ -132,11 +119,11 @@ class TestRgcsGenerate:
     @given(seed=st.integers(min_value=0, max_value=2**63 - 1),
            n=st.integers(min_value=1, max_value=40))
     def test_partition_validity(self, seed, n):
-        rng = np.random.default_rng(seed)
-        cuts = random_partition(7.5, n, rng)
-        assert cuts.shape == (n,)
-        assert (cuts > 0.0).all() and (cuts < 7.5).all()
-        assert (np.diff(cuts) > 0).all()
+        # n cut points split the horizon into at most n + 1 constant pieces
+        inst = small_instance(bounds=((0.1, 0.8), (0.1, 1.0), (0.1, 0.6)), horizon=7.5)
+        controls = rgcs_generate(inst, RgcsConfig(num_subintervals=n, rng_seed=seed)).controls
+        assert controls.shape == (inst.time_steps + 1, 3, 3)
+        assert (controls[1:] != controls[:-1]).any(axis=(1, 2)).sum() <= n
 
 
 class TestPopulationCompare:

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from malctrl.adjoint import integrate_backward
 from malctrl.dynamics import integrate_forward
 from malctrl.graphs import canonical_graph
-from malctrl.model import (ADJOINT_MODES, DELTA, GAMMA_H, AdjointTrajectory,
-                           DimensionMismatchError, ModelInstance, ModelParams,
-                           StateTrajectory, uniform_grid)
+from malctrl.model import (ADJOINT_MODES, DELTA, GAMMA_H, AdjointTrajectory, ControlTrajectory,
+                           ModelInstance, ModelParams, StateTrajectory, uniform_grid)
 from malctrl.objective import objective
 from malctrl.experiments import build_case_instance
 from malctrl.sweep import control_update, fbsm_solve
@@ -69,7 +68,7 @@ class TestControlUpdate:
         # a one-node box would otherwise broadcast over all three nodes
         states, costates = two_point_trajs(np.array([0.5, 0.1, 0.1, 0.3]), np.ones(4), n=3)
         params = ModelParams.from_scalars(1, 0.1, 0.05, 1.0, delta=(0.1, 0.8))
-        with pytest.raises(DimensionMismatchError, match="params sized for 1 nodes"):
+        with pytest.raises(ValueError, match="params sized for 1 nodes"):
             control_update(states, costates, params)
 
     def test_costate_for_other_nodes_rejected(self):
@@ -77,7 +76,7 @@ class TestControlUpdate:
         states, _ = two_point_trajs(np.array([0.5, 0.1, 0.1, 0.3]), np.ones(4), n=3)
         _, costates = two_point_trajs(np.array([0.5, 0.1, 0.1, 0.3]), np.ones(4), n=1)
         params = ModelParams.from_scalars(3, 0.1, 0.05, 1.0, delta=(0.1, 0.8))
-        with pytest.raises(DimensionMismatchError, match="adjoint_traj has shape"):
+        with pytest.raises(ValueError, match="adjoint_traj has shape"):
             control_update(states, costates, params)
 
     def test_stacked_trajectories_rejected(self):
@@ -85,7 +84,7 @@ class TestControlUpdate:
         states = StateTrajectory(states.time_grid, np.stack([states.states] * 2))
         costates = AdjointTrajectory(costates.time_grid, np.stack([costates.costates] * 2))
         params = ModelParams.from_scalars(2, 0.1, 0.05, 1.0, delta=(0.1, 0.8))
-        with pytest.raises(DimensionMismatchError, match="one trajectory, not a stack"):
+        with pytest.raises(ValueError, match="one trajectory, not a stack"):
             control_update(states, costates, params)
 
 
@@ -127,6 +126,19 @@ class TestFbsmSolve:
             hist = report.objective_history
             diffs = np.diff(hist[3:])
             assert (diffs <= 1e-8).all(), f"case {case} history not monotone: {hist}"
+
+    def test_paper_mode_fixed_point_is_not_a_minimum_of_j(self):
+        # paper-mode costates drop the recovery credit, so the sweep converges to
+        # the published optimality system's fixed point, not to a minimum of J: a
+        # 1% step toward the consistent optimum (a convex combination, so
+        # admissible) lowers J, from 7.0935 to 6.8747 on exp1 case 1
+        inst = build_case_instance(1, canonical_graph())
+        paper, _, _, report = fbsm_solve(inst)
+        consistent, _, _, consistent_report = fbsm_solve(replace(inst, adjoint_mode="consistent"))
+        assert report.converged and consistent_report.converged
+        step = ControlTrajectory(paper.time_grid,
+                                 0.99 * paper.controls + 0.01 * consistent.controls)
+        assert objective(integrate_forward(inst, step), step).total < report.objective.total
 
     def test_deterministic(self):
         inst = build_case_instance(2, canonical_graph())
