@@ -96,16 +96,16 @@ def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTraject
     same value the forward pass used there.  The costate convention is
     ``instance.adjoint_mode``.
 
-    The control is checked as integrate_forward checks it.  Both arguments
-    are single trajectories, not stacks.  Every state compartment, derived
-    RC included, must lie within 1e-6 of [0, 1].  A stack, or a state outside
-    the range or NaN, raises ValueError.  Raises DivergenceError when
+    The control is checked as integrate_forward checks it, and the states
+    must have shape (K+1, N, 4).  Every state compartment, derived RC
+    included, must lie within 1e-6 of [0, 1].  A state of another shape,
+    outside the range or NaN raises ValueError.  Raises DivergenceError when
     a costate magnitude exceeds 1e12 or turns NaN.
     """
     grid = instance.time_grid()
     controls = validate_control(instance, control_traj)
     _check_same_grid(state_traj.time_grid, grid)
-    if controls.ndim != 3 or state_traj.states.shape != controls.shape[:-1] + (4,):
+    if state_traj.states.shape != controls.shape[:-1] + (4,):
         raise ValueError(f"expected one state trajectory and one control schedule,"
                          f" got shapes {state_traj.states.shape}, {controls.shape}")
     validate_states(state_traj.states, tol=TRAJECTORY_TOL)

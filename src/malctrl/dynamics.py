@@ -61,23 +61,20 @@ def _rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
 def integrate_forward(instance: ModelInstance, control: ControlTrajectory) -> StateTrajectory:
     """Advance the expected network state with classical fixed-step RK4.
 
-    ``control.controls`` has shape (..., K+1, N, 3); leading axes are batch
-    axes, so a stack of B strategies gives states of shape (B, K+1, N, 4) in
-    one pass, each member bit-identical to its own pass.  The control is
-    piecewise constant: the grid value at index k is held for the whole step
-    to t_{k+1}, including the half-step stages.
+    ``control.controls`` has shape (K+1, N, 3), and the states have shape
+    (K+1, N, 4).  The control is piecewise constant: the grid value at index
+    k is held for the whole step to t_{k+1}, including the half-step stages.
 
     Raises ValueError for a control off the instance grid, of another shape,
     or with a value that is NaN, infinite or negative (the control box is
-    not checked).  Raises StepTooLargeError when any compartment of any
-    member leaves [-1e-6, 1 + 1e-6] or turns NaN, which signals that the
-    step size is too coarse for the configured rates.
+    not checked).  Raises StepTooLargeError when any compartment leaves
+    [-1e-6, 1 + 1e-6] or turns NaN, which signals that the step size is too
+    coarse for the configured rates.
     """
     controls = validate_control(instance, control)
     states = np.empty(controls.shape[:-1] + (4,))
-    steps = _forward_steps(instance, lambda k: controls[..., k, :, :], controls.shape[:-3])
-    for k, x in enumerate(steps):
-        states[..., k, :, :] = x
+    for k, x in enumerate(_forward_steps(instance, lambda k: controls[k], ())):
+        states[k] = x
     return StateTrajectory(time_grid=instance.time_grid(), states=states)
 
 
@@ -149,14 +146,12 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     Occupancy counts per replica are updated from the moves, and their sums
     are exact integers.
 
-    Checks the control as integrate_forward does, and takes one schedule,
-    not a stack.  Raises ValueError for an initial state that is not 0/1
-    indicators, a ``rng_seed`` or ``num_runs`` that is not a whole number, a
-    negative ``rng_seed`` or a ``num_runs`` below 1.
+    Checks the control as integrate_forward does.  Raises ValueError for an
+    initial state that is not 0/1 indicators, a ``rng_seed`` or ``num_runs``
+    that is not a whole number, a negative ``rng_seed`` or a ``num_runs``
+    below 1.
     """
     controls = validate_control(instance, control)
-    if controls.ndim != 3:
-        raise ValueError(f"expected control shape {controls.shape[-3:]}, got {controls.shape}")
     init = instance.initial_state
     if not np.isin(init, (0.0, 1.0)).all():
         raise ValueError("jump-process simulation needs indicator (0/1) initial states")

@@ -149,16 +149,16 @@ def _check_same_grid(grid_a: np.ndarray, grid_b: np.ndarray) -> None:
 def validate_control(instance: ModelInstance, control: ControlTrajectory) -> np.ndarray:
     """The controls of ``control``, checked against ``instance``.
 
-    They must lie on the instance grid, have shape (..., K+1, N, 3), and be
+    They must lie on the instance grid, have shape (K+1, N, 3), and be
     finite and non-negative; the control box is not checked.  Raises
     ValueError naming the control.
     """
     grid = instance.time_grid()
     _check_same_grid(control.time_grid, grid)
     controls = control.controls
-    if controls.shape[-3:] != (grid.shape[0], instance.node_count, 3):
-        raise ValueError(f"expected control shape (..., {grid.shape[0]},"
-                         f" {instance.node_count}, 3), got {controls.shape}")
+    expected = (grid.shape[0], instance.node_count, 3)
+    if controls.shape != expected:
+        raise ValueError(f"expected control shape {expected}, got {controls.shape}")
     bad = ~(np.isfinite(controls) & (controls >= 0.0))
     if bad.any():
         raise ValueError(f"control {CONTROL_NAMES[np.argwhere(bad)[0, -1]]} must be finite and"
@@ -168,8 +168,7 @@ def validate_control(instance: ModelInstance, control: ControlTrajectory) -> np.
 
 @dataclass
 class StateTrajectory:
-    """Grid-sampled expected network state, shape (K+1, N, 4), or
-    (..., K+1, N, 4) for a stack of trajectories."""
+    """Grid-sampled expected network state, shape (K+1, N, 4)."""
 
     time_grid: np.ndarray
     states: np.ndarray
@@ -179,18 +178,17 @@ class StateTrajectory:
         return float(self.time_grid[1] - self.time_grid[0])
 
     def full_states(self) -> np.ndarray:
-        """(..., K+1, N, 5) array including the derived RC column."""
+        """(K+1, N, 5) array including the derived RC column."""
         return np.concatenate([self.states, r_complete(self.states)[..., None]], axis=-1)
 
     def compartment_totals(self) -> np.ndarray:
-        """Expected device counts per compartment, shape (..., K+1, 5)."""
+        """Expected device counts per compartment, shape (K+1, 5)."""
         return self.full_states().sum(axis=-2)
 
 
 @dataclass
 class ControlTrajectory:
-    """Grid-sampled control schedule, shape (K+1, N, 3), or (..., K+1, N, 3)
-    for a stack of schedules.
+    """Grid-sampled control schedule, shape (K+1, N, 3).
 
     Controls are piecewise constant: the row at grid index k applies on
     [t_k, t_{k+1}).

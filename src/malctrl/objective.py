@@ -29,15 +29,14 @@ class ObjectiveBreakdown:
     """Cumulative objective and its four quadrature terms.
 
     ``total`` is computed as infection + patch + restriction - recovery of
-    the individually integrated terms, so that identity holds exactly.  The
-    fields are floats for one trajectory and arrays for a stack.
+    the individually integrated terms, so that identity holds exactly.
     """
 
-    total: float | np.ndarray
-    infection_term: float | np.ndarray
-    patch_cost: float | np.ndarray
-    restriction_cost: float | np.ndarray
-    recovery_reward: float | np.ndarray
+    total: float
+    infection_term: float
+    patch_cost: float
+    restriction_cost: float
+    recovery_reward: float
 
     def as_dict(self) -> dict:
         return {
@@ -89,20 +88,18 @@ def _quadrature(infection, patch, restriction, recovery, dt: float) -> tuple:
 def objective(state_traj: StateTrajectory, control_traj: ControlTrajectory) -> ObjectiveBreakdown:
     """Trapezoid quadrature of the running cost over the shared grid.
 
-    States (..., K+1, N, 4) and controls (..., K+1, N, 3) must agree on every
-    axis but the last; leading axes are batch axes, integrated member by
-    member.  Each field is a Python float for one trajectory and a
-    (...)-shaped array for a stack.  A NaN or infinite state or control
-    raises ValueError naming it.
+    States (K+1, N, 4) and controls (K+1, N, 3) must agree on every axis but
+    the last, with at least two grid points; other shapes raise ValueError
+    naming both.  Each field is a Python float.  A NaN or infinite state or
+    control raises ValueError naming it.
     """
     _check_same_grid(state_traj.time_grid, control_traj.time_grid)
     states, controls = state_traj.states, control_traj.controls
-    if states.shape[:-1] != controls.shape[:-1]:
+    if (states.ndim != 3 or states.shape[0] < 2 or states.shape[2] != 4
+            or controls.shape != states.shape[:2] + (3,)):
         raise ValueError(f"incompatible states {states.shape} and controls {controls.shape}")
     require_finite(state_traj=states, control_traj=controls)
     infection, recovery = _state_sums(states)
     patch, restriction = _control_sums(controls)
     terms = _quadrature(infection, patch, restriction, recovery, state_traj.dt)
-    if states.ndim == 3:
-        terms = (float(t) for t in terms)
-    return ObjectiveBreakdown(*terms)
+    return ObjectiveBreakdown(*(float(t) for t in terms))

@@ -44,15 +44,16 @@ def control_update(state_traj: StateTrajectory, adjoint_traj: AdjointTrajectory,
     Stationary values are lam_f * RF for the patch rate and
     (lam_h - lam_f) * IH, (lam_l - lam_f) * IL for the two restriction
     rates; the quadratic control cost makes the clamp the exact box minimum.
-    Takes one trajectory, not a stack; a costate or a box sized for other
-    nodes raises ValueError naming ``adjoint_traj`` or ``params``; a NaN or
-    infinite state or costate raises ValueError naming it.
+    A state of a shape other than (K+1, N, 4), or a costate or a box sized
+    for other nodes, raises ValueError naming ``state_traj``,
+    ``adjoint_traj`` or ``params``; a NaN or infinite state or costate
+    raises ValueError naming it.
     """
     _check_same_grid(state_traj.time_grid, adjoint_traj.time_grid)
     states, lams = state_traj.states, adjoint_traj.costates
-    if states.ndim != 3:
-        raise ValueError(f"control_update takes one trajectory, not a stack;"
-                         f" state_traj has shape {states.shape}")
+    if states.ndim != 3 or states.shape[2] != 4:
+        raise ValueError(f"control_update expects state_traj of shape (K+1, N, 4),"
+                         f" got {states.shape}")
     if lams.shape != states.shape:
         raise ValueError(f"adjoint_traj has shape {lams.shape},"
                          f" state_traj {states.shape}")

@@ -6,7 +6,8 @@ from malctrl.adjoint import (DivergenceError, adjoint_rhs, hamiltonian,
 from malctrl.dynamics import integrate_forward
 from malctrl.graphs import NetworkGraph
 from malctrl.model import (GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, LAM_S, RF, S,
-                           ControlTrajectory, ModelInstance, ModelParams)
+                           AdjointTrajectory, ControlTrajectory, ModelInstance, ModelParams,
+                           StateTrajectory)
 from malctrl.objective import objective, running_cost
 from malctrl.sweep import control_update
 
@@ -105,7 +106,6 @@ class TestPointwiseMinimality:
         for _ in range(25):
             state = rng.dirichlet(np.ones(5), size=n)[:, :4]
             costate = rng.normal(scale=3.0, size=(n, 4))
-            from malctrl.model import AdjointTrajectory, StateTrajectory
             st_traj = StateTrajectory(grid, np.stack([state, state]))
             ad_traj = AdjointTrajectory(grid, np.stack([costate, np.zeros_like(costate)]))
             best = control_update(st_traj, ad_traj, params).controls[0]
@@ -231,10 +231,11 @@ class TestIntegrateBackward:
         control = inst.constant_control(0.5, 0.5, 0.5)
         states = integrate_forward(inst, control)
         stacked_control = ControlTrajectory(control.time_grid, np.stack([control.controls] * 2))
-        stacked_states = integrate_forward(inst, stacked_control)
-        for args in ((stacked_states, control), (states, stacked_control),
-                     (stacked_states, stacked_control)):
-            with pytest.raises(ValueError, match="one state trajectory"):
+        stacked_states = StateTrajectory(states.time_grid, np.stack([states.states] * 2))
+        with pytest.raises(ValueError, match="one state trajectory"):
+            integrate_backward(stacked_states, control, inst)
+        for args in ((states, stacked_control), (stacked_states, stacked_control)):
+            with pytest.raises(ValueError, match="expected control shape"):
                 integrate_backward(*args, inst)
 
     def test_nan_state_rejected(self):

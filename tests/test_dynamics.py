@@ -1,16 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malctrl.dynamics import (StepTooLargeError, _reduced_rhs, ctmc_simulate,
-                              integrate_forward)
+from malctrl.dynamics import (StepTooLargeError, _forward_steps, _reduced_rhs,
+                              ctmc_simulate, integrate_forward)
 from malctrl.experiments import build_case_instance
 from malctrl.graphs import canonical_graph
 from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S, ControlTrajectory,
                            ModelParams, TRAJECTORY_TOL, r_complete, seed_initial_state,
                            validate_states)
-from malctrl.objective import objective
 
 from helpers import TWO_NODE, make_instance, random_graph
 
@@ -140,26 +141,24 @@ class TestIntegrateForward:
 
     def test_control_shape_checked(self):
         # a one-node control would broadcast to all 60 nodes; a control on the
-        # wrong number of grid points or without its node axis is refused too
+        # wrong number of grid points, without its node axis or stacked with
+        # another is refused too
         inst = build_case_instance(1, canonical_graph())
         controls = inst.constant_control(*inst.control_rates).controls
-        for bad in (controls[:, :1], controls[:-1], controls[:, 0]):
-            with pytest.raises(ValueError, match="expected control shape"):
+        for bad in (controls[:, :1], controls[:-1], controls[:, 0], np.stack([controls] * 2)):
+            message = f"expected control shape {controls.shape}, got {bad.shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 integrate_forward(inst, ControlTrajectory(inst.time_grid(), bad))
 
     @pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
-    def test_bad_control_rate_rejected_alone_and_stacked(self, rate):
+    def test_bad_control_rate_rejected(self, rate):
         # one bad entry on case 1 (grid point 5, node 3): NaN would give NaN
         # states, which no range check compares false on
         inst = build_case_instance(1, canonical_graph())
-        good = inst.constant_control(*inst.control_rates)
         bad = inst.constant_control(*inst.control_rates)
         bad.controls[5, 3, GAMMA_H] = rate
-        stack = ControlTrajectory(good.time_grid, np.stack([good.controls, bad.controls]))
-        for control in (bad, stack):
-            with pytest.raises(ValueError,
-                               match="control gamma_high must be finite and non-negative"):
-                integrate_forward(inst, control)
+        with pytest.raises(ValueError, match="control gamma_high must be finite and non-negative"):
+            integrate_forward(inst, bad)
 
     def test_step_too_large_detected(self):
         # beta far beyond the stability limit at this step size
@@ -190,18 +189,6 @@ def random_instance(rng, n, time_steps):
 
 class TestStackedForward:
 
-    def test_compartment_totals_on_a_stack(self):
-        rng = np.random.default_rng(5)
-        inst = random_instance(rng, 4, 20)
-        stack = ControlTrajectory(inst.time_grid(), rng.random((3, 21, 4, 3)))
-        traj = integrate_forward(inst, stack)
-        assert traj.states.shape == (3, 21, 4, 4)
-        totals = traj.compartment_totals()
-        assert totals.shape == (3, 21, 5)
-        for b in range(3):
-            solo = integrate_forward(inst, ControlTrajectory(inst.time_grid(), stack.controls[b]))
-            np.testing.assert_array_equal(totals[b], solo.compartment_totals())
-
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            n=st.integers(min_value=2, max_value=6),
@@ -209,11 +196,8 @@ class TestStackedForward:
     def test_every_member_equals_its_solo_call(self, seed, n, batch):
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, n, 30)
-        stack = ControlTrajectory(inst.time_grid(), rng.random((batch, 31, n, 3)))
-        states = integrate_forward(inst, stack)
-        costs = objective(states, stack)
+        controls = rng.random((batch, 31, n, 3))
+        states = np.stack(list(_forward_steps(inst, lambda k: controls[:, k], (batch,))), axis=1)
         for b in range(batch):
-            member = ControlTrajectory(inst.time_grid(), stack.controls[b])
-            solo = integrate_forward(inst, member)
-            np.testing.assert_array_equal(states.states[b], solo.states)
-            assert costs.total[b] == objective(solo, member).total
+            solo = integrate_forward(inst, ControlTrajectory(inst.time_grid(), controls[b]))
+            np.testing.assert_array_equal(states[b], solo.states)

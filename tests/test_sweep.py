@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -80,12 +81,17 @@ class TestControlUpdate:
             control_update(states, costates, params)
 
     def test_stacked_trajectories_rejected(self):
+        # a stack, a pair without the node axis and a state without its RF
+        # column are all refused by shape
         states, costates = two_point_trajs(np.array([0.5, 0.1, 0.1, 0.3]), np.ones(4), n=2)
-        states = StateTrajectory(states.time_grid, np.stack([states.states] * 2))
-        costates = AdjointTrajectory(costates.time_grid, np.stack([costates.costates] * 2))
         params = ModelParams.from_scalars(2, 0.1, 0.05, 1.0, delta=(0.1, 0.8))
-        with pytest.raises(ValueError, match="one trajectory, not a stack"):
-            control_update(states, costates, params)
+        for x, lam in ((np.stack([states.states] * 2), np.stack([costates.costates] * 2)),
+                       (states.states[:, 0], costates.costates[:, 0]),
+                       (states.states[..., :3], costates.costates[..., :3])):
+            message = f"control_update expects state_traj of shape (K+1, N, 4), got {x.shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                control_update(StateTrajectory(states.time_grid, x),
+                               AdjointTrajectory(costates.time_grid, lam), params)
 
 
 class TestFbsmSolve:
