@@ -31,8 +31,8 @@ import numpy as np
 from .graphs import NetworkGraph
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, LAM_S, S,
                     AdjointTrajectory, ControlTrajectory, ModelInstance, ModelParams,
-                    StateTrajectory, TRAJECTORY_TOL, _check_same_grid, require_finite,
-                    validate_control, validate_snapshot, validate_states)
+                    StateTrajectory, TRAJECTORY_TOL, require_finite, validate_control,
+                    validate_snapshot, validate_states, validate_trajectory)
 from .dynamics import _reduced_rhs, _rk4_step
 from .objective import running_cost
 
@@ -97,25 +97,21 @@ def integrate_backward(state_traj: StateTrajectory, control_traj: ControlTraject
     ``instance.adjoint_mode``.
 
     The control is checked as integrate_forward checks it, and the states
-    must have shape (K+1, N, 4).  Every state compartment, derived RC
-    included, must lie within 1e-6 of [0, 1].  A state of another shape,
-    outside the range or NaN raises ValueError.  Raises DivergenceError when
-    a costate magnitude exceeds 1e12 or turns NaN.
+    must pass ``validate_trajectory`` on the instance grid and node count.
+    Every state compartment, derived RC included, must lie within 1e-6 of
+    [0, 1]; a state outside that range or NaN raises ValueError.  Raises
+    DivergenceError when a costate magnitude exceeds 1e12 or turns NaN.
     """
     grid = instance.time_grid()
     controls = validate_control(instance, control_traj)
-    _check_same_grid(state_traj.time_grid, grid)
-    if state_traj.states.shape != controls.shape[:-1] + (4,):
-        raise ValueError(f"expected one state trajectory and one control schedule,"
-                         f" got shapes {state_traj.states.shape}, {controls.shape}")
-    validate_states(state_traj.states, tol=TRAJECTORY_TOL)
+    states = validate_trajectory("state_traj", state_traj, "states", grid, instance.node_count)
+    validate_states(states, tol=TRAJECTORY_TOL)
     # adjoint_rhs is looked up at call time, not bound at import, so a wrapper
     # installed on the module name (perfbench's tracer) sees every stage call
     rhs = adjoint_rhs if instance.adjoint_mode == "paper" else _consistent_rhs
     steps = grid.shape[0] - 1
     h = -instance.dt
     params, graph = instance.params, instance.graph
-    states = state_traj.states
     midpoints = 0.5 * (states[:-1] + states[1:])
     costates = np.zeros((steps + 1, instance.node_count, 4))
     lam = np.zeros((instance.node_count, 4))

@@ -141,24 +141,33 @@ def uniform_grid(horizon: float, steps: int) -> np.ndarray:
     return np.linspace(0.0, horizon, steps + 1)
 
 
-def _check_same_grid(grid_a: np.ndarray, grid_b: np.ndarray) -> None:
-    if grid_a.shape != grid_b.shape or not np.array_equal(grid_a, grid_b):
+def validate_trajectory(name: str, trajectory, field: str, grid: np.ndarray,
+                        n: int | None = None) -> np.ndarray:
+    """``trajectory.<field>``, checked to lie on ``grid`` of K+1 >= 2 points with shape
+    (K+1, N, C): N is ``n`` when given, C is 3 for "controls" and 4 for "states" and
+    "costates".  Raises ValueError naming argument ``name``, or on another time grid."""
+    if not np.array_equal(trajectory.time_grid, grid):
         raise ValueError("trajectories must share an identical time grid")
+    rows, width = len(grid), 3 if field == "controls" else 4
+    if rows < 2:
+        raise ValueError(f"{name} needs at least two grid points, got {rows}")
+    values = getattr(trajectory, field)
+    if n is None:
+        n = values.shape[1] if values.ndim == 3 else "N"
+    if values.shape != (rows, n, width):
+        raise ValueError(f"expected {name} shape ({rows}, {n}, {width}), got {values.shape}")
+    return values
 
 
 def validate_control(instance: ModelInstance, control: ControlTrajectory) -> np.ndarray:
     """The controls of ``control``, checked against ``instance``.
 
-    They must lie on the instance grid, have shape (K+1, N, 3), and be
-    finite and non-negative; the control box is not checked.  Raises
-    ValueError naming the control.
+    They must pass ``validate_trajectory`` on the instance grid and node
+    count, and be finite and non-negative; the control box is not checked.
+    Raises ValueError naming the control.
     """
-    grid = instance.time_grid()
-    _check_same_grid(control.time_grid, grid)
-    controls = control.controls
-    expected = (grid.shape[0], instance.node_count, 3)
-    if controls.shape != expected:
-        raise ValueError(f"expected control shape {expected}, got {controls.shape}")
+    controls = validate_trajectory("control", control, "controls", instance.time_grid(),
+                                   instance.node_count)
     bad = ~(np.isfinite(controls) & (controls >= 0.0))
     if bad.any():
         raise ValueError(f"control {CONTROL_NAMES[np.argwhere(bad)[0, -1]]} must be finite and"
@@ -172,10 +181,6 @@ class StateTrajectory:
 
     time_grid: np.ndarray
     states: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return float(self.time_grid[1] - self.time_grid[0])
 
     def full_states(self) -> np.ndarray:
         """(K+1, N, 5) array including the derived RC column."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, ControlTrajectory, StateTrajectory,
-                    _check_same_grid, r_complete, require_finite, validate_snapshot)
+                    r_complete, require_finite, validate_snapshot, validate_trajectory)
 
 
 @dataclass(frozen=True)
@@ -86,20 +86,22 @@ def _quadrature(infection, patch, restriction, recovery, dt: float) -> tuple:
 
 
 def objective(state_traj: StateTrajectory, control_traj: ControlTrajectory) -> ObjectiveBreakdown:
-    """Trapezoid quadrature of the running cost over the shared grid.
+    """Trapezoid quadrature of the running cost over the state's evenly spaced grid.
 
-    States (K+1, N, 4) and controls (K+1, N, 3) must agree on every axis but
-    the last, with at least two grid points; other shapes raise ValueError
-    naming both.  Each field is a Python float.  A NaN or infinite state or
-    control raises ValueError naming it.
+    Both trajectories must pass ``validate_trajectory`` on that grid, with N
+    taken from the states, and its steps must agree to 1e-9 of the first.
+    Each field is a Python float.  A NaN or infinite state or control raises
+    ValueError naming it.
     """
-    _check_same_grid(state_traj.time_grid, control_traj.time_grid)
-    states, controls = state_traj.states, control_traj.controls
-    if (states.ndim != 3 or states.shape[0] < 2 or states.shape[2] != 4
-            or controls.shape != states.shape[:2] + (3,)):
-        raise ValueError(f"incompatible states {states.shape} and controls {controls.shape}")
+    grid = state_traj.time_grid
+    states = validate_trajectory("state_traj", state_traj, "states", grid)
+    controls = validate_trajectory("control_traj", control_traj, "controls", grid, states.shape[1])
+    steps = np.diff(grid)
+    if np.ptp(steps) > 1e-9 * abs(steps[0]):
+        raise ValueError(f"state_traj time grid must be evenly spaced, got steps from"
+                         f" {steps.min()} to {steps.max()}")
     require_finite(state_traj=states, control_traj=controls)
     infection, recovery = _state_sums(states)
     patch, restriction = _control_sums(controls)
-    terms = _quadrature(infection, patch, restriction, recovery, state_traj.dt)
+    terms = _quadrature(infection, patch, restriction, recovery, float(steps[0]))
     return ObjectiveBreakdown(*(float(t) for t in terms))

@@ -10,7 +10,7 @@ from .adjoint import integrate_backward
 from .dynamics import integrate_forward
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, RF,
                     AdjointTrajectory, ControlTrajectory, ModelInstance, ModelParams,
-                    StateTrajectory, _check_same_grid, require_finite)
+                    StateTrajectory, require_finite, validate_trajectory)
 from .objective import ObjectiveBreakdown, objective
 
 
@@ -44,19 +44,14 @@ def control_update(state_traj: StateTrajectory, adjoint_traj: AdjointTrajectory,
     Stationary values are lam_f * RF for the patch rate and
     (lam_h - lam_f) * IH, (lam_l - lam_f) * IL for the two restriction
     rates; the quadratic control cost makes the clamp the exact box minimum.
-    A state of a shape other than (K+1, N, 4), or a costate or a box sized
-    for other nodes, raises ValueError naming ``state_traj``,
-    ``adjoint_traj`` or ``params``; a NaN or infinite state or costate
+    Both trajectories must pass ``validate_trajectory`` on the state's grid,
+    with N taken from the states; a box sized for other nodes raises
+    ValueError naming ``params``, and a NaN or infinite state or costate
     raises ValueError naming it.
     """
-    _check_same_grid(state_traj.time_grid, adjoint_traj.time_grid)
-    states, lams = state_traj.states, adjoint_traj.costates
-    if states.ndim != 3 or states.shape[2] != 4:
-        raise ValueError(f"control_update expects state_traj of shape (K+1, N, 4),"
-                         f" got {states.shape}")
-    if lams.shape != states.shape:
-        raise ValueError(f"adjoint_traj has shape {lams.shape},"
-                         f" state_traj {states.shape}")
+    grid = state_traj.time_grid
+    states = validate_trajectory("state_traj", state_traj, "states", grid)
+    lams = validate_trajectory("adjoint_traj", adjoint_traj, "costates", grid, states.shape[1])
     if params.node_count != states.shape[1]:
         raise ValueError(f"params sized for {params.node_count} nodes,"
                          f" state_traj for {states.shape[1]}")

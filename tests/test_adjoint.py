@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -232,7 +234,8 @@ class TestIntegrateBackward:
         states = integrate_forward(inst, control)
         stacked_control = ControlTrajectory(control.time_grid, np.stack([control.controls] * 2))
         stacked_states = StateTrajectory(states.time_grid, np.stack([states.states] * 2))
-        with pytest.raises(ValueError, match="one state trajectory"):
+        message = "expected state_traj shape (201, 5, 4), got (2, 201, 5, 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             integrate_backward(stacked_states, control, inst)
         for args in ((states, stacked_control), (stacked_states, stacked_control)):
             with pytest.raises(ValueError, match="expected control shape"):

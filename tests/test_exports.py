@@ -41,6 +41,6 @@ def test_model_type_methods_are_pinned():
         "ModelInstance": ["constant_control", "dt", "fixed_control_trajectory", "node_count",
                           "time_grid"],
         "ModelParams": ["from_scalars", "lower_bounds", "node_count", "upper_bounds"],
-        "StateTrajectory": ["compartment_totals", "dt", "full_states"],
+        "StateTrajectory": ["compartment_totals", "full_states"],
         "NetworkGraph": ["degrees", "neighbors", "node_count", "ranked_rooms"],
     }

@@ -120,16 +120,24 @@ class TestObjective:
             objective(st_a, ct_b)
 
     def test_states_and_controls_must_agree_on_all_but_the_last_axis(self):
-        # a stack, a pair without the node axis or a one-point grid is refused
-        # with both shapes, not left to fail inside the quadrature
+        # a stack, a pair without the node axis, a one-point grid or fewer rows
+        # than grid points is refused naming the argument, not left to fail
+        # inside the quadrature or to integrate over part of the horizon; an
+        # uneven grid is refused, since the quadrature steps by its first step
         st_traj, ct_traj = _constant_trajectories(np.zeros(4) + 0.25, np.zeros(3), 1.0, 10)
         grid, x, u = st_traj.time_grid, st_traj.states, ct_traj.controls
-        rows = [(grid, x, u[:, :1]), (grid, x[:, :1], u), (grid, np.stack([x] * 2), u),
-                (grid, np.stack([x] * 2), np.stack([u] * 3)),
-                (grid, np.stack([x] * 2), np.stack([u] * 2)),
-                (grid, x[:, 0], u[:, 0]), (grid[:1], x[:1], u[:1])]
-        for points, states, controls in rows:
-            message = f"incompatible states {states.shape} and controls {controls.shape}"
+        stacked = "expected state_traj shape (11, N, 4), got (2, 11, 3, 4)"
+        rows = [(grid, x, u[:, :1], "expected control_traj shape (11, 3, 3), got (11, 1, 3)"),
+                (grid, x[:, :1], u, "expected control_traj shape (11, 1, 3), got (11, 3, 3)"),
+                (grid, np.stack([x] * 2), u, stacked),
+                (grid, np.stack([x] * 2), np.stack([u] * 3), stacked),
+                (grid, np.stack([x] * 2), np.stack([u] * 2), stacked),
+                (grid, x[:, 0], u[:, 0], "expected state_traj shape (11, N, 4), got (11, 4)"),
+                (grid[:1], x[:1], u[:1], "state_traj needs at least two grid points, got 1"),
+                (grid, x[:5], u[:5], "expected state_traj shape (11, 3, 4), got (5, 3, 4)"),
+                (np.array([0.0, 0.1, 1.0]), x[:3, :2], u[:3, :2],
+                 "state_traj time grid must be evenly spaced, got steps from 0.1 to 0.9")]
+        for points, states, controls, message in rows:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 objective(StateTrajectory(points, states), ControlTrajectory(points, controls))
 
