@@ -16,7 +16,7 @@ from .serialize import node_csv, summary_json, write_summary
 from .sweep import fbsm_solve
 
 
-_INPUT_ERRORS = (ValueError, TypeError, OSError)  # what reading bad input raises
+_INPUT_ERRORS = (ValueError, OSError)  # what reading bad input raises
 
 
 @contextmanager

@@ -43,7 +43,7 @@ import numpy as np
 
 from .graphs import NetworkGraph, resolve_graph
 from .model import (COMPARTMENTS, CONTROL_NAMES, IH, IL, ModelInstance, ModelParams,
-                    StateTrajectory, seed_initial_state)
+                    StateTrajectory, array_argument, r_complete, seed_initial_state)
 from .dynamics import integrate_forward
 from .rgcs import RgcsConfig, rgcs_population
 from .serialize import sampled_nodes_csv, totals_csv, write_summary
@@ -113,14 +113,15 @@ def snapshot(state_traj: StateTrajectory) -> dict:
     the grid time of the peak, each node's dominant compartment name, and
     the number of nodes in each compartment (all five keys, zeros included).
     Ties in the per-node argmax resolve in compartment order S, IH, IL, RF,
-    RC (numpy argmax keeps the first maximum).
+    RC (numpy argmax keeps the first maximum).  The states must be (K+1, N, 4).
     """
-    totals = state_traj.states[:, :, IH].sum(axis=1)
-    k = int(np.argmax(totals))
-    full = state_traj.full_states()[k]
+    grid = array_argument(state_traj.time_grid, "state_traj time grid", (None,))
+    states = array_argument(state_traj.states, "state_traj", (len(grid), None, 4))
+    k = int(np.argmax(states[:, :, IH].sum(axis=1)))
+    full = np.column_stack([states[k], r_complete(states[k])])
     classes = [COMPARTMENTS[c] for c in np.argmax(full, axis=1)]
     counts = {name: int(classes.count(name)) for name in COMPARTMENTS}
-    return {"snapshot_time": float(state_traj.time_grid[k]),
+    return {"snapshot_time": float(grid[k]),
             "node_classes": classes, "counts": counts}
 
 
@@ -130,8 +131,9 @@ def select_sample_nodes(graph: NetworkGraph, initial_state: np.ndarray) -> list[
     Order: the first infected-high device, its highest-degree neighbor, then
     the highest-degree node of each room not yet represented (rooms in
     first-appearance order), topped up by global degree rank.  Degree ties
-    always break toward the lower index.
+    always break toward the lower index.  ``initial_state`` must be (N, 4).
     """
+    initial_state = array_argument(initial_state, "initial_state", (graph.node_count, 4))
     by_degree = np.argsort(-graph.degrees(), kind="stable").tolist()
     seeds = np.flatnonzero(initial_state[:, IH] == 1.0)
     if seeds.size == 0:

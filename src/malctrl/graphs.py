@@ -325,20 +325,18 @@ def is_number(value) -> bool:
 
 
 def number(value, name: str) -> float:
-    """``value`` as a float; a boolean or a non-number raises a ValueError
-    that names ``name``."""
+    """``value`` as a float; a boolean, a non-number or an integer beyond the
+    float range (``number_array``'s error) raises a ValueError that names ``name``."""
     if is_number(value):
-        return float(value)
+        return float(number_array(value, name, [()]))
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _in_words(shape: tuple) -> str:
     if not shape:
         return "a scalar"
-    if len(shape) == 1:
-        return f"length {shape[0]}"
-    return "an array of shape (" + ", ".join("N" if length is None else str(length)
-                                             for length in shape) + ")"
+    lengths = ", ".join("N" if length is None else str(length) for length in shape)
+    return f"length {lengths}" if len(shape) == 1 else f"an array of shape ({lengths})"
 
 
 def number_array(value, name: str, shapes) -> np.ndarray:

@@ -56,28 +56,33 @@ def states_in_range(states: np.ndarray, tol: float) -> bool:
 
 
 def require_finite(**arrays) -> None:
-    """Raise ValueError naming the first keyword whose array holds a NaN or infinite entry."""
+    """Raise ValueError naming the first keyword whose float array holds a NaN or infinite entry."""
     for name, values in arrays.items():
-        values = np.asarray(values, dtype=float)
         bad = ~np.isfinite(values)
         if bad.any():
             raise ValueError(f"{name} must be finite, got {values[bad][0]}")
 
 
-def validate_snapshot(n: int, *arrays) -> tuple:
-    """A state, a control and a costate, or the first one or two of them, as float64 arrays;
-    raises ValueError naming the first whose shape is not (n, 4), (n, 3) or (n, 4)."""
-    checked = tuple(np.asarray(values, dtype=np.float64) for values in arrays)
-    for name, width, values in zip(("state", "control", "costate"), (4, 3, 4), checked):
-        if values.shape != (n, width):
-            raise ValueError(f"sizes disagree: {name} has shape {values.shape},"
-                             f" expected ({n}, {width})")
-    return checked
+def array_argument(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` itself when it is a float64 array of exactly ``shape``, else
+    ``number_array(value, name, [shape])``, in which None matches any length."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.shape == shape:
+        return value
+    return number_array(value, name, [shape])
+
+
+def validate_snapshot(n: int | None, *arrays) -> tuple:
+    """A state, a control and a costate, or the first one or two of them, parsed by
+    ``array_argument`` with shapes (n, 4), (n, 3) and (n, 4); n None takes N from the state."""
+    checked = []
+    for name, width, values in zip(("state", "control", "costate"), (4, 3, 4), arrays):
+        checked.append(array_argument(values, name, (n, width)))
+        n = checked[0].shape[0]
+    return tuple(checked)
 
 
 def validate_states(states: np.ndarray, tol: float = STATE_TOL) -> None:
-    """Raise ValueError unless ``states_in_range(states, tol)``; callers check the shape."""
-    states = np.asarray(states)
+    """Raise ValueError unless ``states_in_range(states, tol)``; callers parse the array."""
     if not states_in_range(states, tol):
         raise ValueError(f"state entries or derived recover-complete compartment outside [0, 1]"
                          f" (stored min {states.min()}, max {states.max()}, tol {tol})")
@@ -143,20 +148,15 @@ def uniform_grid(horizon: float, steps: int) -> np.ndarray:
 
 def validate_trajectory(name: str, trajectory, field: str, grid: np.ndarray,
                         n: int | None = None) -> np.ndarray:
-    """``trajectory.<field>``, checked to lie on ``grid`` of K+1 >= 2 points with shape
-    (K+1, N, C): N is ``n`` when given, C is 3 for "controls" and 4 for "states" and
-    "costates".  Raises ValueError naming argument ``name``, or on another time grid."""
+    """``trajectory.<field>`` on ``grid`` of K+1 >= 2 points, parsed by ``array_argument``
+    with shape (K+1, n, C): C is 3 for "controls" and 4 for "states" and "costates".
+    Raises ValueError naming argument ``name``, or on another time grid."""
     if not np.array_equal(trajectory.time_grid, grid):
         raise ValueError("trajectories must share an identical time grid")
-    rows, width = len(grid), 3 if field == "controls" else 4
-    if rows < 2:
-        raise ValueError(f"{name} needs at least two grid points, got {rows}")
-    values = getattr(trajectory, field)
-    if n is None:
-        n = values.shape[1] if values.ndim == 3 else "N"
-    if values.shape != (rows, n, width):
-        raise ValueError(f"expected {name} shape ({rows}, {n}, {width}), got {values.shape}")
-    return values
+    if len(grid) < 2:
+        raise ValueError(f"{name} needs at least two grid points, got {len(grid)}")
+    return array_argument(getattr(trajectory, field), name,
+                          (len(grid), n, 3 if field == "controls" else 4))
 
 
 def validate_control(instance: ModelInstance, control: ControlTrajectory) -> np.ndarray:

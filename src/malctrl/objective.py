@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DELTA, GAMMA_H, GAMMA_L, IH, ControlTrajectory, StateTrajectory,
+from .model import (DELTA, GAMMA_H, GAMMA_L, IH, ControlTrajectory, StateTrajectory, array_argument,
                     r_complete, require_finite, validate_snapshot, validate_trajectory)
 
 
@@ -65,8 +65,7 @@ def running_cost(state: np.ndarray, control: np.ndarray) -> float:
     A state that is not (N, 4) for some N, or a control that is not (N, 3),
     raises ValueError naming it, as does a NaN or infinite one.
     """
-    n = np.shape(state)[0] if np.ndim(state) else 0
-    state, control = validate_snapshot(n, state, control)
+    state, control = validate_snapshot(None, state, control)
     require_finite(state=state, control=control)
     infection, recovery = _state_sums(state)
     patch, restriction = _control_sums(control)
@@ -88,17 +87,17 @@ def _quadrature(infection, patch, restriction, recovery, dt: float) -> tuple:
 def objective(state_traj: StateTrajectory, control_traj: ControlTrajectory) -> ObjectiveBreakdown:
     """Trapezoid quadrature of the running cost over the state's evenly spaced grid.
 
-    Both trajectories must pass ``validate_trajectory`` on that grid, with N
-    taken from the states, and its steps must agree to 1e-9 of the first.
-    Each field is a Python float.  A NaN or infinite state or control raises
-    ValueError naming it.
+    The grid is parsed by ``array_argument``; both trajectories must pass
+    ``validate_trajectory`` on it, with N taken from the states, and its steps
+    must be positive and agree to 1e-9 of the first.  Each field is a Python
+    float.  A NaN or infinite state or control raises ValueError naming it.
     """
-    grid = state_traj.time_grid
+    grid = array_argument(state_traj.time_grid, "state_traj time grid", (None,))
     states = validate_trajectory("state_traj", state_traj, "states", grid)
     controls = validate_trajectory("control_traj", control_traj, "controls", grid, states.shape[1])
     steps = np.diff(grid)
-    if np.ptp(steps) > 1e-9 * abs(steps[0]):
-        raise ValueError(f"state_traj time grid must be evenly spaced, got steps from"
+    if not (steps.min() > 0.0 and np.ptp(steps) <= 1e-9 * steps[0]):
+        raise ValueError(f"state_traj time grid must have even positive steps, got steps from"
                          f" {steps.min()} to {steps.max()}")
     require_finite(state_traj=states, control_traj=controls)
     infection, recovery = _state_sums(states)

@@ -10,7 +10,7 @@ from .adjoint import integrate_backward
 from .dynamics import integrate_forward
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, RF,
                     AdjointTrajectory, ControlTrajectory, ModelInstance, ModelParams,
-                    StateTrajectory, require_finite, validate_trajectory)
+                    StateTrajectory, array_argument, require_finite, validate_trajectory)
 from .objective import ObjectiveBreakdown, objective
 
 
@@ -44,12 +44,12 @@ def control_update(state_traj: StateTrajectory, adjoint_traj: AdjointTrajectory,
     Stationary values are lam_f * RF for the patch rate and
     (lam_h - lam_f) * IH, (lam_l - lam_f) * IL for the two restriction
     rates; the quadratic control cost makes the clamp the exact box minimum.
-    Both trajectories must pass ``validate_trajectory`` on the state's grid,
-    with N taken from the states; a box sized for other nodes raises
-    ValueError naming ``params``, and a NaN or infinite state or costate
-    raises ValueError naming it.
+    The state's grid is parsed by ``array_argument``; both trajectories must
+    pass ``validate_trajectory`` on it, with N taken from the states.  A box
+    sized for other nodes raises ValueError naming ``params``, and a NaN or
+    infinite state or costate raises ValueError naming it.
     """
-    grid = state_traj.time_grid
+    grid = array_argument(state_traj.time_grid, "state_traj time grid", (None,))
     states = validate_trajectory("state_traj", state_traj, "states", grid)
     lams = validate_trajectory("adjoint_traj", adjoint_traj, "costates", grid, states.shape[1])
     if params.node_count != states.shape[1]:
@@ -61,7 +61,7 @@ def control_update(state_traj: StateTrajectory, adjoint_traj: AdjointTrajectory,
     raw[:, :, GAMMA_H] = (lams[:, :, LAM_H] - lams[:, :, LAM_F]) * states[:, :, IH]
     raw[:, :, GAMMA_L] = (lams[:, :, LAM_L] - lams[:, :, LAM_F]) * states[:, :, IL]
     clamped = np.clip(raw, params.lower, params.upper)
-    return ControlTrajectory(time_grid=state_traj.time_grid.copy(), controls=clamped)
+    return ControlTrajectory(time_grid=grid.copy(), controls=clamped)
 
 
 def _l2(arr: np.ndarray, dt: float) -> float:

@@ -90,8 +90,8 @@ class TestSnapshotShapes:
         calls = {"adjoint_rhs": lambda: adjoint_rhs(**args, params=params, graph=TWO_NODE),
                  "hamiltonian": lambda: hamiltonian(**args, params=params, graph=TWO_NODE),
                  "running_cost": lambda: running_cost(args["state"], args["control"])}
-        with pytest.raises(ValueError,
-                           match=rf"^sizes disagree: {arg} has shape \({shape[0]}, "):
+        with pytest.raises(ValueError, match=rf"^{arg} must be an array of shape \((2|N), \d\),"
+                                             rf" got shape \({shape[0]}, "):
             calls[function]()
 
 
@@ -145,7 +145,8 @@ class TestAdjointRhs:
                 "control": np.zeros((2, 3)), "costate": np.zeros((2, 4))}
         args[wrong] = args[wrong][:1]
         params = ModelParams.from_scalars(2, 0.5, 0.2, 1.0)
-        with pytest.raises(ValueError, match="sizes disagree"):
+        with pytest.raises(ValueError, match=rf"^{wrong} must be an array of shape \(2, \d\),"
+                                             r" got shape \(1, \d\)$"):
             adjoint_rhs(args["state"], args["control"], args["costate"], params, TWO_NODE)
 
     def test_consistent_mode_matches_hamiltonian_gradient(self):
@@ -234,11 +235,12 @@ class TestIntegrateBackward:
         states = integrate_forward(inst, control)
         stacked_control = ControlTrajectory(control.time_grid, np.stack([control.controls] * 2))
         stacked_states = StateTrajectory(states.time_grid, np.stack([states.states] * 2))
-        message = "expected state_traj shape (201, 5, 4), got (2, 201, 5, 4)"
+        message = "state_traj must be an array of shape (201, 5, 4), got shape (2, 201, 5, 4)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             integrate_backward(stacked_states, control, inst)
         for args in ((states, stacked_control), (stacked_states, stacked_control)):
-            with pytest.raises(ValueError, match="expected control shape"):
+            with pytest.raises(ValueError,
+                               match=r"^control must be an array of shape \(201, 5, 3\)"):
                 integrate_backward(*args, inst)
 
     def test_nan_state_rejected(self):

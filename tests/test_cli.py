@@ -1,13 +1,16 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from malctrl.cli import main
 from malctrl.experiments import ExperimentSpec, run_experiment
-from malctrl.graphs import graph_from_json
-from malctrl.model import load_instance
+from malctrl.graphs import graph_from_dict, graph_from_json, spec_from_dict
+from malctrl.model import instance_from_dict, load_instance
 from malctrl.serialize import summary_json
 
 
@@ -440,3 +443,97 @@ def test_bad_array_input_named(runner, tmp_path, case):
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)  # no traceback
     assert result.stderr.startswith("Error: ") and field in result.stderr
     assert not out.exists()
+
+
+# JSON values that are wrong somewhere in every input file: no topology they
+# make is larger than the canonical one
+MALFORMED = (None, True, False, 0, -1, 0.5, -2.5, 1e300, float("inf"), float("nan"), 10 ** 400,
+             "", "x", "canonical", [], [0, 1], [[0, 1], [1, 0]], {}, {"x": 1})
+TOPOLOGY = {"n": 3, "adjacency": [[0, 1, 0], [1, 0, 1], [0, 1, 0]], "labels": ["a", "b", "c"],
+            "rooms": ["r", "r", "s"]}
+
+
+def json_paths(value, path=()):
+    """The path of ``value`` and of every object value and list item nested in it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(
+        value, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+def replaced(data, path, value):
+    if not path:
+        return value
+    data = json.loads(json.dumps(data))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return data
+
+
+# (loader, path) for every position of the case-1 instance file, the canonical
+# generator spec and a three-node topology
+LOAD_TARGETS = [(load, base, path) for load, base in (
+    (lambda data: instance_from_dict(data, base_dir=CONFIGS), json.loads(CASE1.read_text())),
+    (spec_from_dict, json.loads((CONFIGS / "canonical_spec.json").read_text())),
+    (graph_from_dict, TOPOLOGY)) for path in json_paths(base)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(target=st.sampled_from(LOAD_TARGETS), value=st.sampled_from(MALFORMED))
+def test_malformed_input_raises_only_what_the_cli_reports(target, value):
+    # the CLI reports ValueError and OSError as bad input; anything else is a
+    # traceback, so no malformed JSON value may raise it
+    load, base, path = target
+    try:
+        load(replaced(base, path, value))
+    except (ValueError, OSError):
+        pass
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def floors_cli_commands() -> list[str]:
+    """The ``run:`` commands of the workflow's ``floors`` job that call the CLI,
+    each folded to one line as YAML folds a ``>-`` block."""
+    lines = WORKFLOW.read_text().splitlines()
+    start = lines.index("  floors:") + 1
+    end = next((i for i in range(start, len(lines))
+                if lines[i].startswith("  ") and lines[i][2] not in " #"), len(lines))
+    commands, i = [], start
+    while i < end:
+        head = lines[i].strip()
+        i += 1
+        if not head.startswith("- run:"):
+            continue
+        command = head.removeprefix("- run:").strip()
+        if command == ">-":
+            indent = len(lines[i - 1]) - len(lines[i - 1].lstrip())
+            folded = []
+            while i < end and len(lines[i]) - len(lines[i].lstrip()) > indent:
+                folded.append(lines[i].strip())
+                i += 1
+            command = " ".join(folded)
+        if "malctrl.cli" in command:
+            commands.append(command)
+    return commands
+
+
+def test_workflow_finds_the_five_floor_cli_steps():
+    assert [shlex.split(command)[4:6] for command in floors_cli_commands()] == [
+        ["experiment", "run"], ["optimize", "--instance"], ["dataset", "generate"],
+        ["dataset", "validate"], ["rgcs-compare", "--instance"]]
+
+
+def test_workflow_floor_cli_steps_exit_0(runner, tmp_path, monkeypatch):
+    # the commands as the workflow's floors job runs them, in order, from the
+    # repository root; this runs them at the installed click, not at its floor
+    monkeypatch.chdir(WORKFLOW.parents[2])
+    for command in floors_cli_commands():
+        words = shlex.split(command.replace("$RUNNER_TEMP", str(tmp_path)))
+        assert words[:4] == ["PYTHONPATH=src", "python", "-m", "malctrl.cli"], command
+        result = runner.invoke(main, words[4:])
+        assert result.exit_code == 0, (command, result.output)

@@ -47,7 +47,7 @@ def test_control_shape_checked():
     inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
     controls = inst.constant_control(0.5, 0.5, 0.5).controls
     for bad in (controls[:, :1], np.stack([controls, controls])):
-        with pytest.raises(ValueError, match="expected control shape"):
+        with pytest.raises(ValueError, match=r"^control must be an array of shape \(11, 2, 3\)"):
             ctmc_simulate(inst, ControlTrajectory(inst.time_grid(), bad), rng_seed=1,
                           num_runs=10)
 

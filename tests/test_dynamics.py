@@ -146,7 +146,7 @@ class TestIntegrateForward:
         inst = build_case_instance(1, canonical_graph())
         controls = inst.constant_control(*inst.control_rates).controls
         for bad in (controls[:, :1], controls[:-1], controls[:, 0], np.stack([controls] * 2)):
-            message = f"expected control shape {controls.shape}, got {bad.shape}"
+            message = f"control must be an array of shape {controls.shape}, got shape {bad.shape}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 integrate_forward(inst, ControlTrajectory(inst.time_grid(), bad))
 

@@ -45,6 +45,21 @@ class TestSnapshot:
         report = snapshot(StateTrajectory(grid, states))
         assert report["snapshot_time"] == 0.0
 
+    def test_states_parsed_as_array_arguments(self):
+        # lists give the array's report; three columns would be classified as
+        # if RC held the rest, and one grid row would have no node axis
+        grid = uniform_grid(3.0, 30)
+        states = np.random.default_rng(2).dirichlet(np.ones(5), size=(31, 8))[:, :, :4]
+        assert (snapshot(StateTrajectory(grid.tolist(), states.tolist()))
+                == snapshot(StateTrajectory(grid, states)))
+        for bad, got in ((states[..., :3], "shape (31, 8, 3)"), (states[0], "shape (8, 4)"),
+                         (states[:, :, :, None], "shape (31, 8, 4, 1)")):
+            message = f"state_traj must be an array of shape (31, N, 4), got {got}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                snapshot(StateTrajectory(grid, bad))
+        with pytest.raises(ValueError, match=r"^state_traj time grid must be length N, got 3.0$"):
+            snapshot(StateTrajectory(3.0, states))
+
 
 class TestSampleNodes:
 
@@ -55,6 +70,17 @@ class TestSampleNodes:
         assert len(nodes) == len(set(nodes)) == 4
         assert initial[nodes[0], 1] == 1.0  # first infected-high device
         assert nodes == select_sample_nodes(graph, initial)
+
+    def test_initial_state_parsed_as_an_array_argument(self):
+        graph = canonical_graph()
+        initial = seed_initial_state(graph, 57, 2, 1)
+        assert select_sample_nodes(graph, initial.tolist()) == select_sample_nodes(graph, initial)
+        for bad, got in ((initial[:59], "shape (59, 4)"), (initial[:, :3], "shape (60, 3)")):
+            message = f"initial_state must be an array of shape (60, 4), got {got}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                select_sample_nodes(graph, bad)
+        with pytest.raises(ValueError, match=r"^initial_state\[0, 0\] must be a number, got True$"):
+            select_sample_nodes(graph, initial.astype(bool).tolist())
 
 
 @pytest.fixture(scope="module")

@@ -1,20 +1,24 @@
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malctrl.dynamics import ctmc_simulate
+from malctrl.adjoint import adjoint_rhs, hamiltonian, integrate_backward
+from malctrl.dynamics import ctmc_simulate, integrate_forward
 from malctrl.graphs import NetworkGraph, SmartHomeSpec, canonical_graph
-from malctrl.model import (DELTA, GAMMA_L, IH, IL, ModelInstance, ModelParams, StateTrajectory,
+from malctrl.model import (DELTA, GAMMA_L, IH, IL, AdjointTrajectory, ControlTrajectory,
+                           ModelInstance, ModelParams, StateTrajectory, array_argument,
                            instance_from_dict, number_array, r_complete, seed_initial_state,
                            uniform_grid, validate_snapshot, validate_states)
+from malctrl.objective import objective, running_cost
 from malctrl.rgcs import RgcsConfig
+from malctrl.sweep import control_update
 
-from helpers import TWO_NODE
+from helpers import TWO_NODE, make_instance, random_graph
 
 
 class TestNodeState:
@@ -52,11 +56,79 @@ class TestValidateSnapshot:
         mismatched = [name for name, shape, want in zip(names, drawn, expected) if shape != want]
         if mismatched:
             with pytest.raises(ValueError,
-                               match=f"^sizes disagree: {mismatched[0]} has shape"):
+                               match=f"^{mismatched[0]} must be an array of shape"):
                 validate_snapshot(n, *arrays)
         else:
             checked = validate_snapshot(n, *arrays)
             assert [(a.shape, a.dtype) for a in checked] == [(e, np.float64) for e in expected]
+
+
+def array_calls(convert):
+    """Each public function that takes array arguments, called on one small run
+    with every array argument passed through ``convert``; each call's name maps
+    to the argument that its first check names."""
+    graph = random_graph(np.random.default_rng(1), 5, 0.6)
+    inst = make_instance(graph, 0.4, 0.2, 2.0, seed_initial_state(graph, 3, 1, 1), time_steps=10)
+    grid, (p, g) = inst.time_grid(), (inst.params, inst.graph)
+    u = inst.constant_control(0.3, 0.2, 0.1).controls
+    x = integrate_forward(inst, ControlTrajectory(grid, u)).states
+    lam = integrate_backward(StateTrajectory(grid, x), ControlTrajectory(grid, u), inst).costates
+    control, states = ControlTrajectory(grid, convert(u)), StateTrajectory(grid, convert(x))
+    costates = AdjointTrajectory(grid, convert(lam))
+    snap = convert(x[4]), convert(u[4]), convert(lam[4])
+    return {
+        ("integrate_forward", "control"): lambda: integrate_forward(inst, control),
+        ("objective", "state_traj"): lambda: objective(states, control),
+        ("control_update", "state_traj"): lambda: control_update(states, costates, p),
+        ("integrate_backward", "control"): lambda: integrate_backward(states, control, inst),
+        ("ctmc_simulate", "control"): lambda: ctmc_simulate(inst, control, 3, 20),
+        ("running_cost", "state"): lambda: running_cost(*snap[:2]),
+        ("hamiltonian", "state"): lambda: hamiltonian(*snap, p, g),
+        ("adjoint_rhs", "state"): lambda: adjoint_rhs(*snap, p, g),
+    }
+
+
+def bit_identical(got, want) -> bool:
+    if is_dataclass(want):
+        return type(got) is type(want) and all(bit_identical(getattr(got, f.name),
+                                                             getattr(want, f.name))
+                                               for f in fields(want))
+    if isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.dtype == want.dtype
+                and got.shape == want.shape and got.tobytes() == want.tobytes())
+    return type(got) is type(want) and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+BAD_ARRAYS = {
+    "boolean": lambda a: a > 0.2,
+    "string": lambda a: a.astype(str),
+    "complex": lambda a: a.astype(complex),
+    "None entry": lambda a: np.where(np.arange(a.size).reshape(a.shape) == 0, None, a),
+    "None": lambda a: None,
+}
+
+
+class TestArrayArguments:
+
+    def test_exact_float64_array_passes_through(self):
+        values = np.zeros((2, 4))
+        assert array_argument(values, "x", (2, 4)) is values
+        for other in (values.tolist(), values.astype(np.float32), np.zeros((2, 4), dtype=int)):
+            parsed = array_argument(other, "x", (2, 4))
+            assert parsed is not other and parsed.dtype == np.float64
+        assert array_argument(values, "x", (None, 4)) is not values
+
+    @pytest.mark.parametrize("call", list(array_calls(np.asarray)), ids=lambda key: key[0])
+    def test_lists_give_bit_identical_results(self, call):
+        want = array_calls(np.asarray)[call]()
+        assert bit_identical(array_calls(np.ndarray.tolist)[call](), want)
+
+    @pytest.mark.parametrize("kind", list(BAD_ARRAYS))
+    @pytest.mark.parametrize("call", list(array_calls(np.asarray)), ids=lambda key: key[0])
+    def test_non_number_arguments_named(self, call, kind):
+        with pytest.raises(ValueError, match=rf"^{call[1]}(\[[\d, ]+\] must be a number|"
+                                             r" must be an array of shape \(.*\)), got "):
+            array_calls(BAD_ARRAYS[kind])[call]()
 
 
 class TestModelParams:

@@ -32,7 +32,8 @@ class TestRunningCost:
         assert running_cost(state, np.zeros((1, 3))) == pytest.approx(-1.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match=r"^sizes disagree: control has shape \(3, 3\)"):
+        message = "control must be an array of shape (2, 3), got shape (3, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             running_cost(np.zeros((2, 4)), np.zeros((3, 3)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -123,20 +124,32 @@ class TestObjective:
         # a stack, a pair without the node axis, a one-point grid or fewer rows
         # than grid points is refused naming the argument, not left to fail
         # inside the quadrature or to integrate over part of the horizon; an
-        # uneven grid is refused, since the quadrature steps by its first step
+        # uneven grid is refused, since the quadrature steps by its first step,
+        # and so is a decreasing or zero-width one, whose integral has the
+        # wrong sign or is zero, and a grid that is not one-dimensional
         st_traj, ct_traj = _constant_trajectories(np.zeros(4) + 0.25, np.zeros(3), 1.0, 10)
         grid, x, u = st_traj.time_grid, st_traj.states, ct_traj.controls
-        stacked = "expected state_traj shape (11, N, 4), got (2, 11, 3, 4)"
-        rows = [(grid, x, u[:, :1], "expected control_traj shape (11, 3, 3), got (11, 1, 3)"),
-                (grid, x[:, :1], u, "expected control_traj shape (11, 1, 3), got (11, 3, 3)"),
+        stacked = "state_traj must be an array of shape (11, N, 4), got shape (2, 11, 3, 4)"
+        rows = [(grid, x, u[:, :1],
+                 "control_traj must be an array of shape (11, 3, 3), got shape (11, 1, 3)"),
+                (grid, x[:, :1], u,
+                 "control_traj must be an array of shape (11, 1, 3), got shape (11, 3, 3)"),
                 (grid, np.stack([x] * 2), u, stacked),
                 (grid, np.stack([x] * 2), np.stack([u] * 3), stacked),
                 (grid, np.stack([x] * 2), np.stack([u] * 2), stacked),
-                (grid, x[:, 0], u[:, 0], "expected state_traj shape (11, N, 4), got (11, 4)"),
+                (grid, x[:, 0], u[:, 0],
+                 "state_traj must be an array of shape (11, N, 4), got shape (11, 4)"),
                 (grid[:1], x[:1], u[:1], "state_traj needs at least two grid points, got 1"),
-                (grid, x[:5], u[:5], "expected state_traj shape (11, 3, 4), got (5, 3, 4)"),
+                (grid, x[:5], u[:5],
+                 "state_traj must be an array of shape (11, N, 4), got shape (5, 3, 4)"),
                 (np.array([0.0, 0.1, 1.0]), x[:3, :2], u[:3, :2],
-                 "state_traj time grid must be evenly spaced, got steps from 0.1 to 0.9")]
+                 "state_traj time grid must have even positive steps, got steps from 0.1 to 0.9"),
+                (np.array([1.0, 0.5, 0.0]), x[:3, :2], u[:3, :2],
+                 "state_traj time grid must have even positive steps, got steps from -0.5 to -0.5"),
+                (np.zeros(3), x[:3, :2], u[:3, :2],
+                 "state_traj time grid must have even positive steps, got steps from 0.0 to 0.0"),
+                (1.0, x, u, "state_traj time grid must be length N, got 1.0"),
+                (None, x, u, "state_traj time grid must be length N, got None")]
         for points, states, controls, message in rows:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 objective(StateTrajectory(points, states), ControlTrajectory(points, controls))

@@ -77,23 +77,24 @@ class TestControlUpdate:
         states, _ = two_point_trajs(np.array([0.5, 0.1, 0.1, 0.3]), np.ones(4), n=3)
         _, costates = two_point_trajs(np.array([0.5, 0.1, 0.1, 0.3]), np.ones(4), n=1)
         params = ModelParams.from_scalars(3, 0.1, 0.05, 1.0, delta=(0.1, 0.8))
-        message = "expected adjoint_traj shape (2, 3, 4), got (2, 1, 4)"
+        message = "adjoint_traj must be an array of shape (2, 3, 4), got shape (2, 1, 4)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             control_update(states, costates, params)
 
     def test_stacked_trajectories_rejected(self):
-        # a stack, a pair without the node axis, a state without its RF column
-        # and fewer rows than grid points are all refused by shape
+        # a stack, a pair without the node axis, a state without its RF column,
+        # fewer rows than grid points and a scalar grid are all refused by shape
         states, costates = two_point_trajs(np.array([0.5, 0.1, 0.1, 0.3]), np.ones(4), n=2)
         params = ModelParams.from_scalars(2, 0.1, 0.05, 1.0, delta=(0.1, 0.8))
         grid, x, lam = states.time_grid, states.states, costates.costates
+        shape = "state_traj must be an array of shape"
         rows = [(grid, np.stack([x] * 2), np.stack([lam] * 2),
-                 "expected state_traj shape (2, N, 4), got (2, 2, 2, 4)"),
-                (grid, x[:, 0], lam[:, 0], "expected state_traj shape (2, N, 4), got (2, 4)"),
-                (grid, x[..., :3], lam[..., :3],
-                 "expected state_traj shape (2, 2, 4), got (2, 2, 3)"),
+                 f"{shape} (2, N, 4), got shape (2, 2, 2, 4)"),
+                (grid, x[:, 0], lam[:, 0], f"{shape} (2, N, 4), got shape (2, 4)"),
+                (grid, x[..., :3], lam[..., :3], f"{shape} (2, N, 4), got shape (2, 2, 3)"),
                 (uniform_grid(1.0, 10), np.repeat(x, 3, axis=0)[:5], np.repeat(lam, 3, axis=0)[:5],
-                 "expected state_traj shape (11, 2, 4), got (5, 2, 4)")]
+                 f"{shape} (11, N, 4), got shape (5, 2, 4)"),
+                (1.0, x, lam, "state_traj time grid must be length N, got 1.0")]
         for points, bad_x, bad_lam, message in rows:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 control_update(StateTrajectory(points, bad_x), AdjointTrajectory(points, bad_lam),
