@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -498,42 +499,24 @@ WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "test
 
 def floors_cli_commands() -> list[str]:
     """The ``run:`` commands of the workflow's ``floors`` job that call the CLI,
-    each folded to one line as YAML folds a ``>-`` block."""
-    lines = WORKFLOW.read_text().splitlines()
-    start = lines.index("  floors:") + 1
-    end = next((i for i in range(start, len(lines))
-                if lines[i].startswith("  ") and lines[i][2] not in " #"), len(lines))
-    commands, i = [], start
-    while i < end:
-        head = lines[i].strip()
-        i += 1
-        if not head.startswith("- run:"):
-            continue
-        command = head.removeprefix("- run:").strip()
-        if command == ">-":
-            indent = len(lines[i - 1]) - len(lines[i - 1].lstrip())
-            folded = []
-            while i < end and len(lines[i]) - len(lines[i].lstrip()) > indent:
-                folded.append(lines[i].strip())
-                i += 1
-            command = " ".join(folded)
-        if "malctrl.cli" in command:
-            commands.append(command)
-    return commands
-
-
-def test_workflow_finds_the_five_floor_cli_steps():
-    assert [shlex.split(command)[4:6] for command in floors_cli_commands()] == [
-        ["experiment", "run"], ["optimize", "--instance"], ["dataset", "generate"],
-        ["dataset", "validate"], ["rgcs-compare", "--instance"]]
+    each ``>-`` block folded onto one line as YAML folds it."""
+    text = WORKFLOW.read_text()
+    floors = text[text.index("\n  floors:"):text.index("\n  current:")]
+    floors = re.sub(r"\n {10,}(?=\S)", " ", floors)
+    return [line.split("- run:", 1)[1].strip().removeprefix(">-").strip()
+            for line in floors.splitlines() if "- run:" in line and "malctrl.cli" in line]
 
 
 def test_workflow_floor_cli_steps_exit_0(runner, tmp_path, monkeypatch):
-    # the commands as the workflow's floors job runs them, in order, from the
+    # the five CLI steps of the workflow's floors job, in order, from the
     # repository root; this runs them at the installed click, not at its floor
+    commands = [shlex.split(command.replace("$RUNNER_TEMP", str(tmp_path)))
+                for command in floors_cli_commands()]
+    assert [words[4:6] for words in commands] == [
+        ["experiment", "run"], ["optimize", "--instance"], ["dataset", "generate"],
+        ["dataset", "validate"], ["rgcs-compare", "--instance"]]
     monkeypatch.chdir(WORKFLOW.parents[2])
-    for command in floors_cli_commands():
-        words = shlex.split(command.replace("$RUNNER_TEMP", str(tmp_path)))
-        assert words[:4] == ["PYTHONPATH=src", "python", "-m", "malctrl.cli"], command
+    for words in commands:
+        assert words[:4] == ["PYTHONPATH=src", "python", "-m", "malctrl.cli"], words
         result = runner.invoke(main, words[4:])
-        assert result.exit_code == 0, (command, result.output)
+        assert result.exit_code == 0, (words, result.output)
