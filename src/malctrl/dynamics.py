@@ -147,19 +147,14 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     are exact integers.
 
     Checks the control as integrate_forward does.  Raises ValueError for an
-    initial state that is not 0/1 indicators, a ``rng_seed`` or ``num_runs``
-    that is not a whole number, a negative ``rng_seed`` or a ``num_runs``
-    below 1.
+    initial state that is not 0/1 indicators; ``num_runs`` and ``rng_seed``
+    are parsed by ``integer`` with least 1 and 0.
     """
     controls = validate_control(instance, control)
     init = instance.initial_state
     if not np.isin(init, (0.0, 1.0)).all():
         raise ValueError("jump-process simulation needs indicator (0/1) initial states")
-    num_runs, rng_seed = integer(num_runs, "num_runs"), integer(rng_seed, "rng_seed")
-    if num_runs < 1:
-        raise ValueError("num_runs must be positive")
-    if rng_seed < 0:
-        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
+    num_runs, rng_seed = integer(num_runs, "num_runs", 1), integer(rng_seed, "rng_seed", 0)
 
     grid = instance.time_grid()
     n = instance.node_count

@@ -105,31 +105,25 @@ class SmartHomeSpec:
     def __post_init__(self):
         if not isinstance(self.inter_room_hub, bool):
             raise ValueError(f"inter_room_hub must be true or false, got {self.inter_room_hub!r}")
+        object.__setattr__(self, "total_devices", integer(self.total_devices, "total_devices", 1))
         if not isinstance(self.rooms, (list, tuple)):
             raise ValueError(f"rooms must be a list of [name, count] pairs, got {self.rooms!r}")
         rooms = []
         for i, room in enumerate(self.rooms):
             if not (isinstance(room, (list, tuple)) and len(room) == 2):
                 raise ValueError(f"rooms[{i}] must be a [name, count] pair, got {room!r}")
-            rooms.append((str(room[0]), integer(room[1], f"rooms[{i}] device count")))
+            rooms.append((str(room[0]), integer(room[1], f"rooms[{i}] device count", 1)))
         object.__setattr__(self, "rooms", tuple(rooms))
-        for name, parse in (("total_devices", integer), ("intra_room_density", number),
-                            ("rng_seed", integer)):
-            object.__setattr__(self, name, parse(getattr(self, name), name))
-        if self.total_devices < 1:
-            raise ValueError("total_devices must be positive")
+        object.__setattr__(self, "intra_room_density",
+                           number(self.intra_room_density, "intra_room_density"))
+        object.__setattr__(self, "rng_seed", integer(self.rng_seed, "rng_seed", 0))
         if not self.rooms:
             raise ValueError("at least one room is required")
-        for name, count in self.rooms:
-            if count < 1:
-                raise ValueError(f"room {name!r} has {count} devices")
         total = sum(count for _, count in self.rooms)
         if total != self.total_devices:
             raise ValueError(f"room device counts sum to {total}, expected {self.total_devices}")
         if not 0.0 <= self.intra_room_density <= 1.0:
             raise ValueError("intra_room_density must lie in [0, 1]")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def floorplan_spec(rng_seed: int = 42) -> SmartHomeSpec:
@@ -307,13 +301,16 @@ def json_object(value, name: str, keys) -> dict:
     return value
 
 
-def integer(value, name: str) -> int:
-    """``value`` as an int; a fraction, a boolean or a non-number raises a
-    ValueError that names ``name``."""
-    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int: the one rule for every count and seed.  A fraction,
+    a boolean or a non-number raises a ValueError that names ``name``, and so
+    does a whole number below ``least`` when one is given."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             or isinstance(value, (float, np.floating)) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {int(value)}")
+    return int(value)
 
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating)

@@ -100,13 +100,11 @@ class ModelParams:
     upper: np.ndarray
 
     def __post_init__(self):
-        for name in ("beta_high", "beta_low", "horizon"):
-            object.__setattr__(self, name, number(getattr(self, name), name))
+        for name, parse in (("beta_high", number), ("beta_low", number), ("horizon", _horizon)):
+            object.__setattr__(self, name, parse(getattr(self, name), name))
         if not 0.0 <= self.beta_low <= self.beta_high < np.inf:
             raise ValueError(f"need finite 0 <= beta_low <= beta_high,"
                              f" got {self.beta_low}, {self.beta_high}")
-        if not 0.0 < self.horizon < np.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         lower = number_array(self.lower, "lower", [(None, 3)])
         upper = number_array(self.upper, "upper", [lower.shape])
         bad = ~(np.isfinite(upper) & (0.0 <= lower) & (lower <= upper))
@@ -140,37 +138,47 @@ class ModelParams:
         return self.upper
 
 
+def _horizon(value, name: str) -> float:
+    """``value`` parsed by ``number``; it must be positive and finite."""
+    if not 0.0 < (horizon := number(value, name)) < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {horizon}")
+    return horizon
+
+
 def uniform_grid(horizon: float, steps: int) -> np.ndarray:
-    if steps < 1:
-        raise ValueError("need at least one time step")
-    return np.linspace(0.0, horizon, steps + 1)
+    """``steps + 1`` even points on [0, horizon]: horizon as in ``ModelParams``, steps >= 1."""
+    return np.linspace(0.0, _horizon(horizon, "horizon"), integer(steps, "steps", 1) + 1)
 
 
 def validate_trajectory(name: str, trajectory, field: str, grid: np.ndarray,
                         n: int | None = None) -> np.ndarray:
     """``trajectory.<field>`` on ``grid`` of K+1 >= 2 points, parsed by ``array_argument``
     with shape (K+1, n, C): C is 3 for "controls" and 4 for "states" and "costates".
-    Raises ValueError naming argument ``name``, or on another time grid."""
+    The one finiteness rule of trajectories: a NaN or infinite point of ``grid`` or of the
+    trajectory raises ValueError naming ``<name> time grid`` or ``name``, as does another grid."""
+    require_finite(**{f"{name} time grid": grid})
     if not np.array_equal(trajectory.time_grid, grid):
         raise ValueError("trajectories must share an identical time grid")
     if len(grid) < 2:
         raise ValueError(f"{name} needs at least two grid points, got {len(grid)}")
-    return array_argument(getattr(trajectory, field), name,
-                          (len(grid), n, 3 if field == "controls" else 4))
+    values = array_argument(getattr(trajectory, field), name,
+                            (len(grid), n, 3 if field == "controls" else 4))
+    require_finite(**{name: values})
+    return values
 
 
 def validate_control(instance: ModelInstance, control: ControlTrajectory) -> np.ndarray:
     """The controls of ``control``, checked against ``instance``.
 
     They must pass ``validate_trajectory`` on the instance grid and node
-    count, and be finite and non-negative; the control box is not checked.
-    Raises ValueError naming the control.
+    count, which holds the finiteness rule, and be non-negative; the control
+    box is not checked.  Raises ValueError naming the control.
     """
     controls = validate_trajectory("control", control, "controls", instance.time_grid(),
                                    instance.node_count)
-    bad = ~(np.isfinite(controls) & (controls >= 0.0))
+    bad = controls < 0.0
     if bad.any():
-        raise ValueError(f"control {CONTROL_NAMES[np.argwhere(bad)[0, -1]]} must be finite and"
+        raise ValueError(f"control {CONTROL_NAMES[np.argwhere(bad)[0, -1]]} must be"
                          f" non-negative, got {controls[bad][0]}")
     return controls
 
@@ -218,8 +226,8 @@ class ModelInstance:
 
     The solver settings are set, defaulted and checked here only; change them
     with ``dataclasses.replace(instance, adjoint_mode="consistent")``.
-    ``max_iterations`` and ``time_steps`` must be whole numbers and are stored
-    as int.  The sweep's blend weight and tolerance are fixed in ``fbsm_solve``.
+    ``max_iterations`` and ``time_steps`` are whole numbers of at least 1,
+    stored as int.  The sweep's blend weight and tolerance are fixed in ``fbsm_solve``.
     ``control_rates``, when given, are three finite non-negative rates, each
     parsed by ``number`` and stored as a tuple of floats.  ``initial_state``
     is parsed by ``number_array`` and stored as a new float64 (N, 4) array.
@@ -253,13 +261,9 @@ class ModelInstance:
                                  f" got {self.control_rates}")
             object.__setattr__(self, "control_rates", rates)
         for name in ("max_iterations", "time_steps"):
-            object.__setattr__(self, name, integer(getattr(self, name), name))
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            object.__setattr__(self, name, integer(getattr(self, name), name, 1))
         if self.adjoint_mode not in ADJOINT_MODES:
             raise ValueError(f"adjoint_mode must be one of {ADJOINT_MODES}")
-        if self.time_steps < 1:
-            raise ValueError("time_steps must be positive")
 
     @property
     def node_count(self) -> int:
@@ -295,7 +299,7 @@ _COUNT_KEYS = ("susceptible", "infected_high", "infected_low", "recover_first", 
 def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int,
                        infected_low: int, recover_first: int = 0,
                        recover_complete: int = 0) -> np.ndarray:
-    """Map compartment device counts onto indicator states.
+    """Map compartment device counts, whole numbers of at least 0, onto indicator states.
 
     Seeded devices are picked deterministically: rooms in order of first
     appearance, each room's nodes ranked by degree (ties broken by lowest
@@ -305,10 +309,8 @@ def seed_initial_state(graph: NetworkGraph, susceptible: int, infected_high: int
     everything else starts susceptible.
     """
     n = graph.node_count
-    counts = tuple(integer(count, name) for name, count in zip(_COUNT_KEYS, (
+    counts = tuple(integer(count, name, 0) for name, count in zip(_COUNT_KEYS, (
         susceptible, infected_high, infected_low, recover_first, recover_complete)))
-    if min(counts) < 0:
-        raise ValueError(f"compartment counts must be non-negative, got {counts}")
     total = sum(counts)
     if total != n:
         raise ValueError(f"compartment counts sum to {total}, expected {n}")

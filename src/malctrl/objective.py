@@ -88,9 +88,9 @@ def objective(state_traj: StateTrajectory, control_traj: ControlTrajectory) -> O
     """Trapezoid quadrature of the running cost over the state's evenly spaced grid.
 
     The grid is parsed by ``array_argument``; both trajectories must pass
-    ``validate_trajectory`` on it, with N taken from the states, and its steps
-    must be positive and agree to 1e-9 of the first.  Each field is a Python
-    float.  A NaN or infinite state or control raises ValueError naming it.
+    ``validate_trajectory`` (which holds the finiteness rule) on it, with N
+    taken from the states, and its steps must be positive and agree to 1e-9
+    of the first.  Each field is a Python float.
     """
     grid = array_argument(state_traj.time_grid, "state_traj time grid", (None,))
     states = validate_trajectory("state_traj", state_traj, "states", grid)
@@ -99,7 +99,6 @@ def objective(state_traj: StateTrajectory, control_traj: ControlTrajectory) -> O
     if not (steps.min() > 0.0 and np.ptp(steps) <= 1e-9 * steps[0]):
         raise ValueError(f"state_traj time grid must have even positive steps, got steps from"
                          f" {steps.min()} to {steps.max()}")
-    require_finite(state_traj=states, control_traj=controls)
     infection, recovery = _state_sums(states)
     patch, restriction = _control_sums(controls)
     terms = _quadrature(infection, patch, restriction, recovery, float(steps[0]))

@@ -22,21 +22,15 @@ _BATCH_BYTES = 4 * 2**20
 
 @dataclass(frozen=True)
 class RgcsConfig:
-    """Random-strategy settings; each field must be a whole number and is stored as int."""
+    """Random-strategy settings, whole numbers stored as int: seed >= 0, both sizes >= 1."""
 
     num_subintervals: int = 100
     rng_seed: int = 0
     population_size: int = 100
 
     def __post_init__(self):
-        for name in ("num_subintervals", "rng_seed", "population_size"):
-            object.__setattr__(self, name, integer(getattr(self, name), name))
-        if self.num_subintervals < 1:
-            raise ValueError("num_subintervals must be at least 1")
-        if self.population_size < 1:
-            raise ValueError("population_size must be at least 1")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
+        for name, least in (("num_subintervals", 1), ("rng_seed", 0), ("population_size", 1)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, least))
 
 
 def rgcs_generate(instance: ModelInstance, config: RgcsConfig) -> ControlTrajectory:

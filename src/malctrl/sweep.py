@@ -10,7 +10,7 @@ from .adjoint import integrate_backward
 from .dynamics import integrate_forward
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, RF,
                     AdjointTrajectory, ControlTrajectory, ModelInstance, ModelParams,
-                    StateTrajectory, array_argument, require_finite, validate_trajectory)
+                    StateTrajectory, array_argument, validate_trajectory)
 from .objective import ObjectiveBreakdown, objective
 
 
@@ -45,9 +45,8 @@ def control_update(state_traj: StateTrajectory, adjoint_traj: AdjointTrajectory,
     (lam_h - lam_f) * IH, (lam_l - lam_f) * IL for the two restriction
     rates; the quadratic control cost makes the clamp the exact box minimum.
     The state's grid is parsed by ``array_argument``; both trajectories must
-    pass ``validate_trajectory`` on it, with N taken from the states.  A box
-    sized for other nodes raises ValueError naming ``params``, and a NaN or
-    infinite state or costate raises ValueError naming it.
+    pass ``validate_trajectory`` (which holds the finiteness rule) on it, with N
+    taken from the states.  A box for other nodes raises ValueError naming ``params``.
     """
     grid = array_argument(state_traj.time_grid, "state_traj time grid", (None,))
     states = validate_trajectory("state_traj", state_traj, "states", grid)
@@ -55,7 +54,6 @@ def control_update(state_traj: StateTrajectory, adjoint_traj: AdjointTrajectory,
     if params.node_count != states.shape[1]:
         raise ValueError(f"params sized for {params.node_count} nodes,"
                          f" state_traj for {states.shape[1]}")
-    require_finite(state_traj=states, adjoint_traj=lams)
     raw = np.empty(states.shape[:2] + (3,))
     raw[:, :, DELTA] = lams[:, :, LAM_F] * states[:, :, RF]
     raw[:, :, GAMMA_H] = (lams[:, :, LAM_H] - lams[:, :, LAM_F]) * states[:, :, IH]

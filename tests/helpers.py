@@ -1,5 +1,7 @@
 """Builders shared by the test modules: the two-node graph, seeded random
-graphs and small instances."""
+graphs, small instances and the message of a bad control rate."""
+
+import re
 
 import numpy as np
 
@@ -28,3 +30,12 @@ def make_instance(graph, beta_high, beta_low, horizon, initial=None, time_steps=
         initial[:, S] = 1.0
     return ModelInstance(graph=graph, params=params, initial_state=initial,
                          time_steps=time_steps)
+
+
+def bad_rate_message(control: str, rate: float) -> str:
+    """The escaped start of the error for a control entry ``rate`` in column
+    ``control``: a NaN or infinite one breaks the finiteness rule of every
+    trajectory, a negative one the sign rule of controls."""
+    if rate < 0:
+        return re.escape(f"control {control} must be non-negative, got {rate}")
+    return re.escape(f"control must be finite, got {rate}")

@@ -13,7 +13,7 @@ from malctrl.model import (GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, LAM_S, RF, S,
 from malctrl.objective import objective, running_cost
 from malctrl.sweep import control_update
 
-from helpers import TWO_NODE, random_graph
+from helpers import TWO_NODE, bad_rate_message, random_graph
 
 SINGLE = NetworkGraph([[0]])
 
@@ -226,7 +226,7 @@ class TestIntegrateBackward:
         control = inst.constant_control(0.5, 0.5, 0.5)
         states = integrate_forward(inst, control)
         control.controls[5, 3, GAMMA_L] = rate
-        with pytest.raises(ValueError, match="control gamma_low must be finite and non-negative"):
+        with pytest.raises(ValueError, match=bad_rate_message("gamma_low", rate)):
             integrate_backward(states, control, inst)
 
     def test_stacks_rejected(self):
@@ -248,7 +248,7 @@ class TestIntegrateBackward:
         control = inst.constant_control(0.5, 0.5, 0.5)
         states = integrate_forward(inst, control)
         states.states[5, 3, IH] = np.nan
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="^state_traj must be finite, got nan$"):
             integrate_backward(states, control, inst)
 
     def test_divergence_guard(self):

@@ -310,21 +310,22 @@ BAD_INPUT = {
         lambda c: c["control_bounds"].update(delta=0.5))),
     "rgcs-compare-n-zero": ("num_subintervals", lambda runner, tmp, out: [
         "rgcs-compare", "--instance", str(write_instance(runner, tmp)), "--n", "0", "--out", out]),
-    "rgcs-compare-negative-seed": ("rng_seed must be non-negative, got -1", lambda runner, tmp, out: [
+    "rgcs-compare-negative-seed": ("rng_seed must be at least 0, got -1", lambda runner, tmp, out: [
         "rgcs-compare", "--instance", str(write_instance(runner, tmp)), "--seed", "-1",
         "--out", out]),
     "experiment-missing-graph": ("nothere.json", lambda runner, tmp, out: [
         "experiment", "run", "--id", "exp3", "--graph", str(tmp / "nothere.json"), "--out", out]),
-    "experiment-negative-seed": ("rng_seed must be non-negative, got -1", lambda runner, tmp, out: [
+    "experiment-negative-seed": ("rng_seed must be at least 0, got -1", lambda runner, tmp, out: [
         "experiment", "run", "--id", "exp2", "--seed", "-1", "--out", out]),
     **{f"experiment-{experiment_id}-8-nodes": ("compartment counts sum to 60, expected 8",
                                                experiment_on_small_graph(experiment_id))
        for experiment_id in ("exp1", "exp2", "exp3", "exp4_stage1")},
-    "generate-empty-room": ("0 devices", lambda runner, tmp, out: [
+    "generate-empty-room": ("rooms[1] device count must be at least 1, got 0",
+                            lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, rooms=[["a", 8], ["b", 0]]), "--out", out]),
     "generate-missing-density": ("intra_room_density", lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, intra_room_density=None), "--out", out]),
-    "generate-negative-seed": ("rng_seed must be non-negative, got -1", lambda runner, tmp, out: [
+    "generate-negative-seed": ("rng_seed must be at least 0, got -1", lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, rng_seed=-1), "--out", out]),
     "generate-hub-string": ("inter_room_hub", lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, inter_room_hub="false"), "--out", out]),
@@ -384,11 +385,12 @@ BAD_INPUT = {
                               lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, rooms=5), "--out", out]),
     # the counts sum to total_devices; the generator used to fail with an IndexError
-    "generate-negative-room": ("Error: room 'b' has -1 devices", lambda runner, tmp, out: [
+    "generate-negative-room": ("Error: rooms[1] device count must be at least 1, got -1",
+                               lambda runner, tmp, out: [
         "dataset", "generate", "--spec", spec_file(tmp, rooms=[["a", 5], ["b", -1]],
                                                    total_devices=4), "--out", out]),
     # exp3 runs no population, yet its seed is checked as exp2's is
-    "experiment-exp3-negative-seed": ("rng_seed must be non-negative, got -1",
+    "experiment-exp3-negative-seed": ("rng_seed must be at least 0, got -1",
                                       lambda runner, tmp, out: [
         "experiment", "run", "--id", "exp3", "--seed", "-1", "--out", out]),
 }

@@ -13,7 +13,7 @@ from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, ControlTrajectory, StateTraj
                            r_complete)
 
 import helpers
-from helpers import TWO_NODE, random_graph
+from helpers import TWO_NODE, bad_rate_message, random_graph
 
 # compartment columns in CtmcSummary.mean_counts
 C_S, C_IH, C_IL, C_RF, C_RC = range(5)
@@ -60,14 +60,14 @@ def test_bad_control_rate_rejected(rate):
     inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
     control = inst.constant_control(0.5, 0.5, 0.5)
     control.controls[3, 1, GAMMA_H] = rate
-    with pytest.raises(ValueError, match="control gamma_high must be finite and non-negative"):
+    with pytest.raises(ValueError, match=bad_rate_message("gamma_high", rate)):
         ctmc_simulate(inst, control, rng_seed=1, num_runs=10)
 
 
 def test_negative_seed_named():
     initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
     inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
-    with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
+    with pytest.raises(ValueError, match="^rng_seed must be at least 0, got -1$"):
         ctmc_simulate(inst, inst.constant_control(0.5, 0.5, 0.5), rng_seed=-1, num_runs=10)
 
 

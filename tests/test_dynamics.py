@@ -13,7 +13,7 @@ from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, RF, S, ControlTrajec
                            ModelParams, TRAJECTORY_TOL, r_complete, seed_initial_state,
                            validate_states)
 
-from helpers import TWO_NODE, make_instance, random_graph
+from helpers import TWO_NODE, bad_rate_message, make_instance, random_graph
 
 
 def ode_rhs(state, control, params, graph):
@@ -157,7 +157,7 @@ class TestIntegrateForward:
         inst = build_case_instance(1, canonical_graph())
         bad = inst.constant_control(*inst.control_rates)
         bad.controls[5, 3, GAMMA_H] = rate
-        with pytest.raises(ValueError, match="control gamma_high must be finite and non-negative"):
+        with pytest.raises(ValueError, match=bad_rate_message("gamma_high", rate)):
             integrate_forward(inst, bad)
 
     def test_step_too_large_detected(self):

@@ -218,8 +218,8 @@ class TestSpecValidation:
             ExperimentSpec("exp9", out_dir=tmp_path)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("population_size", 0, "population_size must be at least 1"),
-        ("rng_seed", -1, "rng_seed must be non-negative, got -1"),
+        ("population_size", 0, "population_size must be at least 1, got 0"),
+        ("rng_seed", -1, "rng_seed must be at least 0, got -1"),
         ("rng_seed", 1.5, "rng_seed must be an integer, got 1.5")])
     def test_population_settings_follow_the_rgcs_rules(self, tmp_path, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from malctrl.graphs import (NetworkGraph, SmartHomeSpec,
                             canonical_graph, canonical_spec, floorplan_spec,
-                            generate_smart_home, graph_from_json, graph_to_json,
+                            generate_smart_home, graph_from_json, graph_to_json, integer,
                             resolve_graph, save_graph, spec_from_dict)
 from malctrl.graphs import _component_labels
 
@@ -73,6 +74,34 @@ class TestValidateGraph:
         assert graph_to_json(graph_from_json(text)) == text
 
 
+def _is_whole(value) -> bool:
+    """Whether ``value`` is a non-boolean int or a finite float with no fraction."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.number)):
+        return False
+    return isinstance(value, (int, np.integer)) or math.isfinite(value) and value == math.floor(value)
+
+
+class TestInteger:
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                           st.integers(-3, 3).map(float), st.floats(), st.floats().map(np.float64),
+                           st.booleans(), st.text(max_size=3), st.none()),
+           least=st.sampled_from([None, 0, 1]))
+    def test_returns_the_int_of_a_whole_number_of_at_least_least(self, value, least):
+        # a fraction, NaN, inf, a boolean, a string or None is never a count;
+        # a whole number below least raises the bound's message instead
+        if _is_whole(value) and (least is None or value >= least):
+            got = integer(value, "count", least)
+            assert type(got) is int and got == int(value)
+            return
+        with pytest.raises(ValueError) as raised:
+            integer(value, "count", least)
+        expected = (f"count must be at least {least}, got {int(value)}" if _is_whole(value)
+                    else f"count must be an integer, got {value!r}")
+        assert str(raised.value) == expected
+
+
 class TestSmartHomeSpec:
 
     def test_room_counts_must_sum(self):
@@ -108,7 +137,8 @@ class TestSmartHomeSpec:
 
     def test_negative_room_rejected(self):
         # the counts sum to total_devices, so only the per-room rule stops it
-        with pytest.raises(ValueError, match="^room 'b' has -1 devices$"):
+        message = "rooms[1] device count must be at least 1, got -1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SmartHomeSpec(total_devices=4, rooms=(("a", 5), ("b", -1)),
                           intra_room_density=0.5, inter_room_hub=True, rng_seed=1)
 
@@ -132,7 +162,8 @@ class TestGenerateSmartHome:
         assert g.adjacency.tolist() == [[0, 1], [1, 0]]
 
     def test_empty_room_rejected(self):
-        with pytest.raises(ValueError, match="^room 'b' has 0 devices$"):
+        message = "rooms[1] device count must be at least 1, got 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SmartHomeSpec(total_devices=2, rooms=(("a", 2), ("b", 0)),
                           intra_room_density=0.5, inter_room_hub=True, rng_seed=1)
 

@@ -208,7 +208,7 @@ class TestSeedInitialState:
 
     def test_negative_count_rejected(self):
         # 61 + (-1) + 0 sums to the 60 devices, but a count cannot be negative
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^infected_high must be at least 0, got -1$"):
             seed_initial_state(canonical_graph(), 61, -1, 0)
 
     def test_canonical_seeding_is_deterministic_and_degree_ranked(self):
@@ -570,21 +570,27 @@ REACHABLE_CHECKS = {
         lambda: ModelInstance(graph=TWO_NODE,
                               params=ModelParams.from_scalars(3, 0.2, 0.1, 1.0),
                               initial_state=np.zeros((2, 4)))),
-    "max_iterations-0": (ValueError, "max_iterations must be at least 1",
+    "max_iterations-0": (ValueError, "max_iterations must be at least 1, got 0",
                          lambda: two_node_instance(max_iterations=0)),
-    "time_steps-0": (ValueError, "time_steps must be positive",
+    "time_steps-0": (ValueError, "time_steps must be at least 1, got 0",
                      lambda: two_node_instance(time_steps=0)),
     "no-control_rates": (ValueError, "instance has no constant control rates configured",
                          lambda: two_node_instance().fixed_control_trajectory()),
-    "grid-0-steps": (ValueError, "need at least one time step", lambda: uniform_grid(1.0, 0)),
+    "grid-0-steps": (ValueError, "steps must be at least 1, got 0", lambda: uniform_grid(1.0, 0)),
+    "grid-True-steps": (ValueError, "steps must be an integer, got True",
+                        lambda: uniform_grid(1.0, True)),
+    "grid-nan-horizon": (ValueError, "horizon must be positive and finite, got nan",
+                         lambda: uniform_grid(np.nan, 3)),
+    "grid-negative-horizon": (ValueError, "horizon must be positive and finite, got -1.0",
+                              lambda: uniform_grid(-1.0, 3)),
     "one-room-for-two-nodes": (ValueError, "expected 2 room assignments, got 1",
                                lambda: NetworkGraph([[0, 1], [1, 0]], room_assignment=["a"])),
-    "spec-0-devices": (ValueError, "total_devices must be positive",
+    "spec-0-devices": (ValueError, "total_devices must be at least 1, got 0",
                        lambda: spec(0, (("a", 0),))),
     "spec-no-rooms": (ValueError, "at least one room is required", lambda: spec(1, ())),
-    "rgcs-population-0": (ValueError, "population_size must be at least 1",
+    "rgcs-population-0": (ValueError, "population_size must be at least 1, got 0",
                           lambda: RgcsConfig(population_size=0)),
-    "ctmc-0-runs": (ValueError, "num_runs must be positive",
+    "ctmc-0-runs": (ValueError, "num_runs must be at least 1, got 0",
                     lambda: ctmc_simulate(two_node_instance(),
                                           two_node_instance().constant_control(0.1, 0.1, 0.1),
                                           rng_seed=0, num_runs=0)),

@@ -149,7 +149,9 @@ class TestObjective:
                 (np.zeros(3), x[:3, :2], u[:3, :2],
                  "state_traj time grid must have even positive steps, got steps from 0.0 to 0.0"),
                 (1.0, x, u, "state_traj time grid must be length N, got 1.0"),
-                (None, x, u, "state_traj time grid must be length N, got None")]
+                (None, x, u, "state_traj time grid must be length N, got None"),
+                (np.array([0.0, np.nan, 1.0]), x[:3], u[:3],
+                 "state_traj time grid must be finite, got nan")]
         for points, states, controls, message in rows:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 objective(StateTrajectory(points, states), ControlTrajectory(points, controls))

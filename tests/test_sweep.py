@@ -94,7 +94,9 @@ class TestControlUpdate:
                 (grid, x[..., :3], lam[..., :3], f"{shape} (2, N, 4), got shape (2, 2, 3)"),
                 (uniform_grid(1.0, 10), np.repeat(x, 3, axis=0)[:5], np.repeat(lam, 3, axis=0)[:5],
                  f"{shape} (11, N, 4), got shape (5, 2, 4)"),
-                (1.0, x, lam, "state_traj time grid must be length N, got 1.0")]
+                (1.0, x, lam, "state_traj time grid must be length N, got 1.0"),
+                (np.array([0.0, np.nan, 1.0]), np.repeat(x, 2, axis=0)[:3],
+                 np.repeat(lam, 2, axis=0)[:3], "state_traj time grid must be finite, got nan")]
         for points, bad_x, bad_lam, message in rows:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 control_update(StateTrajectory(points, bad_x), AdjointTrajectory(points, bad_lam),
