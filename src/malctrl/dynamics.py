@@ -175,10 +175,8 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     count_sum = np.zeros((steps + 1, 5))
     count_sq = np.zeros((steps + 1, 5))
 
-    done = 0
-    batch_index = 0
-    while done < num_runs:
-        m = min(_BATCH, num_runs - done)
+    for batch_index, start in enumerate(range(0, num_runs, _BATCH)):
+        m = min(_BATCH, num_runs - start)
         rng = np.random.default_rng([rng_seed, batch_index])
         y = np.tile(init_code, (m, 1))
         counts = np.repeat(init_counts[:, None], m, axis=1)  # (5, m) devices per compartment
@@ -195,8 +193,6 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
                 r, j = divmod(np.flatnonzero((draws < s_cap) | ((y != 0) & (draws < cap))), n)
                 _fire(y, counts, r, j, draws[r, j], leave, adjacency, beta_high, beta_low, sdt)
             _accumulate(count_sum, count_sq, k + 1, counts)
-        done += m
-        batch_index += 1
 
     mean = count_sum / num_runs
     if num_runs > 1:

@@ -336,9 +336,14 @@ def _in_words(shape: tuple) -> str:
     return f"length {lengths}" if len(shape) == 1 else f"an array of shape ({lengths})"
 
 
+def fits(shape: tuple, wanted: tuple) -> bool:
+    """Whether ``shape`` is ``wanted``, in which None matches any length."""
+    return len(shape) == len(wanted) and all(w in (None, n) for w, n in zip(wanted, shape))
+
+
 def number_array(value, name: str, shapes) -> np.ndarray:
-    """``value`` as a new float64 array whose shape is one of ``shapes``, in
-    which None matches any length: the array counterpart of ``number``.
+    """``value`` as a new float64 array whose shape ``fits`` one of ``shapes``:
+    the array counterpart of ``number``.
 
     A ragged nesting raises a ValueError that names ``name``; so does a
     boolean, a string, None or any other non-number entry, located by its
@@ -359,9 +364,7 @@ def number_array(value, name: str, shapes) -> np.ndarray:
             ragged = True
         if ragged:
             raise ValueError(f"{name} must be a regular array of numbers, got a ragged nesting")
-    if not any(len(shape) == cells.ndim and all(want in (None, length)
-                                                for want, length in zip(shape, cells.shape))
-               for shape in shapes):
+    if not any(fits(cells.shape, shape) for shape in shapes):
         got = f"shape {cells.shape}" if cells.ndim else repr(value)
         raise ValueError(f"{name} must be {' or '.join(map(_in_words, shapes))}, got {got}")
     if not all(issubclass(kind, _NUMBER_TYPES) and not issubclass(kind, bool) for kind in types):

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import (NetworkGraph, graph_from_dict, integer, json_object, number, number_array,
-                     required, resolve_graph)
+from .graphs import (NetworkGraph, fits, graph_from_dict, integer, json_object, number,
+                     number_array, required, resolve_graph)
 
 # state columns
 S, IH, IL, RF = 0, 1, 2, 3
@@ -64,9 +64,11 @@ def require_finite(**arrays) -> None:
 
 
 def array_argument(value, name: str, shape: tuple) -> np.ndarray:
-    """``value`` itself when it is a float64 array of exactly ``shape``, else
-    ``number_array(value, name, [shape])``, in which None matches any length."""
-    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.shape == shape:
+    """``value`` itself when it is a float64 array whose shape ``fits`` ``shape``,
+    else ``number_array(value, name, [shape])``.  The literal compare comes first:
+    it settles the per-stage checks of ``adjoint_rhs``, whose shapes hold no None."""
+    if (isinstance(value, np.ndarray) and value.dtype == np.float64
+            and (value.shape == shape or fits(value.shape, shape))):
         return value
     return number_array(value, name, [shape])
 

@@ -1,4 +1,4 @@
-"""Fixtures shared across test modules: the exp1 and exp4 family runs and the artifact digests."""
+"""Fixtures shared across test modules: the exp1, exp3 and exp4 runs and the artifact digests."""
 
 import hashlib
 
@@ -84,6 +84,13 @@ def exp1_run(tmp_path_factory):
     """The whole exp1 family, run once per session: (summary, output directory)."""
     out = tmp_path_factory.mktemp("exp1")
     return run_experiment(ExperimentSpec("exp1", out_dir=out)), out
+
+
+@pytest.fixture(scope="session")
+def exp3_run(tmp_path_factory):
+    """The exp3 family, run once per session: (summary, output directory)."""
+    out = tmp_path_factory.mktemp("exp3")
+    return run_experiment(ExperimentSpec("exp3", out_dir=out)), out
 
 
 @pytest.fixture(scope="session")

@@ -65,7 +65,7 @@ def test_failing_property_prints_its_example(tmp_path):
     assert "Falsifying example" in output and "INTERNALERROR" not in output
 
 
-SOURCES = sorted(path.relative_to(ROOT) for folder in ("src", "tests")
+SOURCES = sorted(path.relative_to(ROOT) for folder in ("src", "tests", "perfbench")
                  for path in (ROOT / folder).rglob("*.py"))
 
 

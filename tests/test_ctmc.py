@@ -120,17 +120,6 @@ def test_single_edge_infection_probability():
     assert abs(frac_infected - expected) <= 3 * out.std_error[-1, C_S] + 0.005
 
 
-def test_deterministic_given_seed():
-    graph = NetworkGraph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    initial = np.array([[0.0, 1.0, 0, 0], [1.0, 0, 0, 0], [1.0, 0, 0, 0]])
-    inst = make_instance(graph, 0.3, 0.15, 3.0, initial, time_steps=60)
-    control = inst.constant_control(0.4, 0.3, 0.2)
-    a = ctmc_simulate(inst, control, rng_seed=123, num_runs=2000)
-    b = ctmc_simulate(inst, control, rng_seed=123, num_runs=2000)
-    np.testing.assert_array_equal(a.mean_counts, b.mean_counts)
-    np.testing.assert_array_equal(a.std_error, b.std_error)
-
-
 def euler_mean(instance, control):
     """Exact mean compartment counts (K+1, 5) of the jump process when both
     betas are zero.  Each node is then an independent chain IH -> RF -> RC,
@@ -186,8 +175,7 @@ def dense_reference(instance, control, rng_seed, num_runs):
     beta_high, beta_low = instance.params.beta_high, instance.params.beta_low
     adjacency = instance.graph.adjacency
     max_degree = adjacency.sum(axis=1).max()
-    rate_max = max(beta_high * max_degree, beta_low * max_degree,
-                   float(control.controls.max(initial=0.0)))
+    rate_max = max(beta_high * max_degree, float(control.controls.max(initial=0.0)))
     substeps = max(1, int(np.ceil(rate_max * dt / 0.05)))
     sdt = dt / substeps
     full = np.c_[instance.initial_state, r_complete(instance.initial_state)]

@@ -72,18 +72,6 @@ class TestOdeRhs:
             want = naive_rhs(state, control, 0.004, 0.002, graph.adjacency)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
-    def test_components_sum_to_zero_on_canonical_graph(self):
-        rng = np.random.default_rng(11)
-        graph = canonical_graph()
-        params = ModelParams.from_scalars(60, 0.004, 0.002, 1.0)
-        worst = 0.0
-        for _ in range(1000):
-            state = rng.dirichlet(np.ones(5), size=60)[:, :4]
-            control = rng.random((60, 3))
-            sums = ode_rhs(state, control, params, graph).sum(axis=1)
-            worst = max(worst, np.abs(sums).max())
-        assert worst <= 1e-12
-
 
 class TestIntegrateForward:
 

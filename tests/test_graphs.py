@@ -145,16 +145,6 @@ class TestSmartHomeSpec:
 
 class TestGenerateSmartHome:
 
-    def test_deterministic_for_fixed_seed(self):
-        spec = SmartHomeSpec(total_devices=60,
-                             rooms=(("living_room", 15), ("kitchen", 15),
-                                    ("gaming_room", 15), ("bedroom", 15)),
-                             intra_room_density=0.5, inter_room_hub=True, rng_seed=42)
-        first = graph_to_json(generate_smart_home(spec))
-        second = graph_to_json(generate_smart_home(spec))
-        assert first == second
-        assert not _component_labels(generate_smart_home(spec).adjacency).any()
-
     def test_density_one_forces_complete_room(self):
         spec = SmartHomeSpec(total_devices=2, rooms=(("den", 2),),
                              intra_room_density=1.0, inter_room_hub=False, rng_seed=0)
