@@ -3,6 +3,7 @@ integration, and a stochastic jump-process oracle for validation."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,10 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     reads the state at the start of the substep.  Replicas run in fixed-size
     batches of 4096, each batch on its own generator seeded by
     (rng_seed, batch_index), so results do not depend on how batches are
-    scheduled and are reproducible bit-for-bit for a given seed.
+    scheduled and are reproducible bit-for-bit for a given seed.  A helper
+    thread draws each batch's uniforms one substep ahead, in stream order,
+    so results and their reproducibility are unchanged; the thread ends
+    with the call.
 
     Few draws can fire, so each substep first screens the draws against an
     upper bound of the probability of leaving the node's compartment: for a
@@ -177,22 +181,26 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
 
     for batch_index, start in enumerate(range(0, num_runs, _BATCH)):
         m = min(_BATCH, num_runs - start)
-        rng = np.random.default_rng([rng_seed, batch_index])
+        batch_draws = _draws_ahead(np.random.default_rng([rng_seed, batch_index]), (m, n),
+                                   steps * substeps)
         y = np.tile(init_code, (m, 1))
         counts = np.repeat(init_counts[:, None], m, axis=1)  # (5, m) devices per compartment
         _accumulate(count_sum, count_sq, 0, counts)
-        for k in range(steps):
-            u = controls[k]
-            # per-node probability of a control transition out of IH, IL
-            # and RF; S leaves by infection only and RC never leaves
-            leave = np.zeros((5, n))
-            leave[1:4] = u[:, [GAMMA_H, GAMMA_L, DELTA]].T * sdt
-            cap = leave.max(axis=0)
-            for _ in range(substeps):
-                draws = rng.random((m, n))
-                r, j = divmod(np.flatnonzero((draws < s_cap) | ((y != 0) & (draws < cap))), n)
-                _fire(y, counts, r, j, draws[r, j], leave, adjacency, beta_high, beta_low, sdt)
-            _accumulate(count_sum, count_sq, k + 1, counts)
+        try:
+            for k in range(steps):
+                u = controls[k]
+                # per-node probability of a control transition out of IH, IL
+                # and RF; S leaves by infection only and RC never leaves
+                leave = np.zeros((5, n))
+                leave[1:4] = u[:, [GAMMA_H, GAMMA_L, DELTA]].T * sdt
+                cap = leave.max(axis=0)
+                for _ in range(substeps):
+                    draws = next(batch_draws)
+                    r, j = divmod(np.flatnonzero((draws < s_cap) | ((y != 0) & (draws < cap))), n)
+                    _fire(y, counts, r, j, draws[r, j], leave, adjacency, beta_high, beta_low, sdt)
+                _accumulate(count_sum, count_sq, k + 1, counts)
+        finally:
+            batch_draws.close()
 
     mean = count_sum / num_runs
     if num_runs > 1:
@@ -202,6 +210,52 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
         std_error = np.zeros_like(mean)
     return CtmcSummary(time_grid=grid, mean_counts=mean, std_error=std_error,
                        num_runs=num_runs)
+
+
+def _draws_ahead(rng: np.random.Generator, shape: tuple, count: int):
+    """Yield ``count`` arrays ``rng.random(shape)`` in stream order, drawn one ahead.
+
+    A helper thread fills two preallocated buffers in turn, so the next
+    array is drawn while the caller works on the current one; ``rng``
+    releases the GIL while it fills.  A yielded array is overwritten after
+    the caller's next ``next()``, so a caller copies what it keeps longer.
+    Nothing else may draw from ``rng`` until the generator ends.  A draw
+    that raises is re-raised here.  Exhausting or closing the generator
+    joins the thread.
+    """
+    buffers = (np.empty(shape), np.empty(shape))
+    free = (threading.Semaphore(1), threading.Semaphore(1))
+    full = (threading.Semaphore(0), threading.Semaphore(0))
+    stop = threading.Event()
+    failure = []
+
+    def fill():
+        for i in range(count):
+            free[i % 2].acquire()
+            if stop.is_set():
+                return
+            try:
+                rng.random(out=buffers[i % 2])
+            except BaseException as exc:  # re-raised by the caller, which waits on this buffer
+                failure.append(exc)
+                return
+            finally:
+                full[i % 2].release()
+
+    helper = threading.Thread(target=fill, name="ctmc-draws", daemon=True)
+    helper.start()
+    try:
+        for i in range(count):
+            full[i % 2].acquire()
+            if failure:
+                raise failure[0]
+            yield buffers[i % 2]
+            free[i % 2].release()
+    finally:
+        stop.set()
+        for gate in free:
+            gate.release()
+        helper.join()
 
 
 def _fire(y, counts, r, j, draws, leave, adjacency, beta_high, beta_low, sdt) -> None:

@@ -157,7 +157,9 @@ def validate_trajectory(name: str, trajectory, field: str, grid: np.ndarray,
     """``trajectory.<field>`` on ``grid`` of K+1 >= 2 points, parsed by ``array_argument``
     with shape (K+1, n, C): C is 3 for "controls" and 4 for "states" and "costates".
     The one finiteness rule of trajectories: a NaN or infinite point of ``grid`` or of the
-    trajectory raises ValueError naming ``<name> time grid`` or ``name``, as does another grid."""
+    trajectory raises ValueError naming ``<name> time grid`` or ``name``, as does another grid.
+    The result is C-contiguous, a copy only for other layouts, so every memory layout of
+    the same values gives the same bits downstream."""
     require_finite(**{f"{name} time grid": grid})
     if not np.array_equal(trajectory.time_grid, grid):
         raise ValueError("trajectories must share an identical time grid")
@@ -166,7 +168,7 @@ def validate_trajectory(name: str, trajectory, field: str, grid: np.ndarray,
     values = array_argument(getattr(trajectory, field), name,
                             (len(grid), n, 3 if field == "controls" else 4))
     require_finite(**{name: values})
-    return values
+    return np.ascontiguousarray(values)
 
 
 def validate_control(instance: ModelInstance, control: ControlTrajectory) -> np.ndarray:

@@ -1,11 +1,17 @@
 import hashlib
+import os
+import subprocess
+import sys
+import threading
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from malctrl import dynamics
 from malctrl.dynamics import _reduced_rhs, ctmc_simulate
 from malctrl.experiments import build_case_instance
 from malctrl.graphs import NetworkGraph, canonical_graph
@@ -239,11 +245,37 @@ def digest(summary):
     return hashlib.sha256(summary.mean_counts.tobytes() + summary.std_error.tobytes()).hexdigest()
 
 
-def test_canonical_summary_digest():
+CANONICAL_DIGEST = "d8724f42a3fab3099c218366edd61f5cdcb977d4f6b0060e9b7a8d087ad2e1f4"
+
+
+def canonical_summary():
     inst = build_case_instance(1, canonical_graph())
-    out = ctmc_simulate(inst, inst.constant_control(*inst.control_rates), rng_seed=5,
-                        num_runs=300)
-    assert digest(out) == "d8724f42a3fab3099c218366edd61f5cdcb977d4f6b0060e9b7a8d087ad2e1f4"
+    return ctmc_simulate(inst, inst.constant_control(*inst.control_rates), rng_seed=5,
+                         num_runs=300)
+
+
+def test_canonical_summary_digest():
+    assert digest(canonical_summary()) == CANONICAL_DIGEST
+
+
+ONE_CPU_CHILD = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import test_ctmc
+print(test_ctmc.digest(test_ctmc.canonical_summary()))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_canonical_summary_digest_on_one_cpu():
+    # the draws come from a helper thread; pinned to one CPU it shares that
+    # CPU with the caller, and the stream must not change
+    path = os.pathsep.join(filter(None, [str(Path(dynamics.__file__).parents[1]),
+                                         str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == CANONICAL_DIGEST
 
 
 def test_two_batch_summary_digest():
@@ -264,3 +296,76 @@ def test_matches_dense_reference(seed, n, num_runs):
     mean, std_error = dense_reference(inst, control, seed, num_runs)
     np.testing.assert_array_equal(out.mean_counts, mean)
     np.testing.assert_array_equal(out.std_error, std_error)
+
+
+# ---------------------------------------------------------------------------
+# the helper thread that draws the uniforms ends with every call
+
+class Injected(Exception):
+    """A failure planted in one move or one draw."""
+
+
+def third_call_raises(function):
+    """``function``, except that its third call raises Injected."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise Injected("third call")
+        return function(*args, **kwargs)
+    return wrapped
+
+
+def small_run():
+    initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
+    inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
+    return ctmc_simulate(inst, inst.constant_control(0.5, 0.5, 0.5), rng_seed=1, num_runs=50)
+
+
+def test_helper_thread_ends_with_the_call():
+    before = threading.active_count()
+    small_run()
+    assert threading.active_count() == before
+
+
+def test_helper_thread_ends_when_a_move_raises(monkeypatch):
+    monkeypatch.setattr(dynamics, "_fire", third_call_raises(dynamics._fire))
+    before = threading.active_count()
+    with pytest.raises(Injected) as failure:
+        small_run()
+    # counted while the traceback still holds the call's frames
+    assert threading.active_count() == before, failure
+
+
+def test_helper_thread_ends_when_a_draw_raises(monkeypatch):
+    class FailingGenerator:
+        def __init__(self, seed):
+            self.random = third_call_raises(np.random.Generator(np.random.PCG64(seed)).random)
+
+    monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+    before = threading.active_count()
+    with pytest.raises(Injected) as failure:
+        small_run()
+    # counted while the traceback still holds the call's frames
+    assert threading.active_count() == before, failure
+
+
+def test_concurrent_calls_keep_their_streams():
+    # four callers and their four helpers, switching threads as often as the
+    # interpreter allows: a buffer refilled while its caller still reads it
+    # would change a summary
+    digests = []
+    callers = [threading.Thread(target=lambda: digests.append(digest(canonical_summary())))
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert digests == [CANONICAL_DIGEST] * 4

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malctrl.dynamics import integrate_forward
+from malctrl.experiments import build_case_instance
+from malctrl.graphs import canonical_graph
 from malctrl.model import (ControlTrajectory, ModelInstance, ModelParams, StateTrajectory,
                            uniform_grid)
 from malctrl.objective import objective, running_cost
@@ -170,6 +173,27 @@ class TestObjective:
     def test_single_trajectory_fields_are_floats(self):
         got = objective(*_constant_trajectories(np.zeros(4) + 0.25, np.ones(3), 1.0, 10))
         assert all(type(value) is float for value in got.as_dict().values())
+
+    def test_memory_layout_keeps_the_bits(self):
+        # exp1 case 1 under its fixed rates: a Fortran-ordered control once
+        # gave J = 380.96314222071 against 380.9631422207101 for the C array
+        inst = build_case_instance(1, canonical_graph())
+        control = inst.fixed_control_trajectory()
+        states = integrate_forward(inst, control)
+        grid = states.time_grid
+        layouts = (np.ascontiguousarray, np.asfortranarray, _strided_view)
+        expected = objective(states, control)
+        for state_layout, control_layout in itertools.product(layouts, layouts):
+            got = objective(StateTrajectory(grid, state_layout(states.states)),
+                            ControlTrajectory(grid, control_layout(control.controls)))
+            assert got == expected, (state_layout.__name__, control_layout.__name__)
+
+
+def _strided_view(values):
+    """A non-contiguous view of a copy of ``values``: every other entry of a wider array."""
+    wide = np.zeros(values.shape[:-1] + (2 * values.shape[-1],))
+    wide[..., ::2] = values
+    return wide[..., ::2]
 
 
 class TestOrderOfJ:
