@@ -12,7 +12,7 @@ from . import graphs
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, population_comparison, run_experiment
 from .model import COMPARTMENTS, CONTROL_COLUMNS, COSTATE_COLUMNS, load_instance
 from .rgcs import RgcsConfig
-from .serialize import node_csv, summary_json, write_summary
+from .serialize import node_csv, write_summary
 from .sweep import fbsm_solve
 
 
@@ -107,7 +107,7 @@ def rgcs_compare(instance_path: Path, num_subintervals: int, population: int,
                             population_size=population)
     comparison = population_comparison(instance, config)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(summary_json(comparison))
+    write_summary(out_path, comparison)
     best = comparison["strategies"][0]["J"]
     click.echo(f"optimal J = {comparison['optimal_J']:.6g}, best random J = {best:.6g}")
 

@@ -3,6 +3,7 @@ integration, and a stochastic jump-process oracle for validation."""
 
 from __future__ import annotations
 
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -215,46 +216,42 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
 def _draws_ahead(rng: np.random.Generator, shape: tuple, count: int):
     """Yield ``count`` arrays ``rng.random(shape)`` in stream order, drawn one ahead.
 
-    A helper thread fills two preallocated buffers in turn, so the next
-    array is drawn while the caller works on the current one; ``rng``
-    releases the GIL while it fills.  A yielded array is overwritten after
-    the caller's next ``next()``, so a caller copies what it keeps longer.
-    Nothing else may draw from ``rng`` until the generator ends.  A draw
-    that raises is re-raised here.  Exhausting or closing the generator
-    joins the thread.
+    Two preallocated buffers pass between the caller and a helper thread
+    through two queues: ``free`` carries each buffer the caller hands back at
+    its next ``next()``, then None to stop; ``full`` carries each buffer the
+    helper has filled, or the exception a draw raised, which is re-raised here.
+    So a yielded array is overwritten only after the caller's next ``next()``,
+    and a caller copies what it keeps longer; ``rng`` releases the GIL while it
+    fills.  Nothing else may draw from ``rng`` until the generator ends.
+    Exhausting or closing the generator joins the thread.
     """
-    buffers = (np.empty(shape), np.empty(shape))
-    free = (threading.Semaphore(1), threading.Semaphore(1))
-    full = (threading.Semaphore(0), threading.Semaphore(0))
-    stop = threading.Event()
-    failure = []
+    free, full = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(2):
+        free.put(np.empty(shape))
 
     def fill():
-        for i in range(count):
-            free[i % 2].acquire()
-            if stop.is_set():
+        for _ in range(count):
+            buffer = free.get()
+            if buffer is None:
                 return
             try:
-                rng.random(out=buffers[i % 2])
-            except BaseException as exc:  # re-raised by the caller, which waits on this buffer
-                failure.append(exc)
+                rng.random(out=buffer)
+            except BaseException as exc:  # re-raised by the caller, which waits on full
+                full.put(exc)
                 return
-            finally:
-                full[i % 2].release()
+            full.put(buffer)
 
     helper = threading.Thread(target=fill, name="ctmc-draws", daemon=True)
     helper.start()
     try:
-        for i in range(count):
-            full[i % 2].acquire()
-            if failure:
-                raise failure[0]
-            yield buffers[i % 2]
-            free[i % 2].release()
+        for _ in range(count):
+            buffer = full.get()
+            if isinstance(buffer, BaseException):
+                raise buffer
+            yield buffer
+            free.put(buffer)
     finally:
-        stop.set()
-        for gate in free:
-            gate.release()
+        free.put(None)
         helper.join()
 
 

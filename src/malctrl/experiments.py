@@ -43,7 +43,8 @@ import numpy as np
 
 from .graphs import NetworkGraph, resolve_graph
 from .model import (COMPARTMENTS, CONTROL_NAMES, IH, IL, ModelInstance, ModelParams,
-                    StateTrajectory, array_argument, r_complete, seed_initial_state)
+                    StateTrajectory, array_argument, r_complete, seed_initial_state,
+                    validate_trajectory)
 from .dynamics import integrate_forward
 from .rgcs import RgcsConfig, rgcs_population
 from .serialize import sampled_nodes_csv, totals_csv, write_summary
@@ -113,10 +114,10 @@ def snapshot(state_traj: StateTrajectory) -> dict:
     the grid time of the peak, each node's dominant compartment name, and
     the number of nodes in each compartment (all five keys, zeros included).
     Ties in the per-node argmax resolve in compartment order S, IH, IL, RF,
-    RC (numpy argmax keeps the first maximum).  The states must be (K+1, N, 4).
+    RC (numpy argmax keeps the first maximum).  ``validate_trajectory`` parses the states.
     """
     grid = array_argument(state_traj.time_grid, "state_traj time grid", (None,))
-    states = array_argument(state_traj.states, "state_traj", (len(grid), None, 4))
+    states = validate_trajectory("state_traj", state_traj, "states", grid)
     k = int(np.argmax(states[:, :, IH].sum(axis=1)))
     full = np.column_stack([states[k], r_complete(states[k])])
     classes = [COMPARTMENTS[c] for c in np.argmax(full, axis=1)]

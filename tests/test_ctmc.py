@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from functools import partial
 from pathlib import Path
 
@@ -259,7 +260,9 @@ def test_canonical_summary_digest():
 
 
 ONE_CPU_CHILD = """
+import faulthandler
 import os
+faulthandler.dump_traceback_later(50, exit=True)  # a deadlock prints every stack, then fails
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import test_ctmc
 print(test_ctmc.digest(test_ctmc.canonical_summary()))
@@ -317,10 +320,23 @@ def third_call_raises(function):
     return wrapped
 
 
-def small_run():
+def small_run(num_runs=50):
     initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
     inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
-    return ctmc_simulate(inst, inst.constant_control(0.5, 0.5, 0.5), rng_seed=1, num_runs=50)
+    return ctmc_simulate(inst, inst.constant_control(0.5, 0.5, 0.5), rng_seed=1,
+                         num_runs=num_runs)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5)])
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_draws_ahead_yields_the_stream(count, shape):
+    # short streams: the helper may finish before the caller reads the first array
+    before = threading.active_count()
+    rng = np.random.default_rng(4)
+    drawn = [draws.copy() for draws in dynamics._draws_ahead(rng, shape, count)]
+    assert threading.active_count() == before
+    twin = np.random.default_rng(4)
+    np.testing.assert_array_equal(drawn, [twin.random(shape) for _ in range(count)])
 
 
 def test_helper_thread_ends_with_the_call():
@@ -334,6 +350,22 @@ def test_helper_thread_ends_when_a_move_raises(monkeypatch):
     before = threading.active_count()
     with pytest.raises(Injected) as failure:
         small_run()
+    # counted while the traceback still holds the call's frames
+    assert threading.active_count() == before, failure
+
+
+def test_helper_thread_ends_when_a_move_raises_in_the_second_batch(monkeypatch):
+    fire = dynamics._fire
+
+    def fire_until_the_second_batch(y, *args):
+        if len(y) == 1:  # 4097 replicas: a batch of 4096, then a batch of one
+            raise Injected("second batch")
+        fire(y, *args)
+
+    monkeypatch.setattr(dynamics, "_fire", fire_until_the_second_batch)
+    before = threading.active_count()
+    with pytest.raises(Injected, match="^second batch$") as failure:
+        small_run(4097)
     # counted while the traceback still holds the call's frames
     assert threading.active_count() == before, failure
 
@@ -356,15 +388,18 @@ def test_concurrent_calls_keep_their_streams():
     # interpreter allows: a buffer refilled while its caller still reads it
     # would change a summary
     digests = []
-    callers = [threading.Thread(target=lambda: digests.append(digest(canonical_summary())))
-               for _ in range(4)]
+    # daemon callers: a deadlocked one fails the join below and cannot keep
+    # the test session from exiting
+    callers = [threading.Thread(target=lambda: digests.append(digest(canonical_summary())),
+                                daemon=True) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for caller in callers:
             caller.start()
+        deadline = time.monotonic() + 60
         for caller in callers:
-            caller.join(timeout=60)
+            caller.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)

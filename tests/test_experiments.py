@@ -58,6 +58,15 @@ class TestSnapshot:
                 snapshot(StateTrajectory(grid, bad))
         with pytest.raises(ValueError, match=r"^state_traj time grid must be length N, got 3.0$"):
             snapshot(StateTrajectory(3.0, states))
+        # a NaN state or grid point would otherwise pick the peak
+        nan_state = states.copy()
+        nan_state[1, 0, 1] = np.nan
+        nan_grid = grid.copy()
+        nan_grid[1] = np.nan
+        for bad, name in ((StateTrajectory(grid, nan_state), "state_traj"),
+                          (StateTrajectory(nan_grid, states), "state_traj time grid")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
+                snapshot(bad)
 
 
 class TestSampleNodes:
