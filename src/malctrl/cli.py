@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -16,19 +15,21 @@ from .serialize import node_csv, write_summary
 from .sweep import fbsm_solve
 
 
-_INPUT_ERRORS = (ValueError, OSError)  # what reading bad input raises
+_INPUT_ERRORS = (ValueError, OSError)  # what reading inputs and writing outputs raise
 
 
-@contextmanager
-def _bad_input():
-    """Bad input ends a command with ``Error: ...``, exit 1; solver failures pass through."""
-    try:
-        yield
-    except _INPUT_ERRORS as err:
-        raise click.ClickException(str(err)) from err
+class _BadInputGroup(click.Group):
+    """Bad input or an unwritable output ends any command with ``Error: ...``,
+    exit 1; solver failures pass through."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _INPUT_ERRORS as err:
+            raise click.ClickException(str(err)) from err
 
 
-@click.group()
+@click.group(cls=_BadInputGroup)
 def main():
     """Malware-propagation control toolkit for IoT network graphs."""
 
@@ -44,8 +45,7 @@ def dataset():
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def dataset_generate(spec_path: Path, out_path: Path):
     """Generate a seeded smart-home topology."""
-    with _bad_input():
-        graph = graphs.generate_smart_home(graphs.load_spec(spec_path))
+    graph = graphs.generate_smart_home(graphs.load_spec(spec_path))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     graphs.save_graph(graph, out_path)
     click.echo(f"wrote {graph.node_count}-node graph to {out_path}")
@@ -72,8 +72,7 @@ def optimize(instance_path: Path, out_dir: Path):
 
     The instance's solver block sets every solver option.
     """
-    with _bad_input():
-        instance = load_instance(instance_path)
+    instance = load_instance(instance_path)
     control, states, adjoints, report = fbsm_solve(instance)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "control.csv").write_text(
@@ -101,10 +100,9 @@ def optimize(instance_path: Path, out_dir: Path):
 def rgcs_compare(instance_path: Path, num_subintervals: int, population: int,
                  seed: int, out_path: Path):
     """Score a random-strategy population against the sweep optimum."""
-    with _bad_input():
-        instance = load_instance(instance_path)
-        config = RgcsConfig(num_subintervals=num_subintervals, rng_seed=seed,
-                            population_size=population)
+    instance = load_instance(instance_path)
+    config = RgcsConfig(num_subintervals=num_subintervals, rng_seed=seed,
+                        population_size=population)
     comparison = population_comparison(instance, config)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_summary(out_path, comparison)
@@ -126,9 +124,8 @@ def experiment():
               help="Master seed of the exp2 strategy population.")
 def experiment_run(experiment_id: str, graph_ref: str, out_dir: Path, seed: int):
     """Run one experiment (or family) and write its artifacts."""
-    with _bad_input():  # the graph and the seed are the only inputs
-        run_experiment(ExperimentSpec(experiment_id=experiment_id, out_dir=out_dir,
-                                      graph=graph_ref, rng_seed=seed))
+    run_experiment(ExperimentSpec(experiment_id=experiment_id, out_dir=out_dir,
+                                  graph=graph_ref, rng_seed=seed))
     click.echo(f"{experiment_id} artifacts written under {out_dir}")
 
 

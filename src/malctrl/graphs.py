@@ -24,9 +24,10 @@ class NetworkGraph:
     Construction raises a ValueError for the first violated invariant,
     scanning in a fixed order: numbers (``number_array``: a ragged nesting,
     a boolean, string or None entry, or a value that is not two-dimensional
-    is named as ``adjacency``), then squareness, then binary entries
-    (row-major), then the diagonal, then symmetry (lower triangle, reported
-    as the (i, j) entry with i > j), then the label and room counts.
+    is named as ``adjacency``), then squareness, then at least one node,
+    then binary entries (row-major), then the diagonal, then symmetry (lower
+    triangle, reported as the (i, j) entry with i > j), then the label and
+    room counts.
     Labels default to ``device-00``, ... and rooms to ``default``; both are
     stored as tuples of strings.
     """
@@ -39,7 +40,8 @@ class NetworkGraph:
         a = number_array(self.adjacency, "adjacency", [(None, None)])
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
-        n = a.shape[0]
+        if not (n := a.shape[0]):
+            raise ValueError("adjacency must have at least one node, got shape (0, 0)")
 
         bad = ~((a == 0) | (a == 1))
         if bad.any():

@@ -124,6 +124,7 @@ class ModelParams:
     def from_scalars(cls, node_count, beta_high, beta_low, horizon,
                      delta=(0.0, 0.0), gamma_high=(0.0, 0.0), gamma_low=(0.0, 0.0)) -> "ModelParams":
         """The box from a (lo, hi) pair per control; each bound is a scalar or length N."""
+        node_count = integer(node_count, "node_count", 1)
         box = np.empty((2, node_count, 3))
         for column, (name, pair) in enumerate(zip(CONTROL_NAMES, (delta, gamma_high, gamma_low))):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):

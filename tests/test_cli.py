@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malctrl.cli import main
+from malctrl.dynamics import StepTooLargeError
 from malctrl.experiments import ExperimentSpec, run_experiment
 from malctrl.graphs import graph_from_dict, graph_from_json, spec_from_dict
 from malctrl.model import instance_from_dict, load_instance
@@ -406,6 +407,54 @@ def test_bad_input_reported_before_writing(runner, tmp_path, case):
     assert not out.exists()
 
 
+# case -> (what stands at the output path, (runner, tmp_path, output path) -> command line);
+# each command fails once its computation is done, when it writes
+BAD_OUTPUT = {
+    "generate-out-directory": ("directory", lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp), "--out", out]),
+    "optimize-out-prefix-file": ("file", lambda runner, tmp, out: [
+        "optimize", "--instance", str(write_instance(runner, tmp)), "--out-prefix", out]),
+    "rgcs-compare-out-directory": ("directory", lambda runner, tmp, out: [
+        "rgcs-compare", "--instance", str(write_instance(runner, tmp)), "--n", "20",
+        "--population", "5", "--out", out]),
+    "experiment-out-file": ("file", lambda runner, tmp, out: [
+        "experiment", "run", "--id", "exp3", "--out", out]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OUTPUT)
+def test_unwritable_output_reported_as_error(runner, tmp_path, case):
+    kind, args = BAD_OUTPUT[case]
+    out = tmp_path / "out"
+    if kind == "directory":
+        out.mkdir()
+    else:
+        out.write_text("kept")
+    result = runner.invoke(main, args(runner, tmp_path, str(out)))
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("Error: ") and str(out) in result.stderr
+    if kind == "directory":
+        assert not any(out.iterdir())
+    else:
+        assert out.read_text() == "kept"
+
+
+def test_solver_failure_passes_through(runner, tmp_path):
+    # a gamma_h of 40 over steps of 1 leaves the state region: a solver
+    # failure, not bad input, so it reaches the caller as its own exception
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps({
+        "graph": {"adjacency": [[0, 1], [1, 0]]},
+        "beta_high": 0.05, "beta_low": 0.02, "horizon": 4.0,
+        "initial_state": {"susceptible": 1, "infected_high": 1, "infected_low": 0},
+        "control_bounds": {"delta": [0.1, 0.8], "gamma_high": [40, 40], "gamma_low": [0.1, 0.6]},
+        "solver": {"time_steps": 4},
+    }))
+    result = optimize(runner, inst_path, tmp_path / "run")
+    assert isinstance(result.exception, StepTooLargeError)
+    assert not (tmp_path / "run").exists()
+
+
 SUSCEPTIBLE_ROWS = [[1, 0, 0, 0]] * 8  # per_node for the eight-device instance
 
 
@@ -509,16 +558,27 @@ def floors_cli_commands() -> list[str]:
             for line in floors.splitlines() if "- run:" in line and "malctrl.cli" in line]
 
 
+# the shell tail of a floors step that passes only if its command exits 1 with an Error: line
+FAILING_STEP_TAIL = (' 2> "$RUNNER_TEMP/err" || code=$?;'
+                     ' test "${code:-0}" -eq 1 && grep "^Error: " "$RUNNER_TEMP/err"')
+
+
 def test_workflow_floor_cli_steps_exit_0(runner, tmp_path, monkeypatch):
-    # the five CLI steps of the workflow's floors job, in order, from the
-    # repository root; this runs them at the installed click, not at its floor
-    commands = [shlex.split(command.replace("$RUNNER_TEMP", str(tmp_path)))
-                for command in floors_cli_commands()]
-    assert [words[4:6] for words in commands] == [
-        ["experiment", "run"], ["optimize", "--instance"], ["dataset", "generate"],
-        ["dataset", "validate"], ["rgcs-compare", "--instance"]]
+    # the six CLI steps of the workflow's floors job, in order, from the
+    # repository root; the first five exit 0 and the last exits 1 with an
+    # Error: line; this runs them at the installed click, not at its floor
+    steps = [(command.removesuffix(FAILING_STEP_TAIL), int(command.endswith(FAILING_STEP_TAIL)))
+             for command in floors_cli_commands()]
+    commands = [(shlex.split(command.replace("$RUNNER_TEMP", str(tmp_path))), exit_code)
+                for command, exit_code in steps]
+    assert [(words[4:6], exit_code) for words, exit_code in commands] == [
+        (["experiment", "run"], 0), (["optimize", "--instance"], 0),
+        (["dataset", "generate"], 0), (["dataset", "validate"], 0),
+        (["rgcs-compare", "--instance"], 0), (["optimize", "--instance"], 1)]
     monkeypatch.chdir(WORKFLOW.parents[2])
-    for words in commands:
+    for words, exit_code in commands:
         assert words[:4] == ["PYTHONPATH=src", "python", "-m", "malctrl.cli"], words
         result = runner.invoke(main, words[4:])
-        assert result.exit_code == 0, (words, result.output)
+        assert result.exit_code == exit_code, (words, result.output)
+        if exit_code:
+            assert result.stderr.startswith("Error: ") and isinstance(result.exception, SystemExit)

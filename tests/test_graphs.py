@@ -41,6 +41,12 @@ class TestValidateGraph:
                            match=r"^adjacency matrix must be square, got shape \(2, 3\)$"):
             NetworkGraph([[0, 1, 0], [1, 0, 1]])
 
+    def test_empty(self):
+        # JSON cannot reach this: [] is not two-dimensional and [[]] is not square
+        with pytest.raises(ValueError,
+                           match=r"^adjacency must have at least one node, got shape \(0, 0\)$"):
+            NetworkGraph(np.zeros((0, 0)))
+
     def test_non_binary_entry(self):
         a = np.zeros((3, 3), dtype=int)
         a[0, 2] = a[2, 0] = 2

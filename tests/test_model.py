@@ -194,6 +194,21 @@ class TestModelParams:
         with pytest.raises(ValueError, match="gamma_high"):
             ModelParams.from_scalars(2, 0.2, 0.1, 1.0, gamma_high=([0.1, 0.2, 0.3], 0.8))
 
+    @pytest.mark.parametrize("node_count, message", [
+        ("5", "node_count must be an integer, got '5'"),
+        (2.5, "node_count must be an integer, got 2.5"),
+        (True, "node_count must be an integer, got True"),
+        (-1, "node_count must be at least 1, got -1"),
+        (0, "node_count must be at least 1, got 0"),
+    ])
+    def test_from_scalars_parses_node_count_as_a_count(self, node_count, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelParams.from_scalars(node_count, 0.1, 0.05, 1.0)
+
+    def test_from_scalars_takes_a_whole_float_node_count(self):
+        p = ModelParams.from_scalars(5.0, 0.1, 0.05, 1.0)
+        assert p.node_count == 5 and p.lower.shape == (5, 3)
+
     @pytest.mark.parametrize("pair", [0.5, [0.1, 0.5, 0.9], "ab", None])
     def test_from_scalars_names_the_control_of_a_malformed_pair(self, pair):
         with pytest.raises(ValueError, match=r"^delta bounds must be a \(lo, hi\) pair"):
