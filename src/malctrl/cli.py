@@ -15,12 +15,12 @@ from .serialize import node_csv, write_summary
 from .sweep import fbsm_solve
 
 
-_INPUT_ERRORS = (ValueError, OSError)  # what reading inputs and writing outputs raise
+_INPUT_ERRORS = (ValueError, OSError, MemoryError)  # bad or too large input, unwritable output
 
 
 class _BadInputGroup(click.Group):
-    """Bad input or an unwritable output ends any command with ``Error: ...``,
-    exit 1; solver failures pass through."""
+    """Bad input, an input too large to allocate or an unwritable output ends
+    any command with ``Error: ...``, exit 1; solver failures pass through."""
 
     def invoke(self, ctx):
         try:

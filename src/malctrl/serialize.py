@@ -1,8 +1,8 @@
 """Deterministic writers for trajectory CSVs and summary JSON.
 
-Times are printed with 9 significant digits, values with 12; JSON is emitted
-with sorted keys so that repeated runs of a seeded pipeline produce
-byte-identical artifacts.
+Every CSV line is built by ``_csv``, the one row writer: times are printed
+with 9 significant digits, values with 12. JSON is emitted with sorted keys
+so that repeated runs of a seeded pipeline produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -14,16 +14,13 @@ import numpy as np
 
 from .model import COMPARTMENTS, CONTROL_COLUMNS, ControlTrajectory, StateTrajectory
 
-_TIME_FMT = ".9g"
-_VALUE_FMT = ".12g"
 
-
-def _fmt_t(v: float) -> str:
-    return format(float(v), _TIME_FMT)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), _VALUE_FMT)
+def _csv(columns, labels, rows: np.ndarray) -> str:
+    """A ``columns`` header, then per label the label and its (C,) row of ``rows``."""
+    line = "%s," + ",".join(["%.12g"] * rows.shape[-1])
+    lines = [",".join(columns)]
+    lines.extend(line % (label, *row) for label, row in zip(labels, rows.tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def summary_json(obj) -> str:
@@ -41,25 +38,15 @@ def node_csv(columns, time_grid: np.ndarray, values: np.ndarray, nodes=None) -> 
     ``nodes`` selects which nodes get a row at each grid point, in that
     order; by default every node does.
     """
-    if nodes is None:
-        nodes = range(values.shape[1])
-    rows = [",".join(("t", "node", *columns))]
-    for k, t in enumerate(time_grid):
-        ts = _fmt_t(t)
-        for i in nodes:
-            vals = ",".join(_fmt(v) for v in values[k, i])
-            rows.append(f"{ts},{i},{vals}")
-    return "\n".join(rows) + "\n"
+    nodes = list(range(values.shape[1]) if nodes is None else nodes)
+    labels = ["%.9g,%d" % (t, i) for t in time_grid.tolist() for i in nodes]
+    return _csv(("t", "node", *columns), labels, values[:, nodes].reshape(-1, values.shape[-1]))
 
 
 def totals_csv(traj: StateTrajectory) -> str:
     """Network-wide expected device counts per compartment: t,S,IH,IL,RF,RC."""
-    rows = ["t,S,IH,IL,RF,RC"]
-    totals = traj.compartment_totals()
-    for k, t in enumerate(traj.time_grid):
-        vals = ",".join(_fmt(v) for v in totals[k])
-        rows.append(f"{_fmt_t(t)},{vals}")
-    return "\n".join(rows) + "\n"
+    labels = ["%.9g" % t for t in traj.time_grid.tolist()]
+    return _csv(("t", *COMPARTMENTS), labels, traj.compartment_totals())
 
 
 def sampled_nodes_csv(state_traj: StateTrajectory, control_traj: ControlTrajectory,

@@ -394,6 +394,15 @@ BAD_INPUT = {
     "experiment-exp3-negative-seed": ("rng_seed must be at least 0, got -1",
                                       lambda runner, tmp, out: [
         "experiment", "run", "--id", "exp3", "--seed", "-1", "--out", out]),
+    # 71.1 PiB arrays: above the 64 PiB user address space of any 64-bit Linux
+    # kernel, so the allocation fails at once whatever the overcommit setting
+    "generate-too-large-to-allocate": ("Error: Unable to allocate 71.1 PiB",
+                                       lambda runner, tmp, out: [
+        "dataset", "generate", "--spec", spec_file(tmp, total_devices=10**8,
+                                                   rooms=[["a", 10**8]]), "--out", out]),
+    "optimize-time_steps-too-large-to-allocate": ("Error: Unable to allocate 71.1 PiB",
+                                                  optimize_args(lambda c: c["solver"].update(
+                                                      time_steps=10**16))),
 }
 
 
@@ -402,7 +411,7 @@ def test_bad_input_reported_before_writing(runner, tmp_path, case):
     named, args = BAD_INPUT[case]
     out = tmp_path / "out"
     result = runner.invoke(main, args(runner, tmp_path, str(out)))
-    assert result.exit_code == 1
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)  # no traceback
     assert result.stderr.startswith("Error: ") and named in result.stderr
     assert not out.exists()
 

@@ -29,6 +29,10 @@ def test_state_csv_layout():
     subset = node_csv(COMPARTMENTS, traj.time_grid, traj.full_states(), nodes=[1, 0])
     assert [r.split(",")[1] for r in subset.splitlines()[1:]] == ["1", "0"] * 3
     assert subset.splitlines()[4] == lines[3]
+    # an index array selects as the list does, and no node writes the header only
+    states = traj.full_states()
+    assert node_csv(COMPARTMENTS, traj.time_grid, states, nodes=np.array([1, 0])) == subset
+    assert node_csv(COMPARTMENTS, traj.time_grid, states, nodes=[]) == lines[0] + "\n"
 
 
 def test_totals_csv_sums_nodes():
@@ -36,6 +40,28 @@ def test_totals_csv_sums_nodes():
     assert lines[0] == "t,S,IH,IL,RF,RC"
     first = [float(v) for v in lines[1].split(",")[1:]]
     assert first == [2.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_node_csv_prints_values_at_12_and_times_at_9_significant_digits():
+    # values the seeded runs never produce: signed zero, subnormal, long and huge
+    row = [-0.0, 5e-324, 1e-5, 0.1 + 0.2, 123456789012.5, 1e16, -1e-300]
+    grid = np.array([1 / 3, 1e-10])
+    values = np.array([row, row[::-1]]).reshape(2, 1, len(row))
+    columns = [f"c{j}" for j in range(len(row))]
+    lines = node_csv(columns, grid, values).splitlines()
+    assert lines[0] == ",".join(["t", "node", *columns])
+    assert lines[1:] == [",".join([format(t, ".9g"), "0", *(format(v, ".12g") for v in vals)])
+                         for t, vals in zip(grid, values[:, 0])]
+
+
+def test_totals_csv_prints_compartment_header_and_the_same_formats():
+    grid = uniform_grid(1.0, 3)
+    states = np.tile([0.1, 0.2, 1 / 3, 1 / 7], (4, 2, 1))
+    traj = StateTrajectory(grid, states)
+    lines = totals_csv(traj).splitlines()
+    assert lines[0] == ",".join(("t", *COMPARTMENTS))
+    assert lines[1:] == [",".join([format(t, ".9g"), *(format(v, ".12g") for v in totals)])
+                         for t, totals in zip(grid, traj.compartment_totals())]
 
 
 def test_canonical_json_is_sorted_and_compact():
