@@ -1,4 +1,4 @@
-"""Hamiltonian, costate dynamics, and backward integration.
+"""Costate dynamics and backward integration.
 
 ``adjoint_rhs`` is the published system of four costate equations.  The
 instance's ``adjoint_mode`` is the one switch between the two costate
@@ -31,10 +31,9 @@ import numpy as np
 from .graphs import NetworkGraph
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, IL, LAM_F, LAM_H, LAM_L, LAM_S, S,
                     AdjointTrajectory, ControlTrajectory, ModelInstance, ModelParams,
-                    StateTrajectory, TRAJECTORY_TOL, require_finite, validate_control,
-                    validate_snapshot, validate_states, validate_trajectory)
-from .dynamics import _reduced_rhs, _rk4_step
-from .objective import running_cost
+                    StateTrajectory, TRAJECTORY_TOL, array_argument, validate_control,
+                    validate_states, validate_trajectory)
+from .dynamics import _rk4_step
 
 _DIVERGENCE_LIMIT = 1e12
 
@@ -43,27 +42,16 @@ class DivergenceError(RuntimeError):
     """Backward integration blew up (costate magnitude above 1e12, or NaN)."""
 
 
-def hamiltonian(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
-                params: ModelParams, graph: NetworkGraph) -> float:
-    """Running cost plus costate-weighted drift of the four stored compartments.
-
-    A state, control or costate whose shape is not (N, 4), (N, 3) or (N, 4)
-    for the graph's N raises ValueError naming it, as does a NaN or infinite
-    one.
-    """
-    state, control, costate = validate_snapshot(graph.node_count, state, control, costate)
-    require_finite(state=state, control=control, costate=costate)
-    drift = _reduced_rhs(state, control, params.beta_high, params.beta_low, graph.adjacency)
-    return running_cost(state, control) + float((costate * drift).sum())
-
-
 def adjoint_rhs(state: np.ndarray, control: np.ndarray, costate: np.ndarray,
                 params: ModelParams, graph: NetworkGraph) -> np.ndarray:
     """Costate time derivatives of the published system, shape (N, 4).
 
-    Argument shapes are checked as in hamiltonian; values are not.
+    Shapes (N, 4), (N, 3) and (N, 4) for the graph's N are checked; values are not.
     """
-    state, control, costate = validate_snapshot(graph.node_count, state, control, costate)
+    n = graph.node_count
+    state = array_argument(state, "state", (n, 4))
+    control = array_argument(control, "control", (n, 3))
+    costate = array_argument(costate, "costate", (n, 4))
     a = graph.adjacency
     beta_high, beta_low = params.beta_high, params.beta_low
 

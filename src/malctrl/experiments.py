@@ -24,9 +24,10 @@ optimality system, not a minimum of J: on exp1 case 1 a step 1%, 5% or 20%
 of the way toward the consistent-mode optimum lowers J from 7.094 to
 6.875, 6.028 or 3.249.
 
-Reported "device counts" are expected counts (sums of per-node compartment
-probabilities), emitted raw; peak-time snapshots additionally classify each
-node by its largest compartment probability.
+Reported "device counts" are sums of the per-node compartment probabilities
+of the mean-field ODE, not the jump process's expected counts (the README
+compares the two), emitted raw; peak-time snapshots additionally classify
+each node by its largest compartment probability.
 
 ``reference_values`` blocks carry the figures reported for the original
 sixty-device testbed.  That testbed's exact adjacency was never published,

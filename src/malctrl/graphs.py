@@ -128,18 +128,6 @@ class SmartHomeSpec:
             raise ValueError("intra_room_density must lie in [0, 1]")
 
 
-def floorplan_spec(rng_seed: int = 42) -> SmartHomeSpec:
-    """Default four-room layout plus a hub node that ties the rooms together."""
-    return SmartHomeSpec(
-        total_devices=60,
-        rooms=(("hub", 1), ("living_room", 15), ("kitchen", 15),
-               ("gaming_room", 15), ("bedroom", 14)),
-        intra_room_density=0.5,
-        inter_room_hub=True,
-        rng_seed=rng_seed,
-    )
-
-
 def canonical_spec() -> SmartHomeSpec:
     """Spec of the canonical 60-device instance used by experiments and tests.
 

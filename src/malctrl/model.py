@@ -73,16 +73,6 @@ def array_argument(value, name: str, shape: tuple) -> np.ndarray:
     return number_array(value, name, [shape])
 
 
-def validate_snapshot(n: int | None, *arrays) -> tuple:
-    """A state, a control and a costate, or the first one or two of them, parsed by
-    ``array_argument`` with shapes (n, 4), (n, 3) and (n, 4); n None takes N from the state."""
-    checked = []
-    for name, width, values in zip(("state", "control", "costate"), (4, 3, 4), arrays):
-        checked.append(array_argument(values, name, (n, width)))
-        n = checked[0].shape[0]
-    return tuple(checked)
-
-
 def validate_states(states: np.ndarray, tol: float = STATE_TOL) -> None:
     """Raise ValueError unless ``states_in_range(states, tol)``; callers parse the array."""
     if not states_in_range(states, tol):

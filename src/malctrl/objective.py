@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DELTA, GAMMA_H, GAMMA_L, IH, ControlTrajectory, StateTrajectory, array_argument,
-                    r_complete, require_finite, validate_snapshot, validate_trajectory)
+                    r_complete, validate_trajectory)
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,6 @@ def _control_sums(controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Patch and restriction cost node sums of (..., N, 3) controls, shape (...)."""
     return (0.5 * (controls[..., DELTA] ** 2).sum(axis=-1),
             0.5 * (controls[..., GAMMA_H] ** 2 + controls[..., GAMMA_L] ** 2).sum(axis=-1))
-
-
-def running_cost(state: np.ndarray, control: np.ndarray) -> float:
-    """Instantaneous cost of one (state, control) snapshot.
-
-    A state that is not (N, 4) for some N, or a control that is not (N, 3),
-    raises ValueError naming it, as does a NaN or infinite one.
-    """
-    state, control = validate_snapshot(None, state, control)
-    require_finite(state=state, control=control)
-    infection, recovery = _state_sums(state)
-    patch, restriction = _control_sums(control)
-    return float(infection + patch + restriction - recovery)
 
 
 def _quadrature(infection, patch, restriction, recovery, dt: float) -> tuple:

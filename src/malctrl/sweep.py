@@ -78,9 +78,13 @@ def fbsm_solve(instance: ModelInstance):
     the undamped literal update (w = 0) oscillates and has not converged
     after 100 or 400 iterations (residual 4.17), 0.3 needs 293 iterations,
     0.5 takes 15 and 0.7 takes 26.  The solve stops once an update changes
-    the state and control trajectories by less than 1e-4 in combined
-    discrete L2, or after ``instance.max_iterations`` updates (the report
-    then carries converged=False rather than raising).  The literal zero
+    the state and control trajectories by less than 1e-4 * sqrt(N / 60) in
+    combined discrete L2, or after ``instance.max_iterations`` updates (the
+    report then carries converged=False rather than raising).  Both norms sum
+    over nodes, so the sqrt(N / 60) factor makes the test a per-node one: at
+    the canonical N = 60 it is 1e-4, and a graph of m disjoint copies of one
+    instance stops at that instance's iteration count.  ``final_residual`` is
+    the unscaled combined L2 change.  The literal zero
     initial control lies below the lower bounds, so the first pass starts
     from the lower-bound schedule ``instance.constant_control(*params.lower.T)``.
 
@@ -88,7 +92,7 @@ def fbsm_solve(instance: ModelInstance):
     is self-consistent and ``report.objective`` is its objective breakdown.
     """
     w = 0.5
-    eps = 1e-4
+    eps = 1e-4 * (instance.node_count / 60) ** 0.5
     control = instance.constant_control(*instance.params.lower.T)
     dt = instance.dt
     prev_states = np.zeros((instance.time_steps + 1, instance.node_count, 4))

@@ -1,5 +1,6 @@
-"""Builders shared by the test modules: the two-node graph, seeded random
-graphs, small instances, the message of a bad control rate and the
+"""Builders shared by the test modules: the two-node graph, the four-room
+floor plan, seeded random graphs, small instances, the running cost and
+Hamiltonian of one snapshot, the message of a bad control rate and the
 finite-difference check of the costate gradient."""
 
 import re
@@ -7,13 +8,19 @@ import re
 import numpy as np
 
 from malctrl.adjoint import integrate_backward
-from malctrl.dynamics import integrate_forward
-from malctrl.graphs import NetworkGraph
+from malctrl.dynamics import _reduced_rhs, integrate_forward
+from malctrl.graphs import NetworkGraph, SmartHomeSpec
 from malctrl.model import (IH, IL, LAM_F, LAM_H, LAM_L, RF, S, ControlTrajectory,
                            ModelInstance, ModelParams)
-from malctrl.objective import objective
+from malctrl.objective import _control_sums, _state_sums, objective
 
 TWO_NODE = NetworkGraph([[0, 1], [1, 0]])
+
+# four rooms plus a hub node that ties them together
+FLOORPLAN = SmartHomeSpec(total_devices=60,
+                          rooms=(("hub", 1), ("living_room", 15), ("kitchen", 15),
+                                 ("gaming_room", 15), ("bedroom", 14)),
+                          intra_room_density=0.5, inter_room_hub=True, rng_seed=42)
 
 
 def random_graph(rng, n, density):
@@ -51,6 +58,20 @@ def small_instance(seed=2, n=5, horizon=4.0, steps=200, mode="paper"):
                                       gamma_high=(0.05, 1.5), gamma_low=(0.05, 1.5))
     return ModelInstance(graph=graph, params=params, initial_state=initial,
                          time_steps=steps, adjoint_mode=mode)
+
+
+def running_cost(state, control):
+    """Instantaneous cost of one (N, 4) state and (N, 3) control: the
+    integrand that ``objective`` integrates."""
+    infection, recovery = _state_sums(state)
+    patch, restriction = _control_sums(control)
+    return float(infection + patch + restriction - recovery)
+
+
+def hamiltonian(state, control, costate, params, graph):
+    """Running cost plus costate-weighted drift of the four stored compartments."""
+    drift = _reduced_rhs(state, control, params.beta_high, params.beta_low, graph.adjacency)
+    return running_cost(state, control) + float((costate * drift).sum())
 
 
 def bad_rate_message(control: str, rate: float) -> str:

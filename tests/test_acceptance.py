@@ -11,18 +11,17 @@ import time
 
 import numpy as np
 
-from malctrl.adjoint import hamiltonian
 from malctrl.dynamics import _reduced_rhs, ctmc_simulate, integrate_forward
 from malctrl.experiments import ExperimentSpec, build_case_instance, run_experiment
-from malctrl.graphs import (NetworkGraph, canonical_graph, canonical_spec, floorplan_spec,
-                            generate_smart_home, graph_to_json)
+from malctrl.graphs import (NetworkGraph, canonical_graph, canonical_spec, generate_smart_home,
+                            graph_to_json)
 from malctrl.model import (DELTA, IH, RF, AdjointTrajectory, ControlTrajectory,
                            ModelInstance, ModelParams, StateTrajectory, uniform_grid)
 from malctrl.objective import _control_sums, _state_sums, objective
 from malctrl.rgcs import RgcsConfig, rgcs_generate, rgcs_population
 from malctrl.sweep import control_update, fbsm_solve
 
-from helpers import gradient_error, random_graph, small_instance
+from helpers import FLOORPLAN, gradient_error, hamiltonian, random_graph, small_instance
 
 
 def _report(number, name, started):
@@ -195,7 +194,7 @@ def test_criterion_10_seeded_pipelines_reproduce_bytes(tmp_path, recorded_artifa
     """Dataset, random strategies, jump process, and experiments re-run identically."""
     started = time.perf_counter()
     # dataset
-    for spec in (canonical_spec(), floorplan_spec()):
+    for spec in (canonical_spec(), FLOORPLAN):
         assert (graph_to_json(generate_smart_home(spec))
                 == graph_to_json(generate_smart_home(spec)))
     # random control strategies

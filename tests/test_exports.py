@@ -19,11 +19,10 @@ def test_public_surface_is_pinned():
         "ModelInstance", "ModelParams", "NetworkGraph", "ObjectiveBreakdown",
         "RgcsConfig", "SmartHomeSpec", "StateTrajectory", "SweepReport", "__version__",
         "adjoint_rhs", "canonical_graph", "canonical_spec", "control_update",
-        "ctmc_simulate", "fbsm_solve", "floorplan_spec", "generate_smart_home",
-        "graph_from_json", "graph_to_json", "hamiltonian", "integrate_backward",
-        "integrate_forward", "load_graph", "load_instance", "objective", "rgcs_generate",
-        "rgcs_population", "run_experiment", "running_cost", "save_graph",
-        "seed_initial_state", "select_sample_nodes", "snapshot", "uniform_grid",
+        "ctmc_simulate", "fbsm_solve", "generate_smart_home", "graph_from_json",
+        "graph_to_json", "integrate_backward", "integrate_forward", "load_graph",
+        "load_instance", "objective", "rgcs_generate", "rgcs_population", "run_experiment",
+        "save_graph", "seed_initial_state", "select_sample_nodes", "snapshot", "uniform_grid",
     ]
 
 

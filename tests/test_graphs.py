@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malctrl.graphs import (NetworkGraph, SmartHomeSpec,
-                            canonical_graph, canonical_spec, floorplan_spec,
-                            generate_smart_home, graph_from_json, graph_to_json, integer,
+                            canonical_graph, canonical_spec, generate_smart_home,
+                            graph_from_json, graph_to_json, integer,
                             resolve_graph, save_graph, spec_from_dict)
 from malctrl.graphs import _component_labels
 
-from helpers import TWO_NODE
+from helpers import FLOORPLAN, TWO_NODE
 
 
 class TestValidateGraph:
@@ -173,7 +174,7 @@ class TestGenerateSmartHome:
         assert not _component_labels(g.adjacency).any()
 
     def test_hub_reaches_every_room(self):
-        spec = floorplan_spec(rng_seed=7)
+        spec = dataclasses.replace(FLOORPLAN, rng_seed=7)
         g = generate_smart_home(spec)
         rooms = {}
         for i, room in enumerate(g.room_assignment):
@@ -228,7 +229,7 @@ class TestGenerateSmartHome:
 class TestSerialization:
 
     def test_round_trip_is_byte_stable(self):
-        g = generate_smart_home(floorplan_spec())
+        g = generate_smart_home(FLOORPLAN)
         text = graph_to_json(g)
         assert graph_to_json(graph_from_json(text)) == text
 

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malctrl.adjoint import adjoint_rhs, hamiltonian, integrate_backward
+from malctrl.adjoint import adjoint_rhs, integrate_backward
 from malctrl.dynamics import ctmc_simulate, integrate_forward
 from malctrl.graphs import NetworkGraph, SmartHomeSpec, canonical_graph
 from malctrl.model import (DELTA, GAMMA_L, IH, IL, AdjointTrajectory, ControlTrajectory,
                            ModelInstance, ModelParams, StateTrajectory, array_argument,
                            instance_from_dict, number_array, r_complete, seed_initial_state,
-                           uniform_grid, validate_snapshot, validate_states)
-from malctrl.objective import objective, running_cost
+                           uniform_grid, validate_states)
+from malctrl.objective import objective
 from malctrl.rgcs import RgcsConfig
 from malctrl.sweep import control_update
 
@@ -42,27 +42,6 @@ class TestNodeState:
         np.testing.assert_array_equal(full[0, 0], [0.5, 0.25, 0.125, 0.0625, 0.0625])
 
 
-class TestValidateSnapshot:
-
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 3), count=st.integers(1, 3),
-           shapes=st.lists(st.none() | st.tuples(st.integers(0, 4), st.integers(0, 5)),
-                           min_size=3, max_size=3))
-    def test_accepts_exactly_matching_shapes(self, n, count, shapes):
-        # None draws the matching shape, so both outcomes come up often
-        names, expected = ("state", "control", "costate")[:count], [(n, 4), (n, 3), (n, 4)][:count]
-        drawn = [shape or want for shape, want in zip(shapes, expected)]
-        arrays = [np.zeros(shape, dtype=int) for shape in drawn]
-        mismatched = [name for name, shape, want in zip(names, drawn, expected) if shape != want]
-        if mismatched:
-            with pytest.raises(ValueError,
-                               match=f"^{mismatched[0]} must be an array of shape"):
-                validate_snapshot(n, *arrays)
-        else:
-            checked = validate_snapshot(n, *arrays)
-            assert [(a.shape, a.dtype) for a in checked] == [(e, np.float64) for e in expected]
-
-
 def array_calls(convert):
     """Each public function that takes array arguments, called on one small run
     with every array argument passed through ``convert``; each call's name maps
@@ -82,8 +61,6 @@ def array_calls(convert):
         ("control_update", "state_traj"): lambda: control_update(states, costates, p),
         ("integrate_backward", "control"): lambda: integrate_backward(states, control, inst),
         ("ctmc_simulate", "control"): lambda: ctmc_simulate(inst, control, 3, 20),
-        ("running_cost", "state"): lambda: running_cost(*snap[:2]),
-        ("hamiltonian", "state"): lambda: hamiltonian(*snap, p, g),
         ("adjoint_rhs", "state"): lambda: adjoint_rhs(*snap, p, g),
     }
 

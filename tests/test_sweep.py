@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from malctrl.adjoint import integrate_backward
 from malctrl.dynamics import integrate_forward
-from malctrl.graphs import canonical_graph
+from malctrl.graphs import NetworkGraph, canonical_graph
 from malctrl.model import (ADJOINT_MODES, DELTA, GAMMA_H, AdjointTrajectory, ControlTrajectory,
                            ModelInstance, ModelParams, StateTrajectory, uniform_grid)
 from malctrl.objective import objective
 from malctrl.experiments import build_case_instance
 from malctrl.sweep import control_update, fbsm_solve
 
-from helpers import random_graph
+from helpers import random_graph, small_instance
 
 
 def two_point_trajs(state_row, costate_row, n=1):
@@ -192,6 +192,24 @@ class TestFbsmSolve:
         expected = np.clip((1.0 - 0.5) * update.controls + 0.5 * start.controls,
                            inst.params.lower, inst.params.upper)
         np.testing.assert_array_equal(first.controls, expected)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_disjoint_copies_stop_where_one_copy_stops(self, seed):
+        # m disjoint copies of one instance change by sqrt(m) times one copy's
+        # L2 per update, so a per-node stopping test stops them all together;
+        # each seed ends about 20% below its threshold and was about 60% above
+        # it one update earlier, so rounding cannot move the stop
+        one = small_instance(seed, steps=50)
+        *_, single = fbsm_solve(one)
+        for m in (2, 3, 4):
+            params = replace(one.params, lower=np.tile(one.params.lower, (m, 1)),
+                             upper=np.tile(one.params.upper, (m, 1)))
+            copies = replace(one, graph=NetworkGraph(np.kron(np.eye(m), one.graph.adjacency)),
+                             params=params, initial_state=np.tile(one.initial_state, (m, 1)))
+            *_, report = fbsm_solve(copies)
+            assert report.iterations_used == single.iterations_used
+            assert report.final_residual == pytest.approx(m ** 0.5 * single.final_residual,
+                                                          rel=1e-9)
 
 
 lower_and_width = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
