@@ -3,8 +3,6 @@ integration, and a stochastic jump-process oracle for validation."""
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,42 +112,36 @@ class CtmcSummary:
     num_runs: int
 
 
-_MAX_STEP_PROBABILITY = 0.05
-_BATCH = 4096
-# compartment codes match the CtmcSummary columns: 0 S, 1 IH, 2 IL, 3 RF, 4 RC;
-# _NEXT[c] is where a node in c goes when its control transition fires
-_NEXT = np.array([0, 3, 3, 4, 4], dtype=np.int8)
+_BATCH = 128
+_BLOCK = 32  # candidates per replica drawn at a time
 
 
 def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
                   rng_seed: int, num_runs: int) -> CtmcSummary:
-    """Simulate the stochastic per-node compartment process.
+    """Sample the stochastic per-node compartment process exactly.
 
-    Each control-grid cell is subdivided until every per-substep transition
-    probability (rate times substep) is at most 0.05, then transitions are
-    drawn as Bernoulli events from one uniform per node and substep; a
-    susceptible node checks the high-capability infection first.  Every test
-    reads the state at the start of the substep.  Replicas run in fixed-size
-    batches of 4096, each batch on its own generator seeded by
-    (rng_seed, batch_index), so results do not depend on how batches are
-    scheduled and are reproducible bit-for-bit for a given seed.  A helper
-    thread draws each batch's uniforms one substep ahead, in stream order,
-    so results and their reproducibility are unchanged; the thread ends
-    with the call.
+    The control is piecewise constant, as integrate_forward holds it.  A node
+    leaves IH, IL or RF once its rate there (gamma_high, gamma_low, delta) has
+    integrated to an exponential budget since it entered: the exit time
+    inverts that integral over the grid cells, and is infinite if the budget
+    outlasts the horizon.  Infections are thinned (Cota & Ferreira, Comput.
+    Phys. Commun. 219, 2017): a replica draws candidates in time order at the
+    rate ``beta_high * degree_i`` summed over its initially susceptible
+    nodes.  A candidate picks node j by its share of that rate and a mark w
+    uniform on [0, beta_high * degree_j), and infects j, if still
+    susceptible, when w < beta_high * n_IH + beta_low * n_IL over j's
+    neighbours; into IH when w < beta_high * n_IH.  ``ModelParams`` keeps
+    beta_low <= beta_high, so that sum stays within the candidate rate and
+    every infection fires at exactly its rate.  Counts are read at the grid
+    points and summed as exact integers.
 
-    Few draws can fire, so each substep first screens the draws against an
-    upper bound of the probability of leaving the node's compartment: for a
-    susceptible node ``beta_high * degree * sdt + beta_low * degree * sdt``,
-    otherwise the largest of the three control probabilities.  Only draws
-    below their bound are evaluated, with the neighbour counts of their
-    replica.  The screen drops no transition: a neighbour count never exceeds
-    the degree, the betas and the control values are finite and
-    non-negative, and floating-point products and sums are monotone in each
-    operand, so the computed infection probabilities never exceed the
-    computed bound.  The draws, their order and every test are those of a
-    dense pass over all nodes, so the summary is bit-identical to it.
-    Occupancy counts per replica are updated from the moves, and their sums
-    are exact integers.
+    Replicas run in lockstep in batches of 128, each on its own generator
+    seeded by (rng_seed, batch_index), so a summary is reproducible bit for
+    bit.  A batch of m replicas on N nodes draws ``random((2, m, N))``, the
+    budgets for leaving IH or IL and for leaving RF, then blocks
+    ``random((32, 2, m))`` of candidate gaps and marks until every
+    replica has passed the horizon; a uniform u gives the exponential
+    ``-log1p(-u)``.
 
     Checks the control as integrate_forward does.  Raises ValueError for an
     initial state that is not 0/1 indicators; ``num_runs`` and ``rng_seed``
@@ -162,46 +154,64 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
     num_runs, rng_seed = integer(num_runs, "num_runs", 1), integer(rng_seed, "rng_seed", 0)
 
     grid = instance.time_grid()
-    n = instance.node_count
-    steps = grid.shape[0] - 1
-    dt = instance.dt
+    n, horizon = instance.node_count, grid[-1]
     beta_high, beta_low = instance.params.beta_high, instance.params.beta_low
     adjacency = instance.graph.adjacency
-    degree = adjacency.sum(axis=1)
-    # beta_low <= beta_high, so beta_high * degree bounds a node's whole infection rate
-    rate_max = max(beta_high * degree.max(), float(controls.max(initial=0.0)))
-    substeps = max(1, int(np.ceil(rate_max * dt / _MAX_STEP_PROBABILITY)))
-    sdt = dt / substeps
-    s_cap = beta_high * degree * sdt + beta_low * degree * sdt
+    # compartment codes match the CtmcSummary columns: 0 S, 1 IH, 2 IL, 3 RF, 4 RC
+    code = np.argmax(np.column_stack([init, r_complete(init)]), axis=1)
+    # each node's integrated control rates at the grid points, one lane per (node, control)
+    rates = controls.reshape(grid.shape[0], -1)
+    integral = np.zeros_like(rates)
+    np.cumsum(rates[:-1] * np.diff(grid)[:, None], axis=0, out=integral[1:])
+    # only the initially susceptible nodes ever draw candidates
+    candidate_rate = np.where(code == 0, beta_high * adjacency.sum(axis=1), 0.0)
+    rate_ends = np.cumsum(candidate_rate)
+    rate_starts = np.concatenate(([0.0], rate_ends[:-1]))
+    total_rate = rate_ends[-1]
 
-    init_code = np.argmax(np.column_stack([init, r_complete(init)]), axis=1).astype(np.int8)
-    init_counts = np.bincount(init_code, minlength=5)
+    count_sum, count_sq = np.zeros((2, grid.shape[0], 5))
+    for batch_index, first in enumerate(range(0, num_runs, _BATCH)):
+        m = min(_BATCH, num_runs - first)
+        rng = np.random.default_rng([rng_seed, batch_index])
+        budget = -np.log1p(-rng.random((2, m, n)))
+        # entry times into IH or IL and into RF; 0 for a compartment a node starts in or past
+        t_in = np.tile(np.where(code == 0, np.inf, 0.0), (m, 1))
+        t_rf = np.tile(np.where(code >= 3, 0.0, np.inf), (m, 1))
+        high = np.tile(code == 1, (m, 1))
+        r, j = np.nonzero(np.tile((code == 1) | (code == 2), (m, 1)))
+        t_rf[r, j] = _exit_times(grid, rates, integral,
+                                 3 * j + np.where(high[r, j], GAMMA_H, GAMMA_L), 0.0,
+                                 budget[0, r, j])
 
-    count_sum = np.zeros((steps + 1, 5))
-    count_sq = np.zeros((steps + 1, 5))
+        t = np.zeros(m)
+        while total_rate > 0.0 and (t < horizon).any():
+            block = rng.random((_BLOCK, 2, m))
+            gaps = -np.log1p(-block[:, 0]) / total_rate
+            marks = block[:, 1] * total_rate
+            for gap, mark in zip(gaps, marks):
+                t += gap
+                r = np.flatnonzero(t < horizon)
+                if not r.size:
+                    break
+                at, v = t[r], mark[r]
+                j = np.searchsorted(rate_ends[:-1], v, side="right")
+                w = v - rate_starts[j]
+                infected = (t_in[r] <= at[:, None]) & (at[:, None] < t_rf[r]) & (adjacency[j] > 0)
+                n_high = np.count_nonzero(infected & high[r], axis=1)
+                n_low = np.count_nonzero(infected, axis=1) - n_high
+                to_high = w < beta_high * n_high
+                keep = (at < t_in[r, j]) & (w < beta_high * n_high + beta_low * n_low)
+                r, j, at, to_high = r[keep], j[keep], at[keep], to_high[keep]
+                t_in[r, j], high[r, j] = at, to_high
+                t_rf[r, j] = _exit_times(grid, rates, integral,
+                                         3 * j + np.where(to_high, GAMMA_H, GAMMA_L), at,
+                                         budget[0, r, j])
 
-    for batch_index, start in enumerate(range(0, num_runs, _BATCH)):
-        m = min(_BATCH, num_runs - start)
-        batch_draws = _draws_ahead(np.random.default_rng([rng_seed, batch_index]), (m, n),
-                                   steps * substeps)
-        y = np.tile(init_code, (m, 1))
-        counts = np.repeat(init_counts[:, None], m, axis=1)  # (5, m) devices per compartment
-        _accumulate(count_sum, count_sq, 0, counts)
-        try:
-            for k in range(steps):
-                u = controls[k]
-                # per-node probability of a control transition out of IH, IL
-                # and RF; S leaves by infection only and RC never leaves
-                leave = np.zeros((5, n))
-                leave[1:4] = u[:, [GAMMA_H, GAMMA_L, DELTA]].T * sdt
-                cap = leave.max(axis=0)
-                for _ in range(substeps):
-                    draws = next(batch_draws)
-                    r, j = divmod(np.flatnonzero((draws < s_cap) | ((y != 0) & (draws < cap))), n)
-                    _fire(y, counts, r, j, draws[r, j], leave, adjacency, beta_high, beta_low, sdt)
-                _accumulate(count_sum, count_sq, k + 1, counts)
-        finally:
-            batch_draws.close()
+        t_rc = np.tile(np.where(code == 4, 0.0, np.inf), (m, 1))
+        r, j = np.nonzero((t_rf < np.inf) & (code != 4))
+        t_rc[r, j] = _exit_times(grid, rates, integral, 3 * j + DELTA, t_rf[r, j],
+                                 budget[1, r, j])
+        _tally(count_sum, count_sq, grid, t_in, t_rf, t_rc, high)
 
     mean = count_sum / num_runs
     if num_runs > 1:
@@ -213,64 +223,52 @@ def ctmc_simulate(instance: ModelInstance, control: ControlTrajectory,
                        num_runs=num_runs)
 
 
-def _draws_ahead(rng: np.random.Generator, shape: tuple, count: int):
-    """Yield ``count`` arrays ``rng.random(shape)`` in stream order, drawn one ahead.
-
-    Two preallocated buffers pass between the caller and a helper thread
-    through two queues: ``free`` carries each buffer the caller hands back at
-    its next ``next()``, then None to stop; ``full`` carries each buffer the
-    helper has filled, or the exception a draw raised, which is re-raised here.
-    So a yielded array is overwritten only after the caller's next ``next()``,
-    and a caller copies what it keeps longer; ``rng`` releases the GIL while it
-    fills.  Nothing else may draw from ``rng`` until the generator ends.
-    Exhausting or closing the generator joins the thread.
-    """
-    free, full = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(2):
-        free.put(np.empty(shape))
-
-    def fill():
-        for _ in range(count):
-            buffer = free.get()
-            if buffer is None:
-                return
-            try:
-                rng.random(out=buffer)
-            except BaseException as exc:  # re-raised by the caller, which waits on full
-                full.put(exc)
-                return
-            full.put(buffer)
-
-    helper = threading.Thread(target=fill, name="ctmc-draws", daemon=True)
-    helper.start()
-    try:
-        for _ in range(count):
-            buffer = full.get()
-            if isinstance(buffer, BaseException):
-                raise buffer
-            yield buffer
-            free.put(buffer)
-    finally:
-        free.put(None)
-        helper.join()
+def _exit_times(grid, rates, integral, lane, start, budget) -> np.ndarray:
+    """When nodes leave a compartment entered at ``start``: once the rate in
+    column ``lane`` of ``rates`` (K+1, L), held over each grid cell, has
+    integrated to ``budget``; infinite past the horizon.  ``integral`` holds
+    the integrals to each grid point, so the exit lies in the last cell whose
+    starting integral is at most the target, where the rate is positive."""
+    start = np.broadcast_to(start, lane.shape)
+    cell = np.searchsorted(grid, start, side="right") - 1
+    target = integral[cell, lane] + rates[cell, lane] * (start - grid[cell]) + budget
+    lo, hi = cell, np.full_like(cell, grid.shape[0])
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        below = integral[mid, lane] <= target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    out = np.full(lane.shape, np.inf)
+    inside = lo < grid.shape[0] - 1
+    k, lane = lo[inside], lane[inside]
+    out[inside] = np.maximum(start[inside],
+                             grid[k] + (target[inside] - integral[k, lane]) / rates[k, lane])
+    return out
 
 
-def _fire(y, counts, r, j, draws, leave, adjacency, beta_high, beta_low, sdt) -> None:
-    """Apply the transitions of the screened draws of replicas ``r`` at nodes ``j``."""
-    old = y[r, j]
-    new = np.where(draws < leave[old, j], _NEXT[old], old)
-    sus = np.flatnonzero(old == 0)
-    near, links, d = y[r[sus]], adjacency[j[sus]], draws[sus]
-    # neighbour counts are small integers, exact in any summation order
-    p_h = beta_high * ((near == 1) * links).sum(axis=1) * sdt
-    p_l = beta_low * ((near == 2) * links).sum(axis=1) * sdt
-    new[sus] = np.where(d < p_h, 1, np.where(d < p_h + p_l, 2, 0))
-    y[r, j] = new
-    np.subtract.at(counts, (old, r), 1)
-    np.add.at(counts, (new, r), 1)
-
-
-def _accumulate(count_sum: np.ndarray, count_sq: np.ndarray, k: int, counts: np.ndarray) -> None:
-    # integer sums are exact, so they equal every float summation of the counts
-    count_sum[k] += counts.sum(axis=1)
-    count_sq[k] += (counts ** 2).sum(axis=1)
+def _tally(count_sum, count_sq, grid, t_in, t_rf, t_rc, high) -> None:
+    """Add each replica's counts at the grid points, and their squares.  Its
+    nodes move S -> IH or IL -> RF -> RC at t_in, t_rf and t_rc, and count in
+    the new compartment from the first grid point at or after the move.  The
+    sums gather the change of the counts and of their squares at each move,
+    in the replica's order of moves, in exact integers."""
+    (m, n), points = t_in.shape, grid.shape[0]
+    kind = np.where(high, 1, 2)
+    moves = []
+    for t, old, new in ((t_in, 0, kind), (t_rf, kind, 3), (t_rc, 3, 4)):
+        step = np.searchsorted(grid, t, side="left")
+        r, i = np.nonzero(step < points)
+        moves.append((r, step[r, i], np.broadcast_to(old, t.shape)[r, i],
+                      np.broadcast_to(new, t.shape)[r, i]))
+    replica, step, old, new = map(np.concatenate, zip(*moves))
+    order = np.argsort(replica * points + step)
+    replica, step, old, new = replica[order], step[order], old[order], new[order]
+    column = np.arange(5)
+    change = (new[:, None] == column).astype(np.int64) - (old[:, None] == column)
+    start = n * (column == 0)  # every node starts in S
+    running = np.cumsum(change, axis=0)
+    first = np.searchsorted(replica, replica, side="left")
+    counts = start + running - (running[first] - change[first])  # after each move
+    for total, power in ((count_sum, 1), (count_sq, 2)):
+        per_point = np.zeros((points, 5), dtype=np.int64)
+        np.add.at(per_point, step, counts ** power - (counts - change) ** power)
+        total += m * start ** power + np.cumsum(per_point, axis=0)

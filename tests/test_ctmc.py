@@ -1,11 +1,9 @@
 import hashlib
-import os
-import subprocess
+import math
 import sys
 import threading
 import time
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malctrl import dynamics
-from malctrl.dynamics import _reduced_rhs, ctmc_simulate
+from malctrl.dynamics import ctmc_simulate, integrate_forward
 from malctrl.experiments import build_case_instance
 from malctrl.graphs import NetworkGraph, canonical_graph
-from malctrl.model import (DELTA, GAMMA_H, GAMMA_L, ControlTrajectory, StateTrajectory,
-                           r_complete)
+from malctrl.model import DELTA, GAMMA_H, GAMMA_L, ControlTrajectory, r_complete
 
 import helpers
+from exact_chain import exact_chain
 from helpers import TWO_NODE, bad_rate_message, random_graph
 
 # compartment columns in CtmcSummary.mean_counts
@@ -61,8 +59,8 @@ def test_control_shape_checked():
 
 @pytest.mark.parametrize("rate", [np.nan, -1.0, np.inf])
 def test_bad_control_rate_rejected(rate):
-    # NaN would freeze a node in IH, -1 would act as 0, and +inf would
-    # overflow the substep count
+    # a NaN, negative or infinite rate leaves the integral of the control,
+    # which sets every exit time, undefined, falling or infinite
     initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
     inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
     control = inst.constant_control(0.5, 0.5, 0.5)
@@ -109,8 +107,8 @@ def test_isolated_node_exponential_holding_time():
                         num_runs=10_000)
     est = float(np.trapezoid(out.mean_counts[:, C_IH], dx=inst.dt))
     # 3 standard errors of the mean holding time (sd = 1.0 for the
-    # exponential oracle) plus the sub-step discretization margin
-    tol = 3.0 / np.sqrt(10_000) + inst.dt
+    # exponential oracle) plus a bound on the trapezoid's O(dt^2) error
+    tol = 3.0 / np.sqrt(10_000) + inst.dt ** 2
     assert abs(est - 1.0) <= tol
 
 
@@ -127,96 +125,147 @@ def test_single_edge_infection_probability():
     assert abs(frac_infected - expected) <= 3 * out.std_error[-1, C_S] + 0.005
 
 
-def euler_mean(instance, control):
-    """Exact mean compartment counts (K+1, 5) of the jump process when both
-    betas are zero.  Each node is then an independent chain IH -> RF -> RC,
-    IL -> RF whose substep moves fire with probability rate * sdt, so its
-    mean follows forward Euler on the reduced system at the simulator's
-    substep.  At zero betas the largest control bounds every rate, which
-    sets the substep count by the simulator's 0.05 rule."""
-    substeps = max(1, int(np.ceil(control.controls.max() * instance.dt / 0.05)))
-    sdt = instance.dt / substeps
-    x = instance.initial_state
-    means = [x]
-    for u in control.controls[:-1]:
-        for _ in range(substeps):
-            x = x + sdt * _reduced_rhs(x, u, 0.0, 0.0, instance.graph.adjacency)
-        means.append(x)
-    return StateTrajectory(instance.time_grid(), np.stack(means)).compartment_totals()
+def every_compartment_instance(seed, beta_high, beta_low):
+    """A random 5-node graph with one node in each compartment and a random
+    time-varying control; ``seed`` also draws the graph and the control."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    graph = random_graph(rng, n, 0.5)
+    initial = np.eye(5)[rng.permutation(5)][:, :4]
+    inst = make_instance(graph, beta_high, beta_low, 3.0, initial, time_steps=30)
+    return inst, ControlTrajectory(inst.time_grid(), rng.uniform(0.1, 2.0, (31, n, 3)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_zero_infection_mean_is_the_euler_recurrence(seed):
-    # a random 12-node graph with every compartment seeded and a time-varying
-    # control: the Monte-Carlo mean lies within 4.5 standard errors of the
-    # exact mean, and equals it where every replica agrees (S, and t = 0).
-    # The RK4 mean-field ODE misses the mean by 4.3 to 6.6 standard errors
-    # on these seeds: it lacks the O(sdt) bias of the substep chain
-    rng = np.random.default_rng(seed)
-    n = 12
-    graph = random_graph(rng, n, 0.5)
-    codes = np.concatenate([np.arange(5), rng.integers(0, 5, n - 5)])
-    initial = np.eye(5)[rng.permutation(codes)][:, :4]
-    inst = make_instance(graph, 0.0, 0.0, 3.0, initial, time_steps=30)
-    control = ControlTrajectory(inst.time_grid(), rng.uniform(0.1, 2.0, (31, n, 3)))
-    out = ctmc_simulate(inst, control, rng_seed=seed, num_runs=20_000)
-    mean = euler_mean(inst, control)
+def test_exact_chain_keeps_mass_and_is_the_mean_field_without_infection(seed):
+    # at zero betas the nodes are independent, and each node's law follows the
+    # mean-field ODE; RK4 is linear, so with one step per cell the chain's
+    # means equal integrate_forward's up to rounding
+    inst, control = every_compartment_instance(seed, 0.0, 0.0)
+    probabilities, occupancy = exact_chain(inst, control, substeps=1)
+    np.testing.assert_allclose(probabilities.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(probabilities @ occupancy,
+                               integrate_forward(inst, control).compartment_totals(),
+                               rtol=0, atol=1e-10)
+    inst, control = every_compartment_instance(seed, 1.0, 0.6)
+    probabilities, _ = exact_chain(inst, control, substeps=4)
+    np.testing.assert_allclose(probabilities.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("betas", [(0.0, 0.0), (1.0, 0.6)], ids=["beta0", "beta1"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mean_matches_the_exact_chain(seed, betas):
+    # 40,000 replicas on a 5-node graph with every compartment seeded: the
+    # Monte-Carlo mean lies within 4.5 standard errors of the exact chain's
+    # mean, and equals it where every replica agrees (t = 0, and S without
+    # infection).  A Bernoulli substep chain, forward Euler at zero betas,
+    # misses by 4.8 to 5.4 standard errors there
+    inst, control = every_compartment_instance(seed, *betas)
+    probabilities, occupancy = exact_chain(inst, control, substeps=4)
+    exact = probabilities @ occupancy
+    out = ctmc_simulate(inst, control, rng_seed=seed, num_runs=40_000)
     spread = out.std_error > 0
-    z = (out.mean_counts - mean)[spread] / out.std_error[spread]
+    z = (out.mean_counts - exact)[spread] / out.std_error[spread]
     assert np.abs(z).max() <= 4.5
-    np.testing.assert_array_equal(out.mean_counts[~spread], mean[~spread])
+    np.testing.assert_allclose(out.mean_counts[~spread], exact[~spread], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # the random stream and its summary, pinned bit for bit
 
-def dense_reference(instance, control, rng_seed, num_runs):
-    """The jump process as a dense loop: every substep builds the transition
-    masks of all replicas and nodes, and every step recounts every replica.
-    It keeps the stream of ``ctmc_simulate`` (batches of 4096 replicas, one
-    generator per batch, one uniform per node and substep, substeps until no
-    probability exceeds 0.05), so the two must agree bit for bit."""
-    grid = instance.time_grid()
-    steps, n = grid.shape[0] - 1, instance.node_count
-    dt = grid[1] - grid[0]
+def event_reference(instance, control, rng_seed, num_runs):
+    """The jump process as a plain event loop over one replica at a time.
+
+    It reads the random numbers of ``ctmc_simulate`` in its layout: batches
+    of ``dynamics._BATCH`` replicas, one generator per batch seeded by
+    (rng_seed, batch_index), the exponential budgets of leaving IH or IL and
+    of leaving RF first, then blocks of candidate gaps and marks, drawn as a
+    replica first needs them.  It repeats the simulator's arithmetic, so the
+    two must agree bit for bit."""
+    grid = instance.time_grid().tolist()
+    steps, horizon, n = len(grid) - 1, grid[-1], instance.node_count
     beta_high, beta_low = instance.params.beta_high, instance.params.beta_low
-    adjacency = instance.graph.adjacency
-    max_degree = adjacency.sum(axis=1).max()
-    rate_max = max(beta_high * max_degree, float(control.controls.max(initial=0.0)))
-    substeps = max(1, int(np.ceil(rate_max * dt / 0.05)))
-    sdt = dt / substeps
+    adjacency = instance.graph.adjacency.tolist()
+    u = control.controls.tolist()
     full = np.c_[instance.initial_state, r_complete(instance.initial_state)]
-    init_code = full.argmax(axis=1).astype(np.int8)
+    code = full.argmax(axis=1).tolist()
+
+    integral = [[[0.0] * 3 for _ in range(n)]]
+    for k in range(steps):
+        integral.append([[integral[k][i][c] + u[k][i][c] * (grid[k + 1] - grid[k])
+                          for c in range(3)] for i in range(n)])
+
+    def exit_time(i, c, start, budget):
+        k = max(k for k in range(steps + 1) if grid[k] <= start)
+        target = integral[k][i][c] + u[k][i][c] * (start - grid[k]) + budget
+        while k < steps and integral[k + 1][i][c] <= target:
+            k += 1
+        if k == steps:
+            return math.inf
+        return max(start, grid[k] + (target - integral[k][i][c]) / u[k][i][c])
+
+    rate = [beta_high * sum(adjacency[i]) if code[i] == 0 else 0.0 for i in range(n)]
+    ends, total = [], 0.0
+    for r in rate:
+        total += r
+        ends.append(total)
+    width = dynamics._BLOCK
     count_sum = np.zeros((steps + 1, 5))
     count_sq = np.zeros((steps + 1, 5))
 
-    def accumulate(k, y):
-        counts = np.stack([(y == c).sum(axis=1) for c in range(5)], axis=1).astype(float)
-        count_sum[k] += counts.sum(axis=0)
-        count_sq[k] += (counts ** 2).sum(axis=0)
-
-    for batch_index, done in enumerate(range(0, num_runs, 4096)):
-        m = min(4096, num_runs - done)
+    for batch_index, done in enumerate(range(0, num_runs, dynamics._BATCH)):
+        m = min(dynamics._BATCH, num_runs - done)
         rng = np.random.default_rng([rng_seed, batch_index])
-        y = np.tile(init_code, (m, 1))
-        accumulate(0, y)
-        for k in range(steps):
-            u = control.controls[k]
-            p_gh, p_gl, p_d = u[:, GAMMA_H] * sdt, u[:, GAMMA_L] * sdt, u[:, DELTA] * sdt
-            for _ in range(substeps):
-                draws = rng.random((m, n))
-                p_h = beta_high * ((y == 1) @ adjacency.T) * sdt
-                p_l = beta_low * ((y == 2) @ adjacency.T) * sdt
-                is_s = y == 0
-                to_high = is_s & (draws < p_h)
-                to_low = is_s & ~to_high & (draws < p_h + p_l)
-                to_rf = ((y == 1) & (draws < p_gh)) | ((y == 2) & (draws < p_gl))
-                to_rc = (y == 3) & (draws < p_d)
-                y[to_high] = 1
-                y[to_low] = 2
-                y[to_rf] = 3
-                y[to_rc] = 4
-            accumulate(k + 1, y)
+        budget = (-np.log1p(-rng.random((2, m, n)))).tolist()
+        blocks = []
+
+        def candidate(s, r):
+            while len(blocks) * width <= s:
+                block = rng.random((width, 2, m))
+                blocks.append(((-np.log1p(-block[:, 0]) / total).tolist(),
+                               (block[:, 1] * total).tolist()))
+            gaps, marks = blocks[s // width]
+            return gaps[s % width][r], marks[s % width][r]
+
+        for r in range(m):
+            t_in = [math.inf if c == 0 else 0.0 for c in code]
+            t_rf = [0.0 if c >= 3 else math.inf for c in code]
+            t_rc = [0.0 if c == 4 else math.inf for c in code]
+            high = [c == 1 for c in code]
+            for i in range(n):
+                if code[i] in (1, 2):
+                    t_rf[i] = exit_time(i, GAMMA_H if high[i] else GAMMA_L, 0.0, budget[0][r][i])
+            t, s = 0.0, 0
+            while total > 0.0:
+                gap, mark = candidate(s, r)
+                s += 1
+                t += gap
+                if not t < horizon:
+                    break
+                j = next((i for i in range(n - 1) if mark < ends[i]), n - 1)
+                w = mark - (ends[j - 1] if j else 0.0)
+                if not t < t_in[j]:
+                    continue
+                near = [i for i in range(n) if adjacency[j][i] and t_in[i] <= t < t_rf[i]]
+                n_high = sum(high[i] for i in near)
+                n_low = len(near) - n_high
+                if w < beta_high * n_high + beta_low * n_low:
+                    t_in[j], high[j] = t, w < beta_high * n_high
+                    t_rf[j] = exit_time(j, GAMMA_H if high[j] else GAMMA_L, t, budget[0][r][j])
+            for i in range(n):
+                if t_rf[i] < math.inf and code[i] != 4:
+                    t_rc[i] = exit_time(i, DELTA, t_rf[i], budget[1][r][i])
+            for k, now in enumerate(grid):
+                counts = np.zeros(5)
+                for i in range(n):
+                    if now < t_in[i]:
+                        counts[0] += 1
+                    elif now < t_rf[i]:
+                        counts[1 if high[i] else 2] += 1
+                    else:
+                        counts[3 if now < t_rc[i] else 4] += 1
+                count_sum[k] += counts
+                count_sq[k] += counts ** 2
 
     mean = count_sum / num_runs
     if num_runs == 1:
@@ -229,7 +278,7 @@ def random_jump_instance(rng, n):
     """A random dense graph on n nodes, seeded mostly infected so that many
     susceptible nodes have only infected neighbours, with random betas (zero
     one time in five) and a time-varying control.  Rates reach a few per unit
-    time, so a grid step often splits into several substeps."""
+    time, so a grid cell often holds several events."""
     graph = random_graph(rng, n, 0.7)
     initial = np.eye(5)[rng.choice(5, size=n, p=[0.3, 0.3, 0.2, 0.1, 0.1])][:, :4]
     beta_high = rng.choice([0.0, rng.uniform(0.5, 4.0)], p=[0.2, 0.8])
@@ -259,33 +308,11 @@ def test_canonical_summary_digest():
     assert digest(canonical_summary()) == CANONICAL_DIGEST
 
 
-ONE_CPU_CHILD = """
-import faulthandler
-import os
-faulthandler.dump_traceback_later(50, exit=True)  # a deadlock prints every stack, then fails
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-import test_ctmc
-print(test_ctmc.digest(test_ctmc.canonical_summary()))
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
-def test_canonical_summary_digest_on_one_cpu():
-    # the draws come from a helper thread; pinned to one CPU it shares that
-    # CPU with the caller, and the stream must not change
-    path = os.pathsep.join(filter(None, [str(Path(dynamics.__file__).parents[1]),
-                                         str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD], capture_output=True, text=True,
-                         timeout=60, env={**os.environ, "PYTHONPATH": path})
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == CANONICAL_DIGEST
-
-
 def test_two_batch_summary_digest():
-    # every compartment seeded, 44 substeps per step; 4097 replicas make one
-    # full batch of 4096 and a second batch of one
+    # every compartment seeded; one replica more than a batch makes one full
+    # batch and a second batch of one
     inst, control = random_jump_instance(np.random.default_rng(12), 5)
-    out = ctmc_simulate(inst, control, rng_seed=11, num_runs=4097)
+    out = ctmc_simulate(inst, control, rng_seed=11, num_runs=dynamics._BATCH + 1)
     assert digest(out) == "cf125407532e475191d03f6ba4dd284834925b831f82d8f2e87fb5f5eb45841d"
 
 
@@ -296,97 +323,14 @@ def test_two_batch_summary_digest():
 def test_matches_dense_reference(seed, n, num_runs):
     inst, control = random_jump_instance(np.random.default_rng(seed), n)
     out = ctmc_simulate(inst, control, rng_seed=seed, num_runs=num_runs)
-    mean, std_error = dense_reference(inst, control, seed, num_runs)
+    mean, std_error = event_reference(inst, control, seed, num_runs)
     np.testing.assert_array_equal(out.mean_counts, mean)
     np.testing.assert_array_equal(out.std_error, std_error)
 
 
-# ---------------------------------------------------------------------------
-# the helper thread that draws the uniforms ends with every call
-
-class Injected(Exception):
-    """A failure planted in one move or one draw."""
-
-
-def third_call_raises(function):
-    """``function``, except that its third call raises Injected."""
-    calls = []
-
-    def wrapped(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 3:
-            raise Injected("third call")
-        return function(*args, **kwargs)
-    return wrapped
-
-
-def small_run(num_runs=50):
-    initial = np.array([[1.0, 0, 0, 0], [0.0, 1.0, 0, 0]])
-    inst = make_instance(TWO_NODE, 0.5, 0.2, 2.0, initial, time_steps=10)
-    return ctmc_simulate(inst, inst.constant_control(0.5, 0.5, 0.5), rng_seed=1,
-                         num_runs=num_runs)
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (3, 5)])
-@pytest.mark.parametrize("count", [1, 2, 3, 4])
-def test_draws_ahead_yields_the_stream(count, shape):
-    # short streams: the helper may finish before the caller reads the first array
-    before = threading.active_count()
-    rng = np.random.default_rng(4)
-    drawn = [draws.copy() for draws in dynamics._draws_ahead(rng, shape, count)]
-    assert threading.active_count() == before
-    twin = np.random.default_rng(4)
-    np.testing.assert_array_equal(drawn, [twin.random(shape) for _ in range(count)])
-
-
-def test_helper_thread_ends_with_the_call():
-    before = threading.active_count()
-    small_run()
-    assert threading.active_count() == before
-
-
-def test_helper_thread_ends_when_a_move_raises(monkeypatch):
-    monkeypatch.setattr(dynamics, "_fire", third_call_raises(dynamics._fire))
-    before = threading.active_count()
-    with pytest.raises(Injected) as failure:
-        small_run()
-    # counted while the traceback still holds the call's frames
-    assert threading.active_count() == before, failure
-
-
-def test_helper_thread_ends_when_a_move_raises_in_the_second_batch(monkeypatch):
-    fire = dynamics._fire
-
-    def fire_until_the_second_batch(y, *args):
-        if len(y) == 1:  # 4097 replicas: a batch of 4096, then a batch of one
-            raise Injected("second batch")
-        fire(y, *args)
-
-    monkeypatch.setattr(dynamics, "_fire", fire_until_the_second_batch)
-    before = threading.active_count()
-    with pytest.raises(Injected, match="^second batch$") as failure:
-        small_run(4097)
-    # counted while the traceback still holds the call's frames
-    assert threading.active_count() == before, failure
-
-
-def test_helper_thread_ends_when_a_draw_raises(monkeypatch):
-    class FailingGenerator:
-        def __init__(self, seed):
-            self.random = third_call_raises(np.random.Generator(np.random.PCG64(seed)).random)
-
-    monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
-    before = threading.active_count()
-    with pytest.raises(Injected) as failure:
-        small_run()
-    # counted while the traceback still holds the call's frames
-    assert threading.active_count() == before, failure
-
-
 def test_concurrent_calls_keep_their_streams():
-    # four callers and their four helpers, switching threads as often as the
-    # interpreter allows: a buffer refilled while its caller still reads it
-    # would change a summary
+    # four callers, switching threads as often as the interpreter allows: a
+    # state shared between calls would change a summary
     digests = []
     # daemon callers: a deadlocked one fails the join below and cannot keep
     # the test session from exiting
